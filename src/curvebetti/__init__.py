@@ -1,5 +1,5 @@
 """Exact Betti numbers of compactified spaces of rational curves in
-Grassmannians, computed along two independent routes."""
+Grassmannians, computed along two routes that are checked against each other."""
 
 from .catalog import (
     EMPTY,
@@ -37,12 +37,8 @@ from .polyring import (
     DivisionByZero,
     IntPoly,
     NonExactDivision,
-    RatExpr,
-    arith,
     exact_div,
-    evaluate,
     monomial,
-    palindrome_check,
 )
 from .surgery import (
     Pipeline,
@@ -51,10 +47,8 @@ from .surgery import (
     TraceRecord,
     blowdown_apply,
     blowup_apply,
-    bundle_total,
     run_pipeline,
     run_pipeline_traced,
-    union_disjoint,
 )
 
 __version__ = "0.1.0"

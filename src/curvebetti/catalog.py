@@ -19,7 +19,7 @@ import dataclasses
 import functools
 from collections.abc import Iterable
 
-from .polyring import ONE, ZERO, IntPoly, RatExpr, exact_div, monomial
+from .polyring import ONE, ZERO, IntPoly, exact_div, monomial, one_minus
 
 
 class InvalidParameters(ValueError):
@@ -105,19 +105,6 @@ EMPTY = PoincarePoly(poly=ZERO, dim=0, components=0)
 POINT = PoincarePoly(poly=ONE, dim=0, components=1)
 
 
-def _one_minus(j: int) -> IntPoly:
-    """1 - q^j (the zero polynomial when j = 0)."""
-    return ONE - monomial(j)
-
-
-def _range_product(lo: int, hi: int) -> IntPoly:
-    """Product of (1 - q^i) for lo <= i <= hi, empty product when hi < lo."""
-    out = ONE
-    for i in range(lo, hi + 1):
-        out = out * _one_minus(i)
-    return out
-
-
 def projective(m: int) -> PoincarePoly:
     """Projective space of dimension m, so 1 + q + ... + q^m.
 
@@ -160,8 +147,8 @@ def grassmannian(k: int, n: int) -> PoincarePoly:
     num = ONE
     den = ONE
     for i in range(1, k + 1):
-        num = num * _one_minus(n - i + 1)
-        den = den * _one_minus(i)
+        num = num * one_minus(n - i + 1)
+        den = den * one_minus(i)
     return PoincarePoly.from_poly(
         exact_div(num, den), claimed_dim=k * (n - k), what=f"grassmannian({k},{n})"
     )
@@ -214,7 +201,7 @@ def lines_through_point(k: int, n: int) -> PoincarePoly:
     """
     if not 1 <= k <= n - 1:
         raise InvalidParameters(f"lines_through_point({k}, {n})")
-    value = exact_div(_one_minus(n - k) * _one_minus(k), _one_minus(1) ** 2)
+    value = exact_div(one_minus(n - k) * one_minus(k), one_minus(1) ** 2)
     return PoincarePoly.from_poly(
         value, claimed_dim=n - 2, what=f"lines_through_point({k},{n})"
     )
@@ -270,19 +257,16 @@ def _validate_stable_maps_args(k: int, n: int, d: int) -> None:
         raise InvalidParameters(f"need an ambient space of dimension >= 2, got n = {n}")
 
 
-def _stable_maps_gr2_ratexpr(k: int, n: int) -> RatExpr:
-    bracket = (
-        (ONE + monomial(n)) * (ONE + monomial(3))
-        - monomial(1) * (ONE + monomial(1)) * (monomial(k) + monomial(n - k))
-    )
-    num = bracket * _range_product(k, n)
-    den = _one_minus(1) ** 2 * _one_minus(2) ** 2 * _range_product(1, n - k - 1)
-    return RatExpr(num, den)
+# The degree 3 kernel is degree3_kernel(k, n) / DEGREE3_KERNEL_DEN; the
+# quotient alone need not be a polynomial, only its product with the
+# space of lines is.
+DEGREE3_KERNEL_DEN = one_minus(1) * one_minus(2) ** 2 * one_minus(3) ** 2
 
 
-def _stable_maps_gr3_kernel(k: int, n: int) -> RatExpr:
+def degree3_kernel(k: int, n: int) -> IntPoly:
+    """Numerator of the degree 3 stable-map kernel over DEGREE3_KERNEL_DEN."""
     w = DEGREE3_KERNEL
-    num = (
+    return (
         w.f1 * (ONE + monomial(2 * n))
         + (ONE + monomial(1)) ** 2
         * (
@@ -291,36 +275,34 @@ def _stable_maps_gr3_kernel(k: int, n: int) -> RatExpr:
         )
         + w.f4 * monomial(2) * (monomial(2 * k) + monomial(2 * n - 2 * k))
     )
-    den = _one_minus(1) * _one_minus(2) ** 2 * _one_minus(3) ** 2
-    return RatExpr(num, den)
-
-
-def _fano_lines_ratexpr(k: int, n: int) -> RatExpr:
-    num = ONE
-    den = ONE
-    for i in range(1, k + 2):
-        num = num * _one_minus(n - i + 1)
-        den = den * _one_minus(i)
-    for i in range(1, k):
-        num = num * _one_minus(k - i + 2)
-        den = den * _one_minus(i)
-    return RatExpr(num, den)
 
 
 @functools.lru_cache(maxsize=None)
 def stable_maps_gr(k: int, n: int, d: int) -> PoincarePoly:
     """Stable-map space of degree d rational curves in grassmannian(k, n).
 
-    Closed form: a low-degree kernel divided by cyclotomic-style
-    factors, times (for d = 3) the polynomial of the space of lines.
+    Closed form: one exact division over a fixed small denominator.
+    For d = 2 the numerator is a low-degree bracket times
+    grassmannian(k-1, n) (1 - q^(n-k)) (1 - q^(n-k+1)); for d = 3 it is
+    the kernel numerator times the polynomial of the space of lines.
     The result has dimension k(n-k) + dn - 3 and the degree is checked.
     """
     _validate_stable_maps_args(k, n, d)
     if d == 2:
-        expr = _stable_maps_gr2_ratexpr(k, n)
+        bracket = (
+            (ONE + monomial(n)) * (ONE + monomial(3))
+            - monomial(1) * (ONE + monomial(1)) * (monomial(k) + monomial(n - k))
+        )
+        num = (
+            bracket
+            * grassmannian(k - 1, n).poly
+            * one_minus(n - k)
+            * one_minus(n - k + 1)
+        )
+        value = exact_div(num, one_minus(1) ** 2 * one_minus(2) ** 2)
     else:
-        expr = _stable_maps_gr3_kernel(k, n) * _fano_lines_ratexpr(k, n)
-    value = expr.to_poly()
+        num = degree3_kernel(k, n) * fano_lines(k, n).poly
+        value = exact_div(num, DEGREE3_KERNEL_DEN)
     return PoincarePoly.from_poly(
         value,
         claimed_dim=k * (n - k) + d * n - 3,

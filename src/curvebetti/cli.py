@@ -45,7 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     betti.add_argument("--compactification", choices=["M", "S", "H"])
     betti.add_argument("--format", choices=["text", "json", "csv"], default="text")
     betti.add_argument("--trace", action="store_true", help="include the pipeline trace")
-    betti.add_argument("--color", choices=["auto", "never"], default="auto")
     betti.set_defaults(func=_cmd_betti)
 
     table = sub.add_parser("table", help="tabulate over a range of n")
@@ -56,7 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     table.add_argument("--format", choices=["text", "json", "csv"], default="text")
     table.add_argument("--out", help="write output to a file instead of stdout")
     table.add_argument("--trace", action="store_true", help="include pipeline traces (json only)")
-    table.add_argument("--color", choices=["auto", "never"], default="auto")
     table.set_defaults(func=_cmd_table)
 
     verify = sub.add_parser("verify", help="run the consistency suites")
@@ -87,6 +85,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ParseError, InvalidParameters) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:
+        print(f"error: cannot write {e.filename or 'output'}: {e.strerror}", file=sys.stderr)
         return 2
     except (NonExactDivision, DivisionByZero, NegativeBetti, DimensionMismatch) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -287,8 +288,13 @@ def _paint(text: str, color: str, mode: str) -> str:
 
 def _cmd_verify(args) -> int:
     keys = _parse_grid(args.grid)
+    if not keys:
+        raise InvalidParameters(f"grid {args.grid!r} selects no keys")
     suites = SUITES if args.suite == "all" else (args.suite,)
     report = verify_suite(keys, suites)
+    if args.json_path:
+        with open(args.json_path, "w") as fh:
+            fh.write(_render_json(report.to_json()))
 
     counts = report.counts()
     for suite in SUITES:
@@ -310,8 +316,5 @@ def _cmd_verify(args) -> int:
             elif not check.passed:
                 print(f"  {_paint('FAIL', 'red', args.color)} {check.name}: "
                       f"{check.detail}")
-    if args.json_path:
-        with open(args.json_path, "w") as fh:
-            fh.write(_render_json(report.to_json()))
     print(f"total: {report.total_checks} checks, {report.total_failures} failures")
     return 0 if report.total_failures == 0 else 1

@@ -148,6 +148,7 @@ SpaceExpr = (
     | Blowup
     | Blowdown
 )
+_NODES = SpaceExpr.__args__
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|(.))")
@@ -183,9 +184,15 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
+    # Bounds both the nesting of parentheses and calls and the height of
+    # the finished tree, so that parsing, evaluation and printing stay
+    # well inside Python's recursion limit.
+    MAX_DEPTH = 100
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -222,7 +229,14 @@ class _Parser:
             return -self.expect_int()
         return self.expect_int()
 
+    def too_deep(self, offset: int, found: str) -> ParseError:
+        return ParseError(offset, f"at most {self.MAX_DEPTH} levels of nesting", found)
+
     def parse_expr(self) -> SpaceExpr:
+        if self.depth == self.MAX_DEPTH:
+            tok = self.peek()
+            raise self.too_deep(tok.offset, "deeper nesting")
+        self.depth += 1
         node = self.parse_term()
         while True:
             tok = self.peek()
@@ -231,6 +245,7 @@ class _Parser:
                 right = self.parse_term()
                 node = Sum(node, right) if tok.text == "+" else Diff(node, right)
             else:
+                self.depth -= 1
                 return node
 
     def parse_term(self) -> SpaceExpr:
@@ -336,6 +351,15 @@ def parse(text: str) -> SpaceExpr:
     tok = parser.peek()
     if tok.kind != "end":
         raise parser.fail("end of input")
+    # A long chain like P(1) + P(1) + ... parses in a loop but builds a
+    # tall tree, so the height is checked on its own, without recursion.
+    height, stack = 0, [(node, 1)]
+    while stack:
+        e, h = stack.pop()
+        height = max(height, h)
+        stack.extend((c, h + 1) for c in vars(e).values() if isinstance(c, _NODES))
+    if height > parser.MAX_DEPTH:
+        raise parser.too_deep(0, f"{height} levels")
     return node
 
 

@@ -169,15 +169,9 @@ def monomial(j: int, c: int = 1) -> IntPoly:
     return IntPoly((0,) * j + (c,))
 
 
-def arith(a: IntPoly, b: IntPoly, operator: str) -> IntPoly:
-    """Named ring operation: one of "add", "sub" or "mul"."""
-    if operator == "add":
-        return a + b
-    if operator == "sub":
-        return a - b
-    if operator == "mul":
-        return a * b
-    raise ValueError(f"unknown operator {operator!r}")
+def one_minus(j: int) -> IntPoly:
+    """1 - q^j (the zero polynomial when j = 0)."""
+    return ONE - monomial(j)
 
 
 def exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
@@ -217,65 +211,3 @@ def exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
     if any(rem):
         raise NonExactDivision(f"({num}) / ({den}): remainder {IntPoly(rem)}")
     return IntPoly(quot)
-
-
-def palindrome_check(p: IntPoly) -> bool:
-    return p.is_palindromic()
-
-
-def evaluate(p: IntPoly, x: int) -> int:
-    return p.evaluate(x)
-
-
-@dataclasses.dataclass(frozen=True)
-class RatExpr:
-    """Lazily held quotient of two integer polynomials.
-
-    Products and sums are formed without any reduction; the single exact
-    division happens in :meth:`to_poly`.  This lets intermediate factors
-    be honestly non-polynomial (for instance (1-q)/(1-q^2)) as long as
-    the assembled expression divides out in the end.
-    """
-
-    num: IntPoly
-    den: IntPoly
-
-    def __post_init__(self):
-        if self.den.is_zero():
-            raise DivisionByZero("rational expression with zero denominator")
-
-    def __mul__(self, other: int | IntPoly | RatExpr) -> RatExpr:
-        other = _as_ratexpr(other)
-        return RatExpr(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other: int | IntPoly | RatExpr) -> RatExpr:
-        other = _as_ratexpr(other)
-        return RatExpr(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> RatExpr:
-        return RatExpr(-self.num, self.den)
-
-    def __sub__(self, other: int | IntPoly | RatExpr) -> RatExpr:
-        return self + (-_as_ratexpr(other))
-
-    def __rsub__(self, other: int | IntPoly | RatExpr) -> RatExpr:
-        return _as_ratexpr(other) + (-self)
-
-    def to_poly(self) -> IntPoly:
-        """Collapse to an IntPoly by one exact division."""
-        return exact_div(self.num, self.den)
-
-    def __str__(self) -> str:
-        return f"({self.num}) / ({self.den})"
-
-
-def _as_ratexpr(x: int | IntPoly | RatExpr) -> RatExpr:
-    if isinstance(x, RatExpr):
-        return x
-    return RatExpr(_as_poly(x), ONE)

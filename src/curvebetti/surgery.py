@@ -82,15 +82,6 @@ class PipelineRun:
     trace: tuple[TraceRecord, ...]
 
 
-def bundle_total(base: PoincarePoly, fiber: PoincarePoly) -> PoincarePoly:
-    """Total space of a fibration with the given base and fiber."""
-    return base * fiber
-
-
-def union_disjoint(a: PoincarePoly, b: PoincarePoly) -> PoincarePoly:
-    return a + b
-
-
 def blowup_apply(space: PoincarePoly, center: PoincarePoly, codim: int) -> PoincarePoly:
     """Blow up a center of the given codimension.
 

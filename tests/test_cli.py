@@ -261,3 +261,42 @@ def test_no_subcommand_exit_2(capsys):
 def test_unknown_subcommand_exit_2(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 2
+
+
+def test_verify_empty_grid_exit_2(capsys):
+    code, out, err = run(capsys, "verify", "--grid", "k=1..1,n=9..3", "--suite", "duality")
+    assert code == 2
+    assert out == ""
+    assert err == "error: grid 'k=1..1,n=9..3' selects no keys\n"
+
+
+def test_table_unwritable_out_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(
+        capsys,
+        "table", "--k", "1", "--n", "4..5", "--d", "2",
+        "--compactification", "S", "--out", str(target),
+    )
+    assert code == 2
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+def test_verify_unwritable_json_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(
+        capsys, "verify", "--grid", "k=1..1,n=3..4", "--json", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+@pytest.mark.parametrize(
+    "space", ["(" * 2000 + "P(1)" + ")" * 2000, "P(1)" + " + P(1)" * 2000]
+)
+def test_betti_deep_expression_exit_2(capsys, space):
+    code, out, err = run(capsys, "betti", "--space", space)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "levels of nesting" in err

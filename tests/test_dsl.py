@@ -186,3 +186,16 @@ def test_sum_associates(a, b, c):
     assert (
         eval_expr(Sum(Sum(a, b), c)).poly == eval_expr(Sum(a, Sum(b, c))).poly
     )
+
+
+def test_nesting_limit():
+    limit = 100
+    assert parse("(" * (limit - 1) + "P(1)" + ")" * (limit - 1)) == Proj(1)
+    with pytest.raises(ParseError) as excinfo:
+        parse("(" * limit + "P(1)" + ")" * limit)
+    assert excinfo.value.offset == limit
+    assert eval_expr(parse(" + ".join(["P(0)"] * limit))).poly == IntPoly([limit])
+    with pytest.raises(ParseError):
+        parse(" + ".join(["P(0)"] * (limit + 1)))
+    with pytest.raises(ParseError):
+        parse("blowup(" * limit + "P(0)" + ", P(0), 1)" * limit)

@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
-from curvebetti.catalog import InvalidParameters, grassmannian, projective
+from curvebetti import catalog, pipelines
+from curvebetti.catalog import InvalidParameters, grassmannian, projective, stable_maps_gr
 from curvebetti.pipelines import (
     ModuliKey,
     dim_expected,
@@ -17,7 +20,7 @@ from curvebetti.pipelines import (
     verify_pair,
     verify_suite,
 )
-from curvebetti.polyring import IntPoly, monomial
+from curvebetti.polyring import IntPoly, NonExactDivision, monomial
 from curvebetti.surgery import run_pipeline
 
 S13 = IntPoly([1, 2, 3, 3, 3, 3, 3, 2, 1])
@@ -204,3 +207,57 @@ def test_verify_suite_suite_selection_and_json():
     assert payload["suites"]["pipeline"]["failed"] == []
     with pytest.raises(InvalidParameters):
         verify_suite(keys_for_pair(2, 5), suites=("smoke",))
+
+
+def test_special_checks_report_arithmetic_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise NonExactDivision("injected")
+
+    monkeypatch.setattr(pipelines, "simpson_d3", broken)
+    report = verify_suite(keys_for_pair(1, 4), suites=("special",))
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == [
+        "H(Gr(1,4),3) = S(Gr(1,4),3)",
+        "S(Gr(1,3),3) reference value",
+    ]
+    assert all(c.detail == "NonExactDivision: injected" for c in failed)
+    assert report.total_checks == 3
+
+
+@pytest.mark.parametrize("n", range(11, 21))
+def test_closed_equals_pipeline_beyond_the_default_grid(n):
+    for k in range(1, n // 2 + 1):
+        for key in (ModuliKey(k, n, 2, "S"), ModuliKey(k, n, 3, "S"), ModuliKey(k, n, 3, "H")):
+            closed = space_poly(key, "closed")
+            assert closed.poly == space_poly(key, "pipeline").poly, key
+            assert closed.dim == dim_expected(key), key
+            assert closed.is_palindromic(), key
+
+
+@pytest.fixture
+def empty_caches():
+    def clear():
+        for module in (catalog, pipelines):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+def test_kernel_perturbations_are_inexact(monkeypatch, empty_caches):
+    # The kernel is divided exactly once, so a typo in any coefficient of
+    # any weight leaves a remainder both in M and in the closed S route.
+    kernel = catalog.DEGREE3_KERNEL
+    for name in ("f1", "f2", "f3", "f4"):
+        weight = getattr(kernel, name)
+        for j in range(len(weight.coeffs)):
+            for sign in (1, -1):
+                perturbed = dataclasses.replace(kernel, **{name: weight + monomial(j, sign)})
+                monkeypatch.setattr(catalog, "DEGREE3_KERNEL", perturbed)
+                with pytest.raises(NonExactDivision):
+                    stable_maps_gr(2, 5, 3)
+                with pytest.raises(NonExactDivision):
+                    simpson_d3(2, 5)

@@ -9,12 +9,8 @@ from curvebetti.polyring import (
     DivisionByZero,
     IntPoly,
     NonExactDivision,
-    RatExpr,
-    arith,
-    evaluate,
     exact_div,
     monomial,
-    palindrome_check,
 )
 
 coeff_lists = st.lists(st.integers(-9, 9), max_size=8)
@@ -37,11 +33,11 @@ def test_basic_arithmetic():
     assert P(1, 1) * P(1, -1) == P(1, 0, -1)
     assert P(1, 2) + P(0, -2, 3) == P(1, 0, 3)
     assert P(1, 1) - P(1, 1) == ZERO
-    assert arith(P(1, 1), P(1, -1), "mul") == P(1, 0, -1)
-    assert arith(P(1), P(0, 1), "add") == P(1, 1)
-    assert arith(P(1), P(0, 1), "sub") == P(1, -1)
-    with pytest.raises(ValueError):
-        arith(ONE, ONE, "div")
+    assert P(1) + P(0, 1) == P(1, 1)
+    assert P(1) - P(0, 1) == P(1, -1)
+    assert 1 - monomial(1) == P(1, -1)
+    with pytest.raises(TypeError):
+        P(1) + 1.5
 
 
 def test_scalar_and_power():
@@ -85,17 +81,17 @@ def test_exact_div_edge_cases():
 
 
 def test_evaluate():
-    assert evaluate(P(1, 1, 2, 1, 1), 1) == 6
-    assert evaluate(P(1, 1, 2, 1, 1), 2) == 35
-    assert evaluate(ZERO, 7) == 0
+    assert P(1, 1, 2, 1, 1).evaluate(1) == 6
+    assert P(1, 1, 2, 1, 1).evaluate(2) == 35
+    assert ZERO.evaluate(7) == 0
     assert P(3, -1).evaluate(0) == 3
 
 
 def test_palindrome_check():
-    assert palindrome_check(P(1, 2, 1))
-    assert not palindrome_check(P(1, 2, 3))
-    assert palindrome_check(ZERO)
-    assert palindrome_check(P(7))
+    assert P(1, 2, 1).is_palindromic()
+    assert not P(1, 2, 3).is_palindromic()
+    assert ZERO.is_palindromic()
+    assert P(7).is_palindromic()
 
 
 def test_str_forms():
@@ -158,32 +154,3 @@ def test_evaluate_is_ring_map(a, x):
 def test_palindrome_iff_equal_to_reversal(a):
     p = IntPoly(a)
     assert p.is_palindromic() == (p == p.reversed())
-
-
-def test_ratexpr_stays_unreduced_until_needed():
-    e = RatExpr(ONE - monomial(2), ONE - monomial(1))
-    f = e * RatExpr(ONE - monomial(3), ONE - monomial(2))
-    # factors concatenate, nothing cancels early
-    assert f.num == (ONE - monomial(2)) * (ONE - monomial(3))
-    assert f.to_poly() == P(1, 1, 1)
-
-
-def test_ratexpr_tolerates_non_polynomial_intermediates():
-    # (1-q)/(1-q^2) alone is not a polynomial, but the product is.
-    e = RatExpr(ONE - monomial(1), ONE - monomial(2))
-    assert (e * RatExpr(ONE - monomial(2), ONE - monomial(1))).to_poly() == ONE
-    with pytest.raises(NonExactDivision):
-        e.to_poly()
-
-
-def test_ratexpr_sum_and_difference():
-    half1 = RatExpr(ONE, ONE - monomial(1))
-    e = half1 + half1 - RatExpr(2 * ONE, ONE - monomial(1))
-    assert e.to_poly() == ZERO
-    s = RatExpr(ONE - monomial(3), ONE - monomial(1)) + 1
-    assert s.to_poly() == P(2, 1, 1)
-
-
-def test_ratexpr_zero_denominator():
-    with pytest.raises(DivisionByZero):
-        RatExpr(ONE, ZERO)

@@ -20,10 +20,8 @@ from curvebetti.surgery import (
     SurgeryStep,
     blowdown_apply,
     blowup_apply,
-    bundle_total,
     run_pipeline,
     run_pipeline_traced,
-    union_disjoint,
 )
 
 
@@ -40,15 +38,15 @@ spaces = st.tuples(
 
 
 def test_bundle_total():
-    assert bundle_total(grassmannian(3, 4), projective(5)).poly == IntPoly(
+    assert (grassmannian(3, 4) * projective(5)).poly == IntPoly(
         [1, 2, 3, 4, 4, 4, 3, 2, 1]
     )
-    assert bundle_total(space([1]), projective(2)).poly == IntPoly([1, 1, 1])
-    assert bundle_total(EMPTY, projective(2)) == EMPTY
+    assert (space([1]) * projective(2)).poly == IntPoly([1, 1, 1])
+    assert EMPTY * projective(2) == EMPTY
 
 
 def test_union_disjoint():
-    u = union_disjoint(projective(1), projective(3))
+    u = projective(1) + projective(3)
     assert u.poly == IntPoly([2, 2, 1, 1])
     assert u.components == 2
 
@@ -97,7 +95,7 @@ def test_blowdown_disconnected_fiber_rejected():
 
 @given(spaces, st.integers(1, 6))
 def test_blowup_blowdown_round_trip(center, codim):
-    ambient = bundle_total(center, projective(codim))  # any space of the right dim
+    ambient = center * projective(codim)  # any space of the right dim
     up = blowup_apply(ambient, center, codim)
     down = blowdown_apply(up, center, projective(codim - 1))
     assert down.poly == ambient.poly
