@@ -19,7 +19,8 @@ import dataclasses
 import functools
 from collections.abc import Iterable
 
-from .polyring import ONE, ZERO, IntPoly, exact_div, monomial, one_minus
+from .polyring import ONE, ZERO, IntPoly, div_one_minus, monomial, mul_one_minus
+from .polyring import exact_div  # noqa: F401  (bench/test_bench.py looks it up here)
 
 
 class InvalidParameters(ValueError):
@@ -132,10 +133,11 @@ def weighted_projective(weights: Iterable[int]) -> PoincarePoly:
 def grassmannian(k: int, n: int) -> PoincarePoly:
     """Grassmannian of k-dimensional subspaces of an n-dimensional space.
 
-    Computed by the Gaussian binomial product formula, with the full
-    numerator and denominator assembled first and divided exactly once.
-    Out-of-range k yields the empty space as a value, which downstream
-    formulas rely on to drop vacuous terms.
+    Computed as the Gaussian binomial [n choose k]_q by the recurrence
+    [n choose i] = [n choose i-1] (1 - q^(n-i+1)) / (1 - q^i), so every
+    intermediate value is a polynomial.  Out-of-range k yields the empty
+    space as a value, which downstream formulas rely on to drop vacuous
+    terms.
 
     >>> str(grassmannian(2, 4))
     '1 + q + 2q^2 + q^3 + q^4'
@@ -144,13 +146,11 @@ def grassmannian(k: int, n: int) -> PoincarePoly:
         raise InvalidParameters(f"grassmannian({k}, {n})")
     if k < 0 or k > n:
         return EMPTY
-    num = ONE
-    den = ONE
-    for i in range(1, k + 1):
-        num = num * one_minus(n - i + 1)
-        den = den * one_minus(i)
+    value = ONE
+    for i in range(1, min(k, n - k) + 1):
+        value = div_one_minus(mul_one_minus(value, n - i + 1), i)
     return PoincarePoly.from_poly(
-        exact_div(num, den), claimed_dim=k * (n - k), what=f"grassmannian({k},{n})"
+        value, claimed_dim=k * (n - k), what=f"grassmannian({k},{n})"
     )
 
 
@@ -201,7 +201,8 @@ def lines_through_point(k: int, n: int) -> PoincarePoly:
     """
     if not 1 <= k <= n - 1:
         raise InvalidParameters(f"lines_through_point({k}, {n})")
-    value = exact_div(one_minus(n - k) * one_minus(k), one_minus(1) ** 2)
+    num = functools.reduce(mul_one_minus, (n - k, k), ONE)
+    value = functools.reduce(div_one_minus, (1, 1), num)
     return PoincarePoly.from_poly(
         value, claimed_dim=n - 2, what=f"lines_through_point({k},{n})"
     )
@@ -257,10 +258,10 @@ def _validate_stable_maps_args(k: int, n: int, d: int) -> None:
         raise InvalidParameters(f"need an ambient space of dimension >= 2, got n = {n}")
 
 
-# The degree 3 kernel is degree3_kernel(k, n) / DEGREE3_KERNEL_DEN; the
-# quotient alone need not be a polynomial, only its product with the
-# space of lines is.
-DEGREE3_KERNEL_DEN = one_minus(1) * one_minus(2) ** 2 * one_minus(3) ** 2
+# The degree 3 kernel is degree3_kernel(k, n) over the product of
+# (1 - q^j) for j in DEGREE3_KERNEL_DEN; the quotient alone need not be
+# a polynomial, only its product with the space of lines is.
+DEGREE3_KERNEL_DEN = (1, 2, 2, 3, 3)
 
 
 def degree3_kernel(k: int, n: int) -> IntPoly:
@@ -281,10 +282,11 @@ def degree3_kernel(k: int, n: int) -> IntPoly:
 def stable_maps_gr(k: int, n: int, d: int) -> PoincarePoly:
     """Stable-map space of degree d rational curves in grassmannian(k, n).
 
-    Closed form: one exact division over a fixed small denominator.
-    For d = 2 the numerator is a low-degree bracket times
-    grassmannian(k-1, n) (1 - q^(n-k)) (1 - q^(n-k+1)); for d = 3 it is
-    the kernel numerator times the polynomial of the space of lines.
+    Closed form: a numerator divided by a fixed product of (1 - q^j),
+    one factor at a time.  For d = 2 the numerator is a low-degree
+    bracket times grassmannian(k-1, n) (1 - q^(n-k)) (1 - q^(n-k+1));
+    for d = 3 it is the kernel numerator times the polynomial of the
+    space of lines.
     The result has dimension k(n-k) + dn - 3 and the degree is checked.
     """
     _validate_stable_maps_args(k, n, d)
@@ -293,16 +295,13 @@ def stable_maps_gr(k: int, n: int, d: int) -> PoincarePoly:
             (ONE + monomial(n)) * (ONE + monomial(3))
             - monomial(1) * (ONE + monomial(1)) * (monomial(k) + monomial(n - k))
         )
-        num = (
-            bracket
-            * grassmannian(k - 1, n).poly
-            * one_minus(n - k)
-            * one_minus(n - k + 1)
+        num = functools.reduce(
+            mul_one_minus, (n - k, n - k + 1), bracket * grassmannian(k - 1, n).poly
         )
-        value = exact_div(num, one_minus(1) ** 2 * one_minus(2) ** 2)
+        value = functools.reduce(div_one_minus, (1, 1, 2, 2), num)
     else:
         num = degree3_kernel(k, n) * fano_lines(k, n).poly
-        value = exact_div(num, DEGREE3_KERNEL_DEN)
+        value = functools.reduce(div_one_minus, DEGREE3_KERNEL_DEN, num)
     return PoincarePoly.from_poly(
         value,
         claimed_dim=k * (n - k) + d * n - 3,

@@ -229,6 +229,16 @@ def _parse_n_range(text: str) -> tuple[int, int]:
 
 def _cmd_table(args) -> int:
     lo, hi = _parse_n_range(args.n)
+    # Open --out before the sweep, so an unwritable path fails fast.
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(_table_text(args, lo, hi))
+    else:
+        sys.stdout.write(_table_text(args, lo, hi))
+    return 0
+
+
+def _table_text(args, lo: int, hi: int) -> str:
     records = []
     for n in range(lo, hi + 1):
         key = ModuliKey(args.k, n, args.d, args.compactification)
@@ -246,17 +256,10 @@ def _cmd_table(args) -> int:
               file=sys.stderr)
 
     if args.format == "json":
-        text = _render_json(records)
-    elif args.format == "csv":
-        text = _render_csv(records)
-    else:
-        text = "".join(_render_text_record(r) + "\n" for r in records)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+        return _render_json(records)
+    if args.format == "csv":
+        return _render_csv(records)
+    return "".join(_render_text_record(r) + "\n" for r in records)
 
 
 def _parse_grid(spec: str) -> list[ModuliKey]:
@@ -291,10 +294,13 @@ def _cmd_verify(args) -> int:
     if not keys:
         raise InvalidParameters(f"grid {args.grid!r} selects no keys")
     suites = SUITES if args.suite == "all" else (args.suite,)
-    report = verify_suite(keys, suites)
+    # Open --json before the suites run, so an unwritable path fails fast.
     if args.json_path:
         with open(args.json_path, "w") as fh:
+            report = verify_suite(keys, suites)
             fh.write(_render_json(report.to_json()))
+    else:
+        report = verify_suite(keys, suites)
 
     counts = report.counts()
     for suite in SUITES:

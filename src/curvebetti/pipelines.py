@@ -9,8 +9,8 @@ reachable from M by an explicit chain of blow-ups and blow-downs.
 This module computes S and H along both routes:
 
 * closed mode evaluates the printed formulas; each quotient among them
-  is one exact division of the assembled numerator by a fixed small
-  denominator;
+  divides the assembled numerator by a fixed product of (1 - q^j), one
+  factor at a time;
 * pipeline mode starts from the stable-map polynomial and folds the
   surgery steps, with centers built out of catalog spaces.
 
@@ -54,9 +54,10 @@ from .polyring import (
     DivisionByZero,
     IntPoly,
     NonExactDivision,
-    exact_div,
+    div_one_minus,
+    exact_div,  # noqa: F401  (bench/test_bench.py looks it up here)
     monomial,
-    one_minus,
+    mul_one_minus,
 )
 from .surgery import Pipeline, SurgeryStep, blowup_apply, run_pipeline
 
@@ -127,11 +128,13 @@ def _simpson2_closed(k: int, n: int) -> PoincarePoly:
     bracket = (
         (ONE + monomial(n)) * (ONE + monomial(3))
         - monomial(1) * (ONE + monomial(1)) * (monomial(k) + monomial(n - k))
-        + one_minus(2) * (monomial(3) - monomial(n - 2))
+        + mul_one_minus(monomial(3) - monomial(n - 2), 2)
     )
-    num = bracket * grassmannian(k + 1, n).poly * one_minus(k) * one_minus(k + 1)
+    num = functools.reduce(
+        mul_one_minus, (k, k + 1), bracket * grassmannian(k + 1, n).poly
+    )
     return PoincarePoly.from_poly(
-        exact_div(num, one_minus(1) ** 2 * one_minus(2) ** 2),
+        functools.reduce(div_one_minus, (1, 1, 2, 2), num),
         claimed_dim=k * (n - k) + 2 * n - 3,
         what=f"S(Gr({k},{n}),2) closed",
     )
@@ -176,10 +179,6 @@ def _mixed_ruling_poly() -> IntPoly:
     ) * stable_maps_p1(2).poly
 
 
-# (1 - q)(1 - q^2)(1 - q^3)^2: the kernel's denominator over (1 - q^2).
-_KERNEL_DEN_COFACTOR = one_minus(1) * one_minus(2) * one_minus(3) ** 2
-
-
 @functools.lru_cache(maxsize=None)
 def _simpson3_closed(k: int, n: int) -> PoincarePoly:
     def geom(j: int) -> IntPoly:
@@ -195,7 +194,7 @@ def _simpson3_closed(k: int, n: int) -> PoincarePoly:
     # denominator.  Every term but the kernel and the last one is a
     # polynomial; the last carries the one truly rational factor
     # (1 - q^(n-3)) / (1 - q^2), which times the kernel's denominator
-    # is (1 - q^(n-3)) times the exact cofactor above.
+    # is (1 - q^(n-3))(1 - q)(1 - q^2)(1 - q^3)^2.
     pointed_pencils = fx + geom(n - 2) - ONE
     polynomial_terms = (
         mb3 * (geom(2 * n - 4) - ONE)
@@ -211,10 +210,14 @@ def _simpson3_closed(k: int, n: int) -> PoincarePoly:
     )
     braced = (
         degree3_kernel(k, n)
-        + polynomial_terms * DEGREE3_KERNEL_DEN
-        - geom(n - 2) * one_minus(n - 3) * _KERNEL_DEN_COFACTOR * (geom(8) - ONE)
+        + functools.reduce(mul_one_minus, DEGREE3_KERNEL_DEN, polynomial_terms)
+        - functools.reduce(
+            mul_one_minus, (n - 3, 1, 2, 3, 3), geom(n - 2) * (geom(8) - ONE)
+        )
     )
-    value = exact_div(braced * fano_lines(k, n).poly, DEGREE3_KERNEL_DEN)
+    value = functools.reduce(
+        div_one_minus, DEGREE3_KERNEL_DEN, braced * fano_lines(k, n).poly
+    )
     return PoincarePoly.from_poly(
         value,
         claimed_dim=k * (n - k) + 3 * n - 3,
@@ -574,8 +577,8 @@ def grid_keys(
     return sorted(keys)
 
 
-def _check_duality(key: ModuliKey) -> CheckResult:
-    report = verify_pair(key)
+def _check_duality(report: PairReport) -> CheckResult:
+    key = report.key
     if report.error is not None:
         return CheckResult("duality", str(key), False, report.error)
     problems = []
@@ -586,8 +589,8 @@ def _check_duality(key: ModuliKey) -> CheckResult:
     return CheckResult("duality", str(key), not problems, "; ".join(problems))
 
 
-def _check_pipeline(key: ModuliKey) -> CheckResult:
-    report = verify_pair(key)
+def _check_pipeline(report: PairReport) -> CheckResult:
+    key = report.key
     if report.error is not None:
         return CheckResult("pipeline", str(key), False, report.error)
     if report.mode_equal:
@@ -669,15 +672,17 @@ def verify_suite(
     if keys is None:
         keys = grid_keys()
     keys = sorted(set(keys))
+    # duality and pipeline read the same report; evaluate each key once.
+    report_for = functools.lru_cache(maxsize=None)(verify_pair)
     checks: list[CheckResult] = []
     for suite in SUITES:
         if suite not in suites:
             continue
         if suite == "duality":
-            checks.extend(_check_duality(key) for key in keys)
+            checks.extend(_check_duality(report_for(key)) for key in keys)
         elif suite == "pipeline":
             checks.extend(
-                _check_pipeline(key)
+                _check_pipeline(report_for(key))
                 for key in keys
                 if key.compactification != "M"
             )

@@ -5,6 +5,23 @@ arbitrary-precision integer coefficients.  Downstream the coefficient of
 q^j is a Betti number, so every operation here must be exact: no floats,
 no modular tricks, and division either succeeds with remainder zero or
 raises.
+
+Multiplication is Kronecker substitution: both operands are evaluated at
+q = 2^w by packing their coefficients into one integer each, the two
+integers are multiplied once (CPython's Karatsuba multiply does the
+convolution), and the product's coefficients are read back out of w-bit
+slots.  The slot width is exact, not heuristic: a product coefficient
+sums at most min(len a, len b) terms, each below 2^(bits a + bits b) in
+absolute value, so w = bits a + bits b + bits(min(len a, len b)) + 1
+bits, rounded up to whole bytes, hold it with its sign.  Coefficients
+are stored with a bias of 2^(w-1), so every slot is a nonnegative w-bit
+number, no slot carries into the next, and packing and unpacking are
+int.from_bytes and int.to_bytes.
+
+Products and quotients by (1 - q^j) have their own O(len) steps,
+mul_one_minus and div_one_minus; the latter divides one factor at a
+time and checks that the remainder is zero.  exact_div stays the
+general divider.
 """
 
 from __future__ import annotations
@@ -59,11 +76,10 @@ class IntPoly:
         return 0
 
     def __add__(self, other: int | IntPoly) -> IntPoly:
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly(
-            self.coefficient(j) + other.coefficient(j) for j in range(n)
-        )
+        a, b = self.coeffs, _as_poly(other).coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return IntPoly([x + y for x, y in zip(a, b)] + list(a[len(b) :]))
 
     __radd__ = __add__
 
@@ -77,16 +93,35 @@ class IntPoly:
         return _as_poly(other) + (-self)
 
     def __mul__(self, other: int | IntPoly) -> IntPoly:
-        other = _as_poly(other)
-        if self.is_zero() or other.is_zero():
-            return IntPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPoly(out)
+        a, b = self.coeffs, _as_poly(other).coeffs
+        if not a or not b:
+            return ZERO
+        # Kronecker substitution at q = 2^(8 * width); see the module
+        # docstring for why the slot width is exact.
+        width = (
+            max(map(abs, a)).bit_length()
+            + max(map(abs, b)).bit_length()
+            + min(len(a), len(b)).bit_length()
+            + 8  # one sign bit, and 7 to round up to whole bytes
+        ) // 8
+        bias = 1 << (8 * width - 1)
+        biases = bias.to_bytes(width, "little")
+
+        def pack(cs: tuple[int, ...]) -> int:
+            data = b"".join([(c + bias).to_bytes(width, "little") for c in cs])
+            return int.from_bytes(data, "little") - int.from_bytes(
+                biases * len(cs), "little"
+            )
+
+        size = len(a) + len(b) - 1
+        product = pack(a) * pack(b) + int.from_bytes(biases * size, "little")
+        data = product.to_bytes(size * width, "little")
+        return IntPoly(
+            [
+                int.from_bytes(data[i : i + width], "little") - bias
+                for i in range(0, size * width, width)
+            ]
+        )
 
     __rmul__ = __mul__
 
@@ -169,9 +204,39 @@ def monomial(j: int, c: int = 1) -> IntPoly:
     return IntPoly((0,) * j + (c,))
 
 
-def one_minus(j: int) -> IntPoly:
-    """1 - q^j (the zero polynomial when j = 0)."""
-    return ONE - monomial(j)
+def mul_one_minus(p: IntPoly, j: int) -> IntPoly:
+    """p * (1 - q^j), by one shift and subtraction.
+
+    >>> mul_one_minus(IntPoly([1, 1]), 2)
+    IntPoly('1 + q - q^2 - q^3')
+    """
+    cs = p.coeffs
+    pad = (0,) * j
+    return IntPoly([x - y for x, y in zip(cs + pad, pad + cs)])
+
+
+def div_one_minus(p: IntPoly, j: int) -> IntPoly:
+    """p / (1 - q^j) when the division is exact; j >= 1.
+
+    The quotient's coefficients are the running sums q_i = p_i + q_(i-j)
+    of the power series p / (1 - q^j).  The division is exact if and
+    only if the last j of them, up to q^deg(p), are zero; otherwise
+    NonExactDivision is raised.
+
+    >>> div_one_minus(IntPoly([1, 0, 0, 0, -1]), 1)
+    IntPoly('1 + q + q^2 + q^3')
+    """
+    if j < 1:
+        raise DivisionByZero(f"division by 1 - q^{j}")
+    cs = list(p.coeffs)
+    for i in range(j, len(cs)):
+        cs[i] += cs[i - j]
+    top = max(len(cs) - j, 0)
+    if any(cs[top:]):
+        raise NonExactDivision(
+            f"({p}) / (1 - q^{j}): remainder {IntPoly(cs[top:]).shift(top)}"
+        )
+    return IntPoly(cs[:top])
 
 
 def exact_div(num: IntPoly, den: IntPoly) -> IntPoly:

@@ -1,7 +1,10 @@
 import math
+import time
 
 import pytest
+import sympy
 
+from curvebetti import catalog
 from curvebetti.catalog import (
     DEGREE3_KERNEL,
     EMPTY,
@@ -75,6 +78,33 @@ def test_grassmannian_reference_values():
 @pytest.mark.parametrize("k,n", [(k, n) for k in range(0, 8) for n in range(k, 8)])
 def test_grassmannian_against_cell_count(k, n):
     assert list(grassmannian(k, n).poly.coeffs) == box_partition_counts(k, n - k)
+
+
+@pytest.mark.parametrize("k,n", [(3, 7), (5, 12), (8, 21), (13, 30), (11, 40)])
+def test_grassmannian_against_sympy_gaussian_binomial(k, n):
+    # Independent oracle: the Gaussian binomial assembled and divided
+    # once by sympy's polynomial arithmetic over the rationals.
+    q = sympy.Symbol("q")
+    num = sympy.Poly(sympy.prod([1 - q ** (n - i + 1) for i in range(1, k + 1)]), q)
+    den = sympy.Poly(sympy.prod([1 - q**i for i in range(1, k + 1)]), q)
+    quot, rem = sympy.div(num, den, domain="QQ")
+    assert rem.is_zero
+    expected = [int(c) for c in reversed(quot.all_coeffs())]
+    assert list(grassmannian(k, n).poly.coeffs) == expected
+
+
+def test_grassmannian_at_size():
+    # Budget 2 s of CPU time, about ten times what the q-binomial
+    # recurrence takes.
+    catalog.grassmannian.cache_clear()
+    start = time.process_time()
+    gr = grassmannian(100, 200)
+    elapsed = time.process_time() - start
+    catalog.grassmannian.cache_clear()
+    assert gr.poly.degree == 10_000
+    assert gr.is_palindromic()
+    assert gr.euler() == math.comb(200, 100)
+    assert elapsed < 2.0, f"grassmannian(100, 200): {elapsed:.2f} s, budget 2 s"
 
 
 @pytest.mark.parametrize("k,n", GRID)

@@ -281,6 +281,27 @@ def test_table_unwritable_out_exit_2(tmp_path, capsys):
     assert err == f"error: cannot write {target}: No such file or directory\n"
 
 
+def test_unwritable_paths_fail_before_the_work(tmp_path, capsys, monkeypatch):
+    from curvebetti import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "verify_suite", lambda *a: calls.append(a))
+    monkeypatch.setattr(cli, "space_poly", lambda *a: calls.append(a))
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(
+        capsys, "verify", "--grid", "k=1..1,n=3..4", "--json", str(target)
+    )
+    assert code == 2 and out == "" and calls == []
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+    code, out, err = run(
+        capsys,
+        "table", "--k", "1", "--n", "4..5", "--d", "2",
+        "--compactification", "S", "--out", str(target),
+    )
+    assert code == 2 and out == "" and calls == []
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
 def test_verify_unwritable_json_exit_2(tmp_path, capsys):
     target = tmp_path / "missing" / "x"
     code, out, err = run(

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import pytest
 
@@ -234,22 +235,23 @@ def test_closed_equals_pipeline_beyond_the_default_grid(n):
             assert closed.is_palindromic(), key
 
 
+def _clear_caches():
+    for module in (catalog, pipelines):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
 @pytest.fixture
 def empty_caches():
-    def clear():
-        for module in (catalog, pipelines):
-            for obj in vars(module).values():
-                if hasattr(obj, "cache_clear"):
-                    obj.cache_clear()
-
-    clear()
+    _clear_caches()
     yield
-    clear()
+    _clear_caches()
 
 
 def test_kernel_perturbations_are_inexact(monkeypatch, empty_caches):
-    # The kernel is divided exactly once, so a typo in any coefficient of
-    # any weight leaves a remainder both in M and in the closed S route.
+    # A typo in any coefficient of any weight leaves a remainder in one of
+    # the (1 - q^j) divisions, both in M and in the closed S route.
     kernel = catalog.DEGREE3_KERNEL
     for name in ("f1", "f2", "f3", "f4"):
         weight = getattr(kernel, name)
@@ -261,3 +263,32 @@ def test_kernel_perturbations_are_inexact(monkeypatch, empty_caches):
                     stable_maps_gr(2, 5, 3)
                 with pytest.raises(NonExactDivision):
                     simpson_d3(2, 5)
+
+
+def test_hilbert_at_size_agrees_on_both_routes(empty_caches):
+    # Budget 2 s of CPU time per route, over ten times what either takes.
+    key = ModuliKey(40, 80, 3, "H")
+    polys = {}
+    for mode in ("closed", "pipeline"):
+        _clear_caches()
+        start = time.process_time()
+        polys[mode] = space_poly(key, mode)
+        elapsed = time.process_time() - start
+        assert elapsed < 2.0, f"{key} {mode}: {elapsed:.2f} s, budget 2 s"
+    assert polys["closed"].poly == polys["pipeline"].poly
+    assert polys["closed"].dim == dim_expected(key)
+    assert polys["closed"].is_palindromic()
+
+
+def test_verify_suite_evaluates_each_key_once(monkeypatch):
+    calls = []
+
+    def counting(key):
+        calls.append(key)
+        return verify_pair(key)
+
+    monkeypatch.setattr(pipelines, "verify_pair", counting)
+    keys = grid_keys(1, 2, None, 6)
+    report = verify_suite(keys)
+    assert sorted(calls) == sorted(keys)
+    assert report.total_failures == 0

@@ -1,6 +1,6 @@
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvebetti.polyring import (
@@ -9,8 +9,10 @@ from curvebetti.polyring import (
     DivisionByZero,
     IntPoly,
     NonExactDivision,
+    div_one_minus,
     exact_div,
     monomial,
+    mul_one_minus,
 )
 
 coeff_lists = st.lists(st.integers(-9, 9), max_size=8)
@@ -154,3 +156,114 @@ def test_evaluate_is_ring_map(a, x):
 def test_palindrome_iff_equal_to_reversal(a):
     p = IntPoly(a)
     assert p.is_palindromic() == (p == p.reversed())
+
+
+# ------------------------------------------------ Kronecker multiplication
+
+
+def schoolbook(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Reference product: the quadratic double loop."""
+    if not a or not b:
+        return ZERO
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return IntPoly(out)
+
+
+# Zeros, units and coefficients up to 256 bits, with mixed signs, so that
+# slot widths from one byte to several dozen are exercised.
+wide_coeffs = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    st.integers(-(2**256), 2**256),
+    st.integers(-(2**16), 2**16),
+)
+# The length is drawn first, so long operands come up as often as short.
+long_lists = st.integers(1, 300).flatmap(
+    lambda n: st.lists(wide_coeffs, min_size=n, max_size=n)
+)
+
+
+@settings(deadline=None, max_examples=30)
+@given(long_lists, long_lists)
+def test_kronecker_product_matches_schoolbook(a, b):
+    pa, pb = IntPoly(a), IntPoly(b)
+    assert pa * pb == schoolbook(pa, pb)
+
+
+def test_kronecker_product_at_the_slot_bound():
+    # Coefficients of all-equal maximal magnitude make the middle product
+    # coefficient as large as the slot width allows, at either sign.
+    for bits_a in range(1, 12):
+        for bits_b in range(1, 12):
+            for n in (1, 2, 3, 4, 7, 8, 15, 16, 31):
+                pa = IntPoly([2**bits_a - 1] * n)
+                pb = IntPoly([2**bits_b - 1] * n)
+                assert pa * pb == schoolbook(pa, pb)
+                assert pa * -pb == schoolbook(pa, -pb)
+
+
+def test_kronecker_product_edge_cases():
+    big = 2**256 - 1
+    assert IntPoly([big]) * IntPoly([-big]) == IntPoly([-(big * big)])
+    assert IntPoly([big] * 300) * IntPoly([big] * 300) == schoolbook(
+        IntPoly([big] * 300), IntPoly([big] * 300)
+    )
+    assert IntPoly([1, -1] * 150) * ZERO == ZERO
+    assert ZERO * IntPoly([5]) == ZERO
+    assert 0 * IntPoly([1, 2]) == ZERO
+    assert IntPoly([-1]) * IntPoly([-1]) == ONE
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(-(2**256), 2**256), long_lists)
+def test_int_times_poly(c, a):
+    pa = IntPoly(a)
+    assert c * pa == pa * c == IntPoly([c * x for x in a])
+
+
+# ------------------------------------------------------ (1 - q^j) steps
+
+
+def one_minus(j: int) -> IntPoly:
+    return ONE - monomial(j)
+
+
+@given(coeff_lists, st.integers(0, 12))
+def test_mul_one_minus_is_a_product(a, j):
+    pa = IntPoly(a)
+    assert mul_one_minus(pa, j) == pa * one_minus(j)
+
+
+@given(
+    st.lists(wide_coeffs, max_size=60),
+    st.integers(1, 12),
+    st.integers(0, 80),
+    st.sampled_from([0, 1, -1, 2**70]),
+)
+def test_div_one_minus_agrees_with_exact_div(a, j, at, delta):
+    # An exact multiple of (1 - q^j), perturbed by delta q^at or not: both
+    # dividers must return the same quotient or both must raise.
+    p = mul_one_minus(IntPoly(a), j) + monomial(at, delta)
+    try:
+        expected = exact_div(p, one_minus(j))
+    except NonExactDivision:
+        with pytest.raises(NonExactDivision):
+            div_one_minus(p, j)
+    else:
+        assert div_one_minus(p, j) == expected
+        if delta == 0:
+            assert expected == IntPoly(a)
+
+
+def test_div_one_minus_edge_cases():
+    assert div_one_minus(ZERO, 3) == ZERO
+    assert div_one_minus(one_minus(3), 3) == ONE
+    with pytest.raises(NonExactDivision):
+        div_one_minus(ONE, 1)
+    with pytest.raises(NonExactDivision):
+        div_one_minus(IntPoly([1, 0, -1, 1]), 2)
+    with pytest.raises(DivisionByZero):
+        div_one_minus(ONE, 0)
+    assert mul_one_minus(IntPoly([1, 2]), 0) == ZERO
