@@ -229,10 +229,14 @@ def _parse_n_range(text: str) -> tuple[int, int]:
 
 def _cmd_table(args) -> int:
     lo, hi = _parse_n_range(args.n)
-    # Open --out before the sweep, so an unwritable path fails fast.
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(_table_text(args, lo, hi))
+        # Opened before the sweep, so an unwritable path fails fast; opened
+        # for appending and emptied only once the text is ready, so a sweep
+        # that fails leaves an existing file as it was.
+        with open(args.out, "a") as fh:
+            text = _table_text(args, lo, hi)
+            fh.truncate(0)
+            fh.write(text)
     else:
         sys.stdout.write(_table_text(args, lo, hi))
     return 0
@@ -294,11 +298,14 @@ def _cmd_verify(args) -> int:
     if not keys:
         raise InvalidParameters(f"grid {args.grid!r} selects no keys")
     suites = SUITES if args.suite == "all" else (args.suite,)
-    # Open --json before the suites run, so an unwritable path fails fast.
     if args.json_path:
-        with open(args.json_path, "w") as fh:
+        # Opened before the suites run, and emptied only once the report is
+        # ready, as in _cmd_table.
+        with open(args.json_path, "a") as fh:
             report = verify_suite(keys, suites)
-            fh.write(_render_json(report.to_json()))
+            text = _render_json(report.to_json())
+            fh.truncate(0)
+            fh.write(text)
     else:
         report = verify_suite(keys, suites)
 

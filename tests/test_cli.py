@@ -302,6 +302,48 @@ def test_unwritable_paths_fail_before_the_work(tmp_path, capsys, monkeypatch):
     assert err == f"error: cannot write {target}: No such file or directory\n"
 
 
+def test_failed_sweep_leaves_an_existing_file_as_it_was(tmp_path, capsys, monkeypatch):
+    from curvebetti import cli
+    from curvebetti.polyring import NonExactDivision
+
+    def fail(*args):
+        raise NonExactDivision("inexact")
+
+    monkeypatch.setattr(cli, "verify_suite", fail)
+    monkeypatch.setattr(cli, "space_poly", fail)
+    target = tmp_path / "x"
+    target.write_text("old output\n")
+    code, out, err = run(
+        capsys, "verify", "--grid", "k=1..1,n=3..4", "--json", str(target)
+    )
+    assert code == 3 and err == "error: inexact\n"
+    assert target.read_text() == "old output\n"
+    code, out, err = run(
+        capsys,
+        "table", "--k", "1", "--n", "4..5", "--d", "2",
+        "--compactification", "S", "--out", str(target),
+    )
+    assert code == 3 and err == "error: inexact\n"
+    assert target.read_text() == "old output\n"
+
+
+def test_out_replaces_a_longer_existing_file(tmp_path, capsys):
+    target = tmp_path / "x"
+    target.write_text("x" * 10_000)
+    code, out, err = run(
+        capsys,
+        "table", "--k", "1", "--n", "4..5", "--d", "2",
+        "--compactification", "S", "--format", "json", "--out", str(target),
+    )
+    assert code == 0 and out == ""
+    code, stdout, err = run(
+        capsys,
+        "table", "--k", "1", "--n", "4..5", "--d", "2",
+        "--compactification", "S", "--format", "json",
+    )
+    assert target.read_text() == stdout
+
+
 def test_verify_unwritable_json_exit_2(tmp_path, capsys):
     target = tmp_path / "missing" / "x"
     code, out, err = run(
