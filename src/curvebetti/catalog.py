@@ -55,11 +55,9 @@ class PoincarePoly:
         claimed_dim: int | None = None,
         what: str = "space",
     ) -> PoincarePoly:
-        for j, c in enumerate(poly.coeffs):
-            if c < 0:
-                raise NegativeBetti(
-                    f"{what}: coefficient of q^{j} is {c}"
-                )
+        if min(poly.coeffs, default=0) < 0:
+            j, c = next((j, c) for j, c in enumerate(poly.coeffs) if c < 0)
+            raise NegativeBetti(f"{what}: coefficient of q^{j} is {c}")
         dim = max(poly.degree, 0)
         if claimed_dim is not None and not poly.is_zero() and dim != claimed_dim:
             raise DimensionMismatch(

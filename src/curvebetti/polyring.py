@@ -13,21 +13,34 @@ convolution), and the product's coefficients are read back out of w-bit
 slots.  The slot width is exact, not heuristic: a product coefficient
 sums at most min(len a, len b) terms, each below 2^(bits a + bits b) in
 absolute value, so w = bits a + bits b + bits(min(len a, len b)) + 1
-bits, rounded up to whole bytes, hold it with its sign.  Coefficients
-are stored with a bias of 2^(w-1), so every slot is a nonnegative w-bit
-number, no slot carries into the next, and packing and unpacking are
-int.from_bytes and int.to_bytes.
+bits, rounded up to whole bytes, hold it with its sign.
+
+A slot of at most 8 bytes is widened to the next machine word of 1, 2,
+4 or 8 bytes that the platform's array module offers, and packing and
+unpacking run in C: array(...).tobytes() and int.from_bytes pack, and
+int.to_bytes and array(...).tolist() unpack, all in native byte order
+(sys.byteorder), which is the order array stores its items in.  When
+both operands are nonnegative, as most Betti products are, every slot
+holds its coefficient as it is.  Otherwise coefficients are stored with
+a bias of half a slot, so every slot is a nonnegative number and no
+slot carries into the next.  Slots wider than 8 bytes, which only
+coefficients above about 60 bits need, are biased the same way and
+packed and unpacked as byte slices.
 
 Products and quotients by (1 - q^j) have their own O(len) steps,
 mul_one_minus and div_one_minus; the latter divides one factor at a
-time and checks that the remainder is zero.  exact_div stays the
-general divider.
+time, as one running sum per residue class mod j, and checks that the
+remainder is zero.  exact_div stays the general divider.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
+import sys
+from array import array
 from collections.abc import Iterable
+from itertools import accumulate
 
 
 class NonExactDivision(ArithmeticError):
@@ -98,27 +111,41 @@ class IntPoly:
             return ZERO
         # Kronecker substitution at q = 2^(8 * width); see the module
         # docstring for why the slot width is exact.
+        lo_a, lo_b = min(a), min(b)
         width = (
-            max(map(abs, a)).bit_length()
-            + max(map(abs, b)).bit_length()
+            max(max(a), -lo_a).bit_length()
+            + max(max(b), -lo_b).bit_length()
             + min(len(a), len(b)).bit_length()
             + 8  # one sign bit, and 7 to round up to whole bytes
         ) // 8
+        size = len(a) + len(b) - 1
+        # A typecode of "" marks a slot wider than 8 bytes: byte slices.
+        width, code = _SLOTS.get(width, (width, ""))
+        order = sys.byteorder  # array's items are in native byte order
+        if code and lo_a >= 0 and lo_b >= 0:
+            product = int.from_bytes(array(code, a).tobytes(), order)
+            product *= int.from_bytes(array(code, b).tobytes(), order)
+            data = array(code, product.to_bytes(size * width, order))
+            return IntPoly(data.tolist())
         bias = 1 << (8 * width - 1)
-        biases = bias.to_bytes(width, "little")
+        biases = bias.to_bytes(width, order)
 
         def pack(cs: tuple[int, ...]) -> int:
-            data = b"".join([(c + bias).to_bytes(width, "little") for c in cs])
-            return int.from_bytes(data, "little") - int.from_bytes(
-                biases * len(cs), "little"
+            if code:
+                data = array(code, map(bias.__add__, cs)).tobytes()
+            else:
+                data = b"".join([(c + bias).to_bytes(width, order) for c in cs])
+            return int.from_bytes(data, order) - int.from_bytes(
+                biases * len(cs), order
             )
 
-        size = len(a) + len(b) - 1
-        product = pack(a) * pack(b) + int.from_bytes(biases * size, "little")
-        data = product.to_bytes(size * width, "little")
+        product = pack(a) * pack(b) + int.from_bytes(biases * size, order)
+        data = product.to_bytes(size * width, order)
+        if code:
+            return IntPoly(map(bias.__rsub__, array(code, data)))
         return IntPoly(
             [
-                int.from_bytes(data[i : i + width], "little") - bias
+                int.from_bytes(data[i : i + width], order) - bias
                 for i in range(0, size * width, width)
             ]
         )
@@ -199,6 +226,20 @@ def _as_poly(x: int | IntPoly) -> IntPoly:
     raise TypeError(f"cannot coerce {type(x).__name__} to IntPoly")
 
 
+def _slot_types(codes: Iterable[str]) -> dict[int, tuple[int, str]]:
+    """Map each slot width of 1 to 8 bytes to the smallest array item
+    (size, typecode) among the unsigned codes given that holds it."""
+    items = sorted({array(c).itemsize: c for c in codes}.items())
+    return {
+        width: next((size, c) for size, c in items if size >= width)
+        for width in range(1, 9)
+        if any(size >= width for size, _ in items)
+    }
+
+
+_SLOTS = _slot_types("BHILQ")
+
+
 def monomial(j: int, c: int = 1) -> IntPoly:
     """c * q^j."""
     return IntPoly((0,) * j + (c,))
@@ -212,15 +253,16 @@ def mul_one_minus(p: IntPoly, j: int) -> IntPoly:
     """
     cs = p.coeffs
     pad = (0,) * j
-    return IntPoly([x - y for x, y in zip(cs + pad, pad + cs)])
+    return IntPoly(map(operator.sub, cs + pad, pad + cs))
 
 
 def div_one_minus(p: IntPoly, j: int) -> IntPoly:
     """p / (1 - q^j) when the division is exact; j >= 1.
 
     The quotient's coefficients are the running sums q_i = p_i + q_(i-j)
-    of the power series p / (1 - q^j).  The division is exact if and
-    only if the last j of them, up to q^deg(p), are zero; otherwise
+    of the power series p / (1 - q^j), one itertools.accumulate over
+    each residue class of i mod j.  The division is exact if and only
+    if the last j of them, up to q^deg(p), are zero; otherwise
     NonExactDivision is raised.
 
     >>> div_one_minus(IntPoly([1, 0, 0, 0, -1]), 1)
@@ -229,8 +271,9 @@ def div_one_minus(p: IntPoly, j: int) -> IntPoly:
     if j < 1:
         raise DivisionByZero(f"division by 1 - q^{j}")
     cs = list(p.coeffs)
-    for i in range(j, len(cs)):
-        cs[i] += cs[i - j]
+    # A class r with r + j past the end has one entry, its own sum.
+    for r in range(min(j, len(cs) - j)):
+        cs[r::j] = accumulate(cs[r::j])
     top = max(len(cs) - j, 0)
     if any(cs[top:]):
         raise NonExactDivision(

@@ -136,7 +136,7 @@ def run_pipeline_traced(pipeline: Pipeline) -> PipelineRun:
             )
         correction = step.correction()
         current = current + correction
-        if first_bad is None and any(c < 0 for c in current.coeffs):
+        if first_bad is None and min(current.coeffs, default=0) < 0:
             first_bad = step
         trace.append(
             TraceRecord(
@@ -146,7 +146,7 @@ def run_pipeline_traced(pipeline: Pipeline) -> PipelineRun:
                 cumulative=current,
             )
         )
-    if any(c < 0 for c in current.coeffs):
+    if min(current.coeffs, default=0) < 0:
         label = first_bad.label if first_bad is not None else "?"
         raise NegativeBetti(
             f"pipeline total has a negative coefficient (first went negative "

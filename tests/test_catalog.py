@@ -230,6 +230,15 @@ def test_poincare_poly_constructor_checks():
     assert p.dim == 2
 
 
+def test_negative_betti_names_the_first_negative_coefficient():
+    with pytest.raises(NegativeBetti) as excinfo:
+        PoincarePoly.from_poly(IntPoly([1, 0, -2, 3, -5]))
+    assert str(excinfo.value) == "space: coefficient of q^2 is -2"
+    with pytest.raises(NegativeBetti) as excinfo:
+        PoincarePoly.from_poly(IntPoly([4, -1, -7]), what="pipeline total")
+    assert str(excinfo.value) == "pipeline total: coefficient of q^1 is -1"
+
+
 def test_poincare_poly_operations():
     total = grassmannian(3, 4) * projective(5)
     assert total.poly == IntPoly([1, 2, 3, 4, 4, 4, 3, 2, 1])

@@ -1,8 +1,12 @@
+from array import array
+
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvebetti import polyring
+from curvebetti.catalog import grassmannian
 from curvebetti.polyring import (
     ONE,
     ZERO,
@@ -216,6 +220,68 @@ def test_kronecker_product_edge_cases():
     assert IntPoly([-1]) * IntPoly([-1]) == ONE
 
 
+def slot_width(bits_a: int, bits_b: int, n: int) -> int:
+    """Bytes per slot for a product of two length-n operands with
+    coefficients of the given bit lengths: the bound of the module
+    docstring, rounded up to whole bytes."""
+    return (bits_a + bits_b + n.bit_length() + 1 + 7) // 8
+
+
+def operands_at_each_slot_width():
+    """(width, a, b) for every slot width of 1 to 9 bytes, with operand
+    bit lengths that fill the width to its last bit, and with one bit
+    more than fills the width below."""
+    for width in range(1, 10):
+        # n = 2^m - 1 brings the middle coefficient closest to the bound;
+        # at n = 255 the length takes a whole byte of the slot.
+        for n in (1, 2, 3, 7, 16, 100, 255):
+            for spare in (8 * width - 8, 8 * width - 1):
+                spare -= n.bit_length()
+                for bits_a in {1, spare // 2}:
+                    bits_b = spare - bits_a
+                    if bits_a < 1 or bits_b < 1:
+                        continue
+                    assert slot_width(bits_a, bits_b, n) == width
+                    yield width, [2**bits_a - 1] * n, [2**bits_b - 1] * n
+
+
+def sign_patterns(a: list[int], b: list[int]):
+    """The operands as nonnegative x nonnegative, mixed-sign (one operand
+    negated, or both alternating) and negative x negative."""
+    alt_a = [(-1) ** i * c for i, c in enumerate(a)]
+    alt_b = [(-1) ** i * c for i, c in enumerate(b)]
+    neg_a, neg_b = [-c for c in a], [-c for c in b]
+    for x, y in ((a, b), (a, neg_b), (neg_a, b), (alt_a, alt_b), (neg_a, neg_b)):
+        yield IntPoly(x), IntPoly(y)
+
+
+def test_kronecker_product_at_every_slot_width():
+    # Widths 1 to 8 bytes take the array typecodes of 1, 2, 4 and 8 bytes;
+    # width 9 is the first to take byte slices.  All-equal coefficients
+    # of maximal magnitude make the middle product coefficient as large
+    # as the width allows.
+    widths = set()
+    for width, a, b in operands_at_each_slot_width():
+        widths.add(width)
+        for pa, pb in sign_patterns(a, b):
+            assert pa * pb == schoolbook(pa, pb), (width, len(a))
+    assert widths == set(range(1, 10))
+    assert sorted({size for size, _ in polyring._SLOTS.values()}) == [1, 2, 4, 8]
+    assert 9 not in polyring._SLOTS
+
+
+@pytest.mark.parametrize("dropped", [1, 2, 4, 8])
+def test_kronecker_product_without_one_typecode_size(monkeypatch, dropped):
+    # A platform without an item size rounds slots up to the next size,
+    # or, past 8 bytes, falls back to byte slices.
+    codes = [c for c in "BHILQ" if array(c).itemsize != dropped]
+    monkeypatch.setattr(polyring, "_SLOTS", polyring._slot_types(codes))
+    assert all(size != dropped for size, _ in polyring._SLOTS.values())
+    for _, a, b in operands_at_each_slot_width():
+        for pa, pb in sign_patterns(a, b):
+            assert pa * pb == schoolbook(pa, pb)
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.integers(-(2**256), 2**256), long_lists)
 def test_int_times_poly(c, a):
@@ -267,3 +333,31 @@ def test_div_one_minus_edge_cases():
     with pytest.raises(DivisionByZero):
         div_one_minus(ONE, 0)
     assert mul_one_minus(IntPoly([1, 2]), 0) == ZERO
+
+
+@pytest.mark.parametrize("j", [1, 2, 7, 48, 100])
+def test_div_one_minus_per_residue_class(j):
+    # The running sum runs once per residue class mod j, so a flaw in any
+    # one class must show: perturb the lowest entry of each class and its
+    # entry among the top j positions, where the remainder is read.
+    g = grassmannian(50, 100).poly
+    p = mul_one_minus(g, j)
+    assert div_one_minus(p, j) == exact_div(p, one_minus(j)) == g
+    n = len(p.coeffs)
+    for r in range(j):
+        top = n - j + (r - (n - j)) % j
+        for i in (r, top):
+            for delta in (1, -1):
+                with pytest.raises(NonExactDivision):
+                    div_one_minus(p + monomial(i, delta), j)
+
+
+def test_div_one_minus_by_a_factor_longer_than_the_dividend():
+    p = IntPoly([1, 2, 3])
+    for j in (3, 4, 10):
+        with pytest.raises(NonExactDivision) as excinfo:
+            div_one_minus(p, j)
+        assert str(excinfo.value) == (
+            f"(1 + 2q + 3q^2) / (1 - q^{j}): remainder 1 + 2q + 3q^2"
+        )
+    assert div_one_minus(ZERO, 10) == ZERO

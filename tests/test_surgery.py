@@ -162,6 +162,23 @@ def test_run_pipeline_negative_total_names_step():
         run_pipeline(bad)
 
 
+def test_negative_total_names_the_first_step_even_after_a_recovery():
+    # 1 + q, then 1 - q^2 (negative), 1 + q again, then 1 - q^2 - q^3.
+    bad = Pipeline(
+        base=projective(1),
+        steps=(
+            SurgeryStep("blowdown", projective(0), projective(2), "dip"),
+            SurgeryStep("blowup", projective(0), projective(2), "recover"),
+            SurgeryStep("blowdown", projective(0), projective(3), "dip-again"),
+        ),
+    )
+    with pytest.raises(NegativeBetti) as excinfo:
+        run_pipeline_traced(bad)
+    assert str(excinfo.value) == (
+        "pipeline total has a negative coefficient (first went negative at step dip)"
+    )
+
+
 def test_step_kind_validation():
     with pytest.raises(InvalidParameters):
         SurgeryStep("fold", projective(1), projective(1), "x")
