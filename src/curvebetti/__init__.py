@@ -4,10 +4,6 @@ Grassmannians, computed along two routes that are checked against each other."""
 from .catalog import (
     EMPTY,
     POINT,
-    DimensionMismatch,
-    InvalidParameters,
-    KernelWeights,
-    NegativeBetti,
     PoincarePoly,
     fano_lines,
     fano_planes,
@@ -18,7 +14,16 @@ from .catalog import (
     stable_maps_p1,
     weighted_projective,
 )
-from .dsl import ParseError, eval_expr, parse, to_text
+from .dsl import eval_expr, parse, to_text
+from .errors import (
+    CurvebettiError,
+    DimensionMismatch,
+    DivisionByZero,
+    InvalidParameters,
+    NegativeBetti,
+    NonExactDivision,
+    ParseError,
+)
 from .pipelines import (
     ModuliKey,
     PairReport,
@@ -33,13 +38,7 @@ from .pipelines import (
     verify_pair,
     verify_suite,
 )
-from .polyring import (
-    DivisionByZero,
-    IntPoly,
-    NonExactDivision,
-    exact_div,
-    monomial,
-)
+from .polyring import IntPoly, exact_div, monomial
 from .surgery import (
     Pipeline,
     PipelineRun,

@@ -19,20 +19,9 @@ import dataclasses
 import functools
 from collections.abc import Iterable
 
+from .errors import DimensionMismatch, InvalidParameters, NegativeBetti
 from .polyring import ONE, ZERO, IntPoly, div_one_minus, monomial, mul_one_minus
 from .polyring import exact_div  # noqa: F401  (bench/test_bench.py looks it up here)
-
-
-class InvalidParameters(ValueError):
-    """Arguments outside the domain a builder is defined on."""
-
-
-class DimensionMismatch(ValueError):
-    """Claimed dimension disagrees with the computed degree."""
-
-
-class NegativeBetti(ValueError):
-    """A coefficient that should be a Betti number came out negative."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -215,29 +204,19 @@ def stable_maps_p1(d: int) -> PoincarePoly:
     raise InvalidParameters(f"stable_maps_p1({d})")
 
 
-@dataclasses.dataclass(frozen=True)
-class KernelWeights:
-    """The four weight polynomials of the degree 3 stable-map kernel."""
-
-    f1: IntPoly
-    f2: IntPoly
-    f3: IntPoly
-    f4: IntPoly
-
-
-DEGREE3_KERNEL = KernelWeights(
-    f1=IntPoly([1, 0, 2, 3, 3, -1, 1, -3, -3, -2, 0, -1]),
-    f2=IntPoly([1, 0, 5, 2, -2, -5, 0, -1]),
-    f3=IntPoly([2, 0, 3, 1, -1, -3, 0, -2]),
-    f4=IntPoly([1, 6, 3, 2, -2, -3, -6, -1]),
+# The weight polynomials f1, f2, f3, f4 of the degree 3 stable-map kernel.
+DEGREE3_KERNEL = (
+    IntPoly([1, 0, 2, 3, 3, -1, 1, -3, -3, -2, 0, -1]),
+    IntPoly([1, 0, 5, 2, -2, -5, 0, -1]),
+    IntPoly([2, 0, 3, 1, -1, -3, 0, -2]),
+    IntPoly([1, 6, 3, 2, -2, -3, -6, -1]),
 )
 
 
 def _check_kernel_weights() -> None:
     # Each weight vanishes at q = 1 and is anti-palindromic; a typo in
     # the hard-coded coefficients would almost surely break one of these.
-    for name in ("f1", "f2", "f3", "f4"):
-        w: IntPoly = getattr(DEGREE3_KERNEL, name)
+    for name, w in zip(("f1", "f2", "f3", "f4"), DEGREE3_KERNEL):
         if w.evaluate(1) != 0:
             raise RuntimeError(f"kernel weight {name} does not vanish at 1")
         if w.reversed() != -w:
@@ -245,15 +224,6 @@ def _check_kernel_weights() -> None:
 
 
 _check_kernel_weights()
-
-
-def _validate_stable_maps_args(k: int, n: int, d: int) -> None:
-    if d not in (2, 3):
-        raise InvalidParameters(f"degree {d} not supported (2 or 3 only)")
-    if not 1 <= k <= n - 1:
-        raise InvalidParameters(f"grassmannian({k}, {n}) has no moduli here")
-    if n < 3:
-        raise InvalidParameters(f"need an ambient space of dimension >= 2, got n = {n}")
 
 
 # The degree 3 kernel is degree3_kernel(k, n) over the product of
@@ -264,15 +234,15 @@ DEGREE3_KERNEL_DEN = (1, 2, 2, 3, 3)
 
 def degree3_kernel(k: int, n: int) -> IntPoly:
     """Numerator of the degree 3 stable-map kernel over DEGREE3_KERNEL_DEN."""
-    w = DEGREE3_KERNEL
+    f1, f2, f3, f4 = DEGREE3_KERNEL
     return (
-        w.f1 * (ONE + monomial(2 * n))
+        f1 * (ONE + monomial(2 * n))
         + (ONE + monomial(1)) ** 2
         * (
-            w.f2 * monomial(n) * (ONE + monomial(2))
-            - w.f3 * monomial(1) * (ONE + monomial(n)) * (monomial(k) + monomial(n - k))
+            f2 * monomial(n) * (ONE + monomial(2))
+            - f3 * monomial(1) * (ONE + monomial(n)) * (monomial(k) + monomial(n - k))
         )
-        + w.f4 * monomial(2) * (monomial(2 * k) + monomial(2 * n - 2 * k))
+        + f4 * monomial(2) * (monomial(2 * k) + monomial(2 * n - 2 * k))
     )
 
 
@@ -287,7 +257,12 @@ def stable_maps_gr(k: int, n: int, d: int) -> PoincarePoly:
     space of lines.
     The result has dimension k(n-k) + dn - 3 and the degree is checked.
     """
-    _validate_stable_maps_args(k, n, d)
+    if d not in (2, 3):
+        raise InvalidParameters(f"degree {d} not supported (2 or 3 only)")
+    if not 1 <= k <= n - 1:
+        raise InvalidParameters(f"grassmannian({k}, {n}) has no moduli here")
+    if n < 3:
+        raise InvalidParameters(f"need an ambient space of dimension >= 2, got n = {n}")
     if d == 2:
         bracket = (
             (ONE + monomial(n)) * (ONE + monomial(3))

@@ -3,7 +3,9 @@
 Three subcommands: betti evaluates one space, table sweeps a range of
 ambient dimensions, verify runs the consistency suites.  Exit codes:
 0 success, 1 verification failures, 2 usage or parse errors, 3
-arithmetic errors.
+arithmetic errors.  main has one except clause for the package's own
+errors, which reports CurvebettiError.exit_code; the other clauses
+cover unwritable output files and integers too large to compute with.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ import io
 import json
 import sys
 
-from .catalog import DimensionMismatch, InvalidParameters, NegativeBetti, PoincarePoly
-from .dsl import Moduli, ParseError, eval_expr, parse, to_text
+from .catalog import PoincarePoly
+from .dsl import Moduli, eval_expr, parse, to_text
+from .errors import CurvebettiError, InvalidParameters
 from .pipelines import (
     SUITES,
     ModuliKey,
@@ -25,7 +28,6 @@ from .pipelines import (
     validate_key,
     verify_suite,
 )
-from .polyring import DivisionByZero, NonExactDivision
 from .surgery import run_pipeline_traced
 
 
@@ -83,15 +85,19 @@ def main(argv: list[str] | None = None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (ParseError, InvalidParameters) as e:
+    except CurvebettiError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        return e.exit_code
     except OSError as e:
         print(f"error: cannot write {e.filename or 'output'}: {e.strerror}", file=sys.stderr)
         return 2
-    except (NonExactDivision, DivisionByZero, NegativeBetti, DimensionMismatch) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+    except OverflowError as e:
+        # A size past what an index or a shift can hold, as in P(10^20).
+        print(f"error: input too large: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: input too large: out of memory", file=sys.stderr)
+        return 2
 
 
 # ------------------------------------------------------------------ records
@@ -176,13 +182,11 @@ def _render_csv(records: list[dict]) -> str:
 def _cmd_betti(args) -> int:
     triple = [args.k, args.n, args.d, args.compactification]
     if args.space is not None and any(v is not None for v in triple):
-        print("error: give either --space or --k/--n/--d/--compactification",
-              file=sys.stderr)
-        return 2
+        raise InvalidParameters("give either --space or --k/--n/--d/--compactification")
     if args.space is None and any(v is None for v in triple):
-        print("error: --k, --n, --d and --compactification are all required "
-              "without --space", file=sys.stderr)
-        return 2
+        raise InvalidParameters(
+            "--k, --n, --d and --compactification are all required without --space"
+        )
 
     trace = None
     if args.space is not None:

@@ -32,9 +32,6 @@ import re
 
 from . import pipelines
 from .catalog import (
-    DimensionMismatch,
-    InvalidParameters,
-    NegativeBetti,
     PoincarePoly,
     fano_lines,
     fano_planes,
@@ -44,18 +41,8 @@ from .catalog import (
     stable_maps_p1,
     weighted_projective,
 )
-from .polyring import DivisionByZero, NonExactDivision
+from .errors import CurvebettiError, ParseError
 from .surgery import blowdown_apply, blowup_apply
-
-
-class ParseError(ValueError):
-    def __init__(self, offset: int, expected: str, found: str):
-        self.offset = offset
-        self.expected = expected
-        self.found = found
-        super().__init__(
-            f"at offset {offset}: expected {expected}, found {found}"
-        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -410,21 +397,20 @@ def to_text(expr: SpaceExpr) -> str:
     raise TypeError(f"not a space expression: {expr!r}")
 
 
-_EVAL_ERRORS = (
-    InvalidParameters,
-    DimensionMismatch,
-    NegativeBetti,
-    NonExactDivision,
-    DivisionByZero,
-)
-
-
 def eval_expr(expr: SpaceExpr) -> PoincarePoly:
     """Evaluate an AST; failures carry the path of the failing node."""
     return _eval(expr, "expr")
 
 
 def _eval(expr: SpaceExpr, path: str) -> PoincarePoly:
+    # Subexpressions first, under their own paths, so the try below tags
+    # only this node's step.  A leaf's Gr base is not a subexpression.
+    if isinstance(expr, (Product, Sum, Diff, Blowup, Blowdown)):
+        parts = [
+            _eval(child, f"{path}.{name}")
+            for name, child in vars(expr).items()
+            if isinstance(child, _NODES)
+        ]
     try:
         if isinstance(expr, Proj):
             return projective(expr.m)
@@ -445,39 +431,19 @@ def _eval(expr: SpaceExpr, path: str) -> PoincarePoly:
                 expr.base.k, expr.base.n, expr.d, expr.compactification
             )
             return pipelines.space_poly(key, "closed")
-    except _EVAL_ERRORS as e:
-        raise type(e)(f"{e} [at {path}]") from e
-
-    if isinstance(expr, Product):
-        left = _eval(expr.left, path + ".left")
-        right = _eval(expr.right, path + ".right")
-        return _wrap(lambda: left * right, path)
-    if isinstance(expr, Sum):
-        left = _eval(expr.left, path + ".left")
-        right = _eval(expr.right, path + ".right")
-        return _wrap(lambda: left + right, path)
-    if isinstance(expr, Diff):
-        left = _eval(expr.left, path + ".left")
-        right = _eval(expr.right, path + ".right")
-        return _wrap(
-            lambda: PoincarePoly.from_poly(left.poly - right.poly, what=path), path
-        )
-    if isinstance(expr, Blowup):
-        space = _eval(expr.space, path + ".space")
-        center = _eval(expr.center, path + ".center")
-        return _wrap(lambda: blowup_apply(space, center, expr.codim), path)
-    if isinstance(expr, Blowdown):
-        space = _eval(expr.space, path + ".space")
-        center = _eval(expr.center, path + ".center")
-        fiber = _eval(expr.fiber, path + ".fiber")
-        return _wrap(lambda: blowdown_apply(space, center, fiber), path)
+        if isinstance(expr, Product):
+            return parts[0] * parts[1]
+        if isinstance(expr, Sum):
+            return parts[0] + parts[1]
+        if isinstance(expr, Diff):
+            difference = parts[0].poly - parts[1].poly
+            return PoincarePoly.from_poly(difference, what="difference")
+        if isinstance(expr, Blowup):
+            return blowup_apply(*parts, expr.codim)
+        if isinstance(expr, Blowdown):
+            return blowdown_apply(*parts)
+    except CurvebettiError as e:
+        # Retag in place: the class and its fields stay as raised.
+        e.args = (f"{e} [at {path}]",)
+        raise
     raise TypeError(f"not a space expression: {expr!r}")
-
-
-def _wrap(thunk, path: str) -> PoincarePoly:
-    try:
-        return thunk()
-    except _EVAL_ERRORS as e:
-        if "[at " in str(e):
-            raise
-        raise type(e)(f"{e} [at {path}]") from e

@@ -35,10 +35,6 @@ import functools
 
 from .catalog import (
     DEGREE3_KERNEL_DEN,
-    EMPTY,
-    DimensionMismatch,
-    InvalidParameters,
-    NegativeBetti,
     PoincarePoly,
     degree3_kernel,
     fano_lines,
@@ -49,11 +45,10 @@ from .catalog import (
     stable_maps_p1,
     weighted_projective,
 )
+from .errors import CurvebettiError, InvalidParameters
 from .polyring import (
     ONE,
-    DivisionByZero,
     IntPoly,
-    NonExactDivision,
     div_one_minus,
     exact_div,  # noqa: F401  (bench/test_bench.py looks it up here)
     monomial,
@@ -63,14 +58,6 @@ from .surgery import Pipeline, SurgeryStep, blowup_apply, run_pipeline
 
 COMPACTIFICATIONS = ("M", "S", "H")
 SUITES = ("duality", "pipeline", "special", "symmetry")
-
-_ARITHMETIC_ERRORS = (
-    InvalidParameters,
-    DimensionMismatch,
-    NegativeBetti,
-    NonExactDivision,
-    DivisionByZero,
-)
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -160,11 +147,6 @@ def _simpson2_pipeline_obj(k: int, n: int) -> Pipeline:
             ),
         ),
     )
-
-
-@functools.lru_cache(maxsize=None)
-def _simpson2_pipeline(k: int, n: int) -> PoincarePoly:
-    return run_pipeline(_simpson2_pipeline_obj(k, n))
 
 
 # ---------------------------------------------------------------- degree 3
@@ -290,11 +272,6 @@ def _simpson3_pipeline_obj(k: int, n: int) -> Pipeline:
     return Pipeline(base=stable_maps_gr(k, n, 3), steps=_simpson3_steps(k, n))
 
 
-@functools.lru_cache(maxsize=None)
-def _simpson3_pipeline(k: int, n: int) -> PoincarePoly:
-    return run_pipeline(_simpson3_pipeline_obj(k, n))
-
-
 def _delta_steps(k: int, n: int, planar_cubics: PoincarePoly) -> tuple[SurgeryStep, ...]:
     """Blow-ups along the planar-curve locus, one per plane family.
 
@@ -360,38 +337,46 @@ def _hilbert3_closed(k: int, n: int) -> PoincarePoly:
 def _hilbert3_pipeline_obj(k: int, n: int) -> Pipeline:
     return Pipeline(
         base=stable_maps_gr(k, n, 3),
-        steps=_simpson3_steps(k, n) + _delta_steps(k, n, _simpson3_pipeline(1, 3)),
+        steps=_simpson3_steps(k, n)
+        + _delta_steps(k, n, _pipeline_poly(ModuliKey(1, 3, 3, "S"))),
     )
 
 
+def _pipeline(key: ModuliKey) -> Pipeline:
+    """The surgery pipeline of a valid, normalized key."""
+    if key.compactification == "M":
+        raise InvalidParameters(
+            f"{key}: the stable-map space is the pipeline base and has no "
+            "pipeline of its own"
+        )
+    if key.d == 2:
+        # In degree 2 the sheaf and Hilbert compactifications coincide.
+        return _simpson2_pipeline_obj(key.k, key.n)
+    if key.compactification == "S":
+        return _simpson3_pipeline_obj(key.k, key.n)
+    return _hilbert3_pipeline_obj(key.k, key.n)
+
+
 @functools.lru_cache(maxsize=None)
-def _hilbert3_pipeline(k: int, n: int) -> PoincarePoly:
-    return run_pipeline(_hilbert3_pipeline_obj(k, n))
+def _pipeline_poly(key: ModuliKey) -> PoincarePoly:
+    return run_pipeline(_pipeline(key))
 
 
 # ------------------------------------------------------------- public API
 
 
 def _raw_space_poly(key: ModuliKey, mode: str) -> PoincarePoly:
-    if mode not in ("closed", "pipeline"):
+    if mode == "pipeline":
+        return _pipeline_poly(key)
+    if mode != "closed":
         raise InvalidParameters(f"mode {mode!r} not one of closed, pipeline")
-    c = key.compactification
-    if c == "M":
-        if mode == "pipeline":
-            raise InvalidParameters(
-                "the stable-map space is the pipeline base; it has no "
-                "pipeline of its own"
-            )
+    if key.compactification == "M":
         return stable_maps_gr(key.k, key.n, key.d)
-    if c == "S" or (c == "H" and key.d == 2):
-        # In degree 2 the sheaf and Hilbert compactifications coincide.
-        if key.d == 2:
-            table = {"closed": _simpson2_closed, "pipeline": _simpson2_pipeline}
-        else:
-            table = {"closed": _simpson3_closed, "pipeline": _simpson3_pipeline}
-        return table[mode](key.k, key.n)
-    table = {"closed": _hilbert3_closed, "pipeline": _hilbert3_pipeline}
-    return table[mode](key.k, key.n)
+    if key.d == 2:
+        return _simpson2_closed(key.k, key.n)
+    if key.compactification == "S":
+        return _simpson3_closed(key.k, key.n)
+    return _hilbert3_closed(key.k, key.n)
 
 
 def space_poly(key: ModuliKey, mode: str = "closed") -> PoincarePoly:
@@ -415,14 +400,7 @@ def hilbert_d3(k: int, n: int, mode: str = "closed") -> PoincarePoly:
 def pipeline_for(key: ModuliKey) -> Pipeline:
     """The surgery pipeline behind a key's pipeline mode."""
     validate_key(key)
-    key = normalize_key(key)
-    if key.compactification == "M":
-        raise InvalidParameters(f"{key}: no pipeline for the stable-map space")
-    if key.d == 2:
-        return _simpson2_pipeline_obj(key.k, key.n)
-    if key.compactification == "S":
-        return _simpson3_pipeline_obj(key.k, key.n)
-    return _hilbert3_pipeline_obj(key.k, key.n)
+    return _pipeline(normalize_key(key))
 
 
 # ------------------------------------------------------------ verification
@@ -434,12 +412,12 @@ class PairReport:
 
     key: ModuliKey
     error: str | None
-    mode_equal: bool | None
-    degree_ok: bool | None
-    palindromic: bool | None
-    nonnegative: bool | None
-    euler: int | None
-    first_difference: tuple[int, int, int] | None
+    mode_equal: bool | None = None
+    degree_ok: bool | None = None
+    palindromic: bool | None = None
+    nonnegative: bool | None = None
+    euler: int | None = None
+    first_difference: tuple[int, int, int] | None = None
 
     def passed(self) -> bool:
         if self.error is not None:
@@ -480,17 +458,8 @@ def verify_pair(key: ModuliKey) -> PairReport:
         pipe = (
             space_poly(key, "pipeline") if key.compactification != "M" else None
         )
-    except _ARITHMETIC_ERRORS as e:
-        return PairReport(
-            key=key,
-            error=f"{type(e).__name__}: {e}",
-            mode_equal=None,
-            degree_ok=None,
-            palindromic=None,
-            nonnegative=None,
-            euler=None,
-            first_difference=None,
-        )
+    except CurvebettiError as e:
+        return PairReport(key=key, error=f"{type(e).__name__}: {e}")
     mode_equal = None if pipe is None else closed.poly == pipe.poly
     return PairReport(
         key=key,
@@ -608,7 +577,7 @@ def _check_symmetry(key: ModuliKey) -> CheckResult:
     try:
         a = _raw_space_poly(key, "closed")
         b = _raw_space_poly(mirror_key(key), "closed")
-    except _ARITHMETIC_ERRORS as e:
+    except CurvebettiError as e:
         return CheckResult(
             "symmetry", str(key), False, f"{type(e).__name__}: {e}"
         )
@@ -650,7 +619,7 @@ def _special_checks() -> list[CheckResult]:
     ):
         try:
             detail = check()
-        except _ARITHMETIC_ERRORS as e:
+        except CurvebettiError as e:
             detail = f"{type(e).__name__}: {e}"
         out.append(CheckResult("special", name, not detail, detail))
     return out

@@ -42,13 +42,7 @@ from array import array
 from collections.abc import Iterable
 from itertools import accumulate
 
-
-class NonExactDivision(ArithmeticError):
-    """Polynomial division required exactness but a remainder survived."""
-
-
-class DivisionByZero(ZeroDivisionError):
-    """Division by the zero polynomial."""
+from .errors import DivisionByZero, NonExactDivision
 
 
 @dataclasses.dataclass(init=False, frozen=True)

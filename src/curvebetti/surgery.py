@@ -11,20 +11,19 @@ explicitly (it may be a weighted projective space).  A pipeline is a
 base space plus an ordered list of such steps; since each correction
 depends only on the step's own center and fiber, the total is a signed
 sum and the order affects only the trace, not the result.
+
+A step's checks live on SurgeryStep alone: check_fit for a blow-up's
+center, __post_init__ for a connected fiber.  blowup_apply and
+blowdown_apply build a step too, so they run the same checks.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from .catalog import (
-    DimensionMismatch,
-    InvalidParameters,
-    NegativeBetti,
-    PoincarePoly,
-    projective,
-)
-from .polyring import ONE, ZERO, IntPoly
+from .catalog import PoincarePoly, projective
+from .errors import DimensionMismatch, InvalidParameters, NegativeBetti
+from .polyring import ONE, IntPoly
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,6 +46,20 @@ class SurgeryStep:
             raise InvalidParameters(f"step kind {self.kind!r}")
         if self.fiber.components != 1:
             raise InvalidParameters(f"step {self.label}: fiber must be connected")
+
+    def check_fit(self, space_dim: int) -> None:
+        """Check that a blow-up's center has codimension expected_codim
+        in a space of dimension space_dim."""
+        if (
+            self.kind == "blowup"
+            and self.expected_codim is not None
+            and not self.center.is_empty()
+            and self.center.dim + self.expected_codim != space_dim
+        ):
+            raise DimensionMismatch(
+                f"step {self.label}: center dimension {self.center.dim} + "
+                f"codimension {self.expected_codim} != {space_dim}"
+            )
 
     def correction(self) -> IntPoly:
         """Signed contribution of this step to the total."""
@@ -90,15 +103,11 @@ def blowup_apply(space: PoincarePoly, center: PoincarePoly, codim: int) -> Poinc
     """
     if codim < 1:
         raise InvalidParameters(f"blow-up codimension {codim} must be >= 1")
-    if not center.is_empty() and center.dim + codim != space.dim:
-        raise DimensionMismatch(
-            f"center of dimension {center.dim} with codimension {codim} "
-            f"does not fit in a space of dimension {space.dim}"
-        )
-    fiber = projective(codim - 1)
-    return PoincarePoly.from_poly(
-        space.poly + center.poly * (fiber.poly - ONE), what="blow-up"
+    step = SurgeryStep(
+        "blowup", center, projective(codim - 1), "blow-up", expected_codim=codim
     )
+    step.check_fit(space.dim)
+    return PoincarePoly.from_poly(space.poly + step.correction(), what=step.label)
 
 
 def blowdown_apply(
@@ -106,10 +115,8 @@ def blowdown_apply(
 ) -> PoincarePoly:
     """Undo a blow-up whose exceptional fibers over the downstairs center
     are the given (possibly weighted projective) fiber."""
-    if fiber.components != 1:
-        raise InvalidParameters("blow-down fiber must be connected")
-    value = space.poly - center_downstairs.poly * (fiber.poly - ONE)
-    return PoincarePoly.from_poly(value, what="blow-down")
+    step = SurgeryStep("blowdown", center_downstairs, fiber, "blow-down")
+    return PoincarePoly.from_poly(space.poly + step.correction(), what=step.label)
 
 
 def run_pipeline_traced(pipeline: Pipeline) -> PipelineRun:
@@ -124,16 +131,7 @@ def run_pipeline_traced(pipeline: Pipeline) -> PipelineRun:
     trace: list[TraceRecord] = []
     first_bad: SurgeryStep | None = None
     for step in pipeline.steps:
-        if (
-            step.kind == "blowup"
-            and step.expected_codim is not None
-            and not step.center.is_empty()
-            and step.center.dim + step.expected_codim != pipeline.base.dim
-        ):
-            raise DimensionMismatch(
-                f"step {step.label}: center dimension {step.center.dim} + "
-                f"codimension {step.expected_codim} != {pipeline.base.dim}"
-            )
+        step.check_fit(pipeline.base.dim)
         correction = step.correction()
         current = current + correction
         if first_bad is None and min(current.coeffs, default=0) < 0:

@@ -177,12 +177,12 @@ def test_stable_maps_p1():
 
 
 def test_kernel_weights_frozen_values():
-    assert DEGREE3_KERNEL.f1.coeffs == (1, 0, 2, 3, 3, -1, 1, -3, -3, -2, 0, -1)
-    assert DEGREE3_KERNEL.f2.coeffs == (1, 0, 5, 2, -2, -5, 0, -1)
-    assert DEGREE3_KERNEL.f3.coeffs == (2, 0, 3, 1, -1, -3, 0, -2)
-    assert DEGREE3_KERNEL.f4.coeffs == (1, 6, 3, 2, -2, -3, -6, -1)
-    for name in ("f1", "f2", "f3", "f4"):
-        w = getattr(DEGREE3_KERNEL, name)
+    assert len(DEGREE3_KERNEL) == 4
+    assert DEGREE3_KERNEL[0].coeffs == (1, 0, 2, 3, 3, -1, 1, -3, -3, -2, 0, -1)
+    assert DEGREE3_KERNEL[1].coeffs == (1, 0, 5, 2, -2, -5, 0, -1)
+    assert DEGREE3_KERNEL[2].coeffs == (2, 0, 3, 1, -1, -3, 0, -2)
+    assert DEGREE3_KERNEL[3].coeffs == (1, 6, 3, 2, -2, -3, -6, -1)
+    for w in DEGREE3_KERNEL:
         assert w.evaluate(1) == 0
         assert w.reversed() == -w
 
