@@ -7,20 +7,38 @@ return a valid polynomial or raise.
 
 The catalog covers projective spaces (including weighted ones, whose
 rational cohomology agrees with the straight projective space of the
-same dimension), Grassmannians via the Gaussian binomial product
-formula, the space of lines in a Grassmannian and of lines through a
-fixed point, the two-component space of planes, and the stable-map
-spaces of degree 2 and 3 rational curves.
+same dimension), Grassmannians as Gaussian binomials, the space of
+lines in a Grassmannian and of lines through a fixed point, the
+two-component space of planes, and the stable-map spaces of degree 2 and
+3 rational curves.
+
+The Gaussian binomial [n choose k]_q is the end of a row chain
+[n choose i] = [n choose i-1] (1 - q^(n-i+1)) / (1 - q^i), i = 1..k.  Up
+to n = 66 each row is one integer packed in slots of one machine word
+(polyring.packed_ratio, every step certified exact), the rows are cached
+per (n, i) and shared by every k, and a Grassmannian unpacks its row
+once.  Above n = 66 the bound C(n, n//2) on a coefficient no longer
+fits below half a machine word, and the chain runs on coefficient lists.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from collections.abc import Iterable
 
 from .errors import DimensionMismatch, InvalidParameters, NegativeBetti
-from .polyring import ONE, ZERO, IntPoly, div_one_minus, monomial, mul_one_minus
+from .polyring import (
+    ONE,
+    ZERO,
+    IntPoly,
+    div_one_minus,
+    monomial,
+    mul_one_minus,
+    packed_ratio,
+    unpack_slots,
+)
 from .polyring import exact_div  # noqa: F401  (bench/test_bench.py looks it up here)
 
 
@@ -116,15 +134,45 @@ def weighted_projective(weights: Iterable[int]) -> PoincarePoly:
     return projective(len(ws) - 1)
 
 
+# Up to here _row_width(n) is at most 8 bytes, a machine word:
+# C(66, 33) < 2^63 <= C(67, 33).
+_PACKED_ROWS_MAX_N = 66
+
+
+def _row_width(n: int) -> int:
+    """Bytes per slot of the packed rows of n.
+
+    Every coefficient of [n choose i]_q is nonnegative and at most
+    C(n, i) <= C(n, n//2), so it stays below half a slot.
+    """
+    return (math.comb(n, n // 2).bit_length() + 8) // 8
+
+
+@functools.lru_cache(maxsize=None)
+def _q_binomial_row(n: int, i: int) -> int:
+    """[n choose i]_q packed in _row_width(n)-byte slots, 0 <= i <= n/2.
+
+    Row i is row i-1 times (1 - q^(n-i+1)) over (1 - q^i), one certified
+    packed_ratio step, so the rows of one n share a single chain.
+    """
+    if i == 0:
+        return 1
+    return packed_ratio(
+        _q_binomial_row(n, i - 1), n - i + 1, i, i * (n - i) + 1, _row_width(n)
+    )
+
+
 @functools.lru_cache(maxsize=None)
 def grassmannian(k: int, n: int) -> PoincarePoly:
     """Grassmannian of k-dimensional subspaces of an n-dimensional space.
 
     Computed as the Gaussian binomial [n choose k]_q by the recurrence
     [n choose i] = [n choose i-1] (1 - q^(n-i+1)) / (1 - q^i), so every
-    intermediate value is a polynomial.  Out-of-range k yields the empty
-    space as a value, which downstream formulas rely on to drop vacuous
-    terms.
+    intermediate value is a polynomial.  Up to n = 66 the rows are
+    packed integers in machine-word slots, shared across k; above, the
+    recurrence runs on coefficient lists.  Out-of-range k yields the
+    empty space as a value, which downstream formulas rely on to drop
+    vacuous terms.
 
     >>> str(grassmannian(2, 4))
     '1 + q + 2q^2 + q^3 + q^4'
@@ -133,9 +181,14 @@ def grassmannian(k: int, n: int) -> PoincarePoly:
         raise InvalidParameters(f"grassmannian({k}, {n})")
     if k < 0 or k > n:
         return EMPTY
-    value = ONE
-    for i in range(1, min(k, n - k) + 1):
-        value = div_one_minus(mul_one_minus(value, n - i + 1), i)
+    m = min(k, n - k)
+    if n <= _PACKED_ROWS_MAX_N:
+        slots = unpack_slots(_q_binomial_row(n, m), m * (n - m) + 1, _row_width(n))
+        value = IntPoly(slots)
+    else:
+        value = ONE
+        for i in range(1, m + 1):
+            value = div_one_minus(mul_one_minus(value, n - i + 1), i)
     return PoincarePoly.from_poly(
         value, claimed_dim=k * (n - k), what=f"grassmannian({k},{n})"
     )
@@ -246,6 +299,17 @@ def degree3_kernel(k: int, n: int) -> IntPoly:
     )
 
 
+def check_curve_range(k: int, n: int, d: int, what: str) -> None:
+    """Raise InvalidParameters, naming what, unless the stable-map
+    formulas cover degree d curves in grassmannian(k, n)."""
+    if d not in (2, 3):
+        raise InvalidParameters(f"{what}: degree must be 2 or 3")
+    if not 1 <= k <= n - 1:
+        raise InvalidParameters(f"{what}: need 1 <= k <= n-1")
+    if n < 3:
+        raise InvalidParameters(f"{what}: need n >= 3")
+
+
 @functools.lru_cache(maxsize=None)
 def stable_maps_gr(k: int, n: int, d: int) -> PoincarePoly:
     """Stable-map space of degree d rational curves in grassmannian(k, n).
@@ -257,12 +321,7 @@ def stable_maps_gr(k: int, n: int, d: int) -> PoincarePoly:
     space of lines.
     The result has dimension k(n-k) + dn - 3 and the degree is checked.
     """
-    if d not in (2, 3):
-        raise InvalidParameters(f"degree {d} not supported (2 or 3 only)")
-    if not 1 <= k <= n - 1:
-        raise InvalidParameters(f"grassmannian({k}, {n}) has no moduli here")
-    if n < 3:
-        raise InvalidParameters(f"need an ambient space of dimension >= 2, got n = {n}")
+    check_curve_range(k, n, d, f"M(Gr({k},{n}),{d})")
     if d == 2:
         bracket = (
             (ONE + monomial(n)) * (ONE + monomial(3))

@@ -36,6 +36,7 @@ import functools
 from .catalog import (
     DEGREE3_KERNEL_DEN,
     PoincarePoly,
+    check_curve_range,
     degree3_kernel,
     fano_lines,
     grassmannian,
@@ -75,16 +76,11 @@ class ModuliKey:
 
 def validate_key(key: ModuliKey) -> None:
     """Raise InvalidParameters unless the key names a supported space."""
-    if key.d not in (2, 3):
-        raise InvalidParameters(f"{key}: degree must be 2 or 3")
     if key.compactification not in COMPACTIFICATIONS:
         raise InvalidParameters(
             f"compactification {key.compactification!r} not one of M, S, H"
         )
-    if not 1 <= key.k <= key.n - 1:
-        raise InvalidParameters(f"{key}: need 1 <= k <= n-1")
-    if key.n < 3:
-        raise InvalidParameters(f"{key}: need n >= 3")
+    check_curve_range(key.k, key.n, key.d, str(key))
     if key.compactification == "H" and key.d == 3 and key.n == 3:
         raise InvalidParameters(
             f"{key}: every cubic here lies in a plane, so the planar locus "
@@ -311,22 +307,11 @@ def _delta_steps(k: int, n: int, planar_cubics: PoincarePoly) -> tuple[SurgerySt
 
 @functools.lru_cache(maxsize=None)
 def _hilbert3_closed(k: int, n: int) -> PoincarePoly:
+    # Closed S plus the corrections of the same planar-locus blow-ups
+    # that the pipeline route applies.
     total = _simpson3_closed(k, n).poly
-    planar = _simpson3_closed(1, 3).poly
-    if k >= 2:
-        total = total + (
-            grassmannian(k + 1, n).poly
-            * grassmannian(k - 2, k + 1).poly
-            * planar
-            * (projective(2 * n - k - 5).poly - ONE)
-        )
-    if n >= k + 2:
-        total = total + (
-            grassmannian(k + 2, n).poly
-            * grassmannian(k - 1, k + 2).poly
-            * planar
-            * (projective(n + k - 5).poly - ONE)
-        )
+    for step in _delta_steps(k, n, _simpson3_closed(1, 3)):
+        total = total + step.correction()
     return PoincarePoly.from_poly(
         total,
         claimed_dim=k * (n - k) + 3 * n - 3,

@@ -18,12 +18,13 @@ bits, rounded up to whole bytes, hold it with its sign.
 A slot of at most 8 bytes is widened to the next machine word of 1, 2,
 4 or 8 bytes that the platform's array module offers, and packing and
 unpacking run in C: array(...).tobytes() and int.from_bytes pack, and
-int.to_bytes and array(...).tolist() unpack, all in native byte order
-(sys.byteorder), which is the order array stores its items in.  When
-both operands are nonnegative, as most Betti products are, every slot
-holds its coefficient as it is.  Otherwise coefficients are stored with
-a bias of half a slot, so every slot is a nonnegative number and no
-slot carries into the next.  Slots wider than 8 bytes, which only
+int.to_bytes and array(...).tolist() unpack (unpack_slots).  Packed
+integers are little-endian, slot j holding coefficient j, whatever the
+platform; array items are byte-swapped on a big-endian one.  When both
+operands are nonnegative, as most Betti products are, every slot holds
+its coefficient as it is.  Otherwise coefficients are stored with a
+bias of half a slot, so every slot is a nonnegative number and no slot
+carries into the next.  Slots wider than 8 bytes, which only
 coefficients above about 60 bits need, are biased the same way and
 packed and unpacked as byte slices.
 
@@ -31,6 +32,22 @@ Products and quotients by (1 - q^j) have their own O(len) steps,
 mul_one_minus and div_one_minus; the latter divides one factor at a
 time, as one running sum per residue class mod j, and checks that the
 remainder is zero.  exact_div stays the general divider.
+
+packed_ratio runs one step V (1 - q^a) / (1 - q^i) on packed integers
+with slots of w bytes, B = 2^(8w), holding nonnegative coefficients:
+x = V(B) - V(B) B^a is one shift and subtraction, and the quotient
+Q(B) is the power series x / (1 - B^i) modulo B^L, for L quotient
+slots, as running sums by doubling (about log2(L / i) shift-adds, each
+masked to L slots).  It is certified, not trusted: NonExactDivision is
+raised unless every slot of V(B) and of Q(B) is below B/2 (no 0x80 bit
+in any slot's top byte) and Q(B) - Q(B) B^i == x.  Then both sides of
+Q + V q^a = V + Q q^i, evaluated at B, are sums of two polynomials
+with every coefficient in [0, B/2): their coefficients lie in [0, B),
+no slot carries, and equal integers have equal base-B digits.  The
+integer identity is then the polynomial identity
+Q (1 - q^i) = V (1 - q^a), so the division is exact and Q is its
+quotient.  catalog.grassmannian chains these steps, one per row of the
+q-binomial recurrence, wherever w fits a machine word (n <= 66).
 """
 
 from __future__ import annotations
@@ -115,34 +132,24 @@ class IntPoly:
         size = len(a) + len(b) - 1
         # A typecode of "" marks a slot wider than 8 bytes: byte slices.
         width, code = _SLOTS.get(width, (width, ""))
-        order = sys.byteorder  # array's items are in native byte order
         if code and lo_a >= 0 and lo_b >= 0:
-            product = int.from_bytes(array(code, a).tobytes(), order)
-            product *= int.from_bytes(array(code, b).tobytes(), order)
-            data = array(code, product.to_bytes(size * width, order))
-            return IntPoly(data.tolist())
+            product = _pack_words(code, a) * _pack_words(code, b)
+            return IntPoly(unpack_slots(product, size, width))
         bias = 1 << (8 * width - 1)
-        biases = bias.to_bytes(width, order)
+        biases = bias.to_bytes(width, "little")
 
         def pack(cs: tuple[int, ...]) -> int:
             if code:
-                data = array(code, map(bias.__add__, cs)).tobytes()
+                value = _pack_words(code, map(bias.__add__, cs))
             else:
-                data = b"".join([(c + bias).to_bytes(width, order) for c in cs])
-            return int.from_bytes(data, order) - int.from_bytes(
-                biases * len(cs), order
-            )
+                value = int.from_bytes(
+                    b"".join([(c + bias).to_bytes(width, "little") for c in cs]),
+                    "little",
+                )
+            return value - int.from_bytes(biases * len(cs), "little")
 
-        product = pack(a) * pack(b) + int.from_bytes(biases * size, order)
-        data = product.to_bytes(size * width, order)
-        if code:
-            return IntPoly(map(bias.__rsub__, array(code, data)))
-        return IntPoly(
-            [
-                int.from_bytes(data[i : i + width], order) - bias
-                for i in range(0, size * width, width)
-            ]
-        )
+        product = pack(a) * pack(b) + int.from_bytes(biases * size, "little")
+        return IntPoly(map(bias.__rsub__, unpack_slots(product, size, width)))
 
     __rmul__ = __mul__
 
@@ -232,6 +239,42 @@ def _slot_types(codes: Iterable[str]) -> dict[int, tuple[int, str]]:
 
 
 _SLOTS = _slot_types("BHILQ")
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _pack_words(code: str, cs: Iterable[int]) -> int:
+    """The integer whose little-endian array items of typecode code are cs."""
+    words = array(code, cs)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return int.from_bytes(words.tobytes(), "little")
+
+
+def unpack_slots(value: int, count: int, width: int) -> list[int]:
+    """The count slots of width bytes of a nonnegative packed integer,
+    lowest first: the base-2^(8 width) digits of value.
+
+    One to_bytes call; each slot is then copied into the low bytes of
+    the smallest array item that holds it, by width extended-slice
+    assignments, and array(...).tolist() reads the items.  A width with
+    no such item is read as byte slices.
+    """
+    data = value.to_bytes(count * width, "little")
+    size, code = _SLOTS.get(width, (width, ""))
+    if not code:
+        return [
+            int.from_bytes(data[i : i + width], "little")
+            for i in range(0, count * width, width)
+        ]
+    if size != width:
+        items = bytearray(count * size)
+        for b in range(width):
+            items[b::size] = data[b::width]
+        data = items
+    words = array(code, data)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words.tolist()
 
 
 def monomial(j: int, c: int = 1) -> IntPoly:
@@ -274,6 +317,41 @@ def div_one_minus(p: IntPoly, j: int) -> IntPoly:
             f"({p}) / (1 - q^{j}): remainder {IntPoly(cs[top:]).shift(top)}"
         )
     return IntPoly(cs[:top])
+
+
+def packed_ratio(v: int, a: int, i: int, count: int, width: int) -> int:
+    """V (1 - q^a) / (1 - q^i) on integers packed in width-byte slots;
+    i >= 1.
+
+    v packs a polynomial V with nonnegative coefficients, and the result
+    packs the quotient Q in count slots.  Multiplying by 1 - q^a is one
+    shift and subtraction, and Q is the power series of x = V (1 - q^a)
+    over 1 - q^i, modulo q^count: running sums, by doubling a span that
+    starts at i.  Q is then certified as the module docstring says:
+    NonExactDivision is raised unless every slot of V and of Q is below
+    half a slot and Q (1 - q^i) = x as integers.
+
+    >>> packed_ratio(1, 2, 1, 2, 1)  # (1 - q^2) / (1 - q) = 1 + q
+    257
+    """
+    if i < 1:
+        raise DivisionByZero(f"division by 1 - q^{i}")
+    shift = 8 * width
+    x = v - (v << shift * a)
+    mask = (1 << shift * count) - 1
+    quot = x & mask
+    span = i
+    while span < count:
+        quot = (quot + (quot << shift * span)) & mask
+        span *= 2
+    slots = max(count, -(-v.bit_length() // shift))
+    top = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+    if (quot | v) & top or quot - (quot << shift * i) != x:
+        raise NonExactDivision(
+            f"(1 - q^{a}) / (1 - q^{i}) in {count} slots of {width} bytes: "
+            "not exact, or a slot at or above half its range"
+        )
+    return quot
 
 
 def exact_div(num: IntPoly, den: IntPoly) -> IntPoly:

@@ -1,10 +1,14 @@
+import functools
 import math
+import random
 import time
+from array import array
 
 import pytest
 import sympy
+from sympy.polys.rings import ring
 
-from curvebetti import catalog
+from curvebetti import catalog, polyring
 from curvebetti.catalog import (
     DEGREE3_KERNEL,
     EMPTY,
@@ -22,6 +26,7 @@ from curvebetti.catalog import (
     stable_maps_p1,
     weighted_projective,
 )
+from curvebetti.pipelines import ModuliKey, space_poly
 from curvebetti.polyring import IntPoly
 
 GRID = [(k, n) for k in range(1, 5) for n in range(k + 1, 11)]
@@ -91,6 +96,82 @@ def test_grassmannian_against_sympy_gaussian_binomial(k, n):
     assert rem.is_zero
     expected = [int(c) for c in reversed(quot.all_coeffs())]
     assert list(grassmannian(k, n).poly.coeffs) == expected
+
+
+ZZq, Q = ring("q", sympy.ZZ)
+
+
+@functools.lru_cache(maxsize=None)
+def q_pascal(n: int) -> tuple:
+    """Independent oracle: the Gaussian binomials [n choose k], k = 0..n,
+    in sympy's ring ZZ[q], by the q-Pascal rule
+    [n choose k] = [n-1 choose k-1] + q^k [n-1 choose k]."""
+    if n == 0:
+        return (ZZq.one,)
+    prev = q_pascal(n - 1)
+    return tuple(
+        (prev[k - 1] if k else ZZq.zero) + (prev[k] * Q**k if k < n else ZZq.zero)
+        for k in range(n + 1)
+    )
+
+
+def q_pascal_coeffs(k: int, n: int) -> tuple[int, ...]:
+    terms = q_pascal(n)[k].to_dict()
+    return tuple(int(terms.get((e,), 0)) for e in range(max(terms)[0] + 1))
+
+
+def clear_grassmannian_caches() -> None:
+    catalog.grassmannian.cache_clear()
+    catalog._q_binomial_row.cache_clear()
+
+
+@pytest.mark.parametrize("n", range(60, 73))
+def test_grassmannian_against_q_pascal_across_the_packed_boundary(n):
+    # Packed rows up to n = 66, coefficient lists from n = 67.
+    for k in range(n + 1):
+        assert grassmannian(k, n).poly.coeffs == q_pascal_coeffs(k, n), (k, n)
+
+
+def test_packed_rows_stop_at_the_machine_word():
+    assert [catalog._row_width(n) for n in (9, 10, 66, 67)] == [1, 2, 8, 9]
+    assert catalog._PACKED_ROWS_MAX_N == 66
+    clear_grassmannian_caches()
+    grassmannian(3, 67)
+    assert catalog._q_binomial_row.cache_info().currsize == 0
+    grassmannian(3, 66)
+    grassmannian(64, 66)  # the row of k = 2 is already there
+    assert catalog._q_binomial_row.cache_info().currsize == 4
+    clear_grassmannian_caches()
+
+
+def test_grassmannian_independent_of_request_order():
+    pairs = [(k, n) for n in (20, 47, 66) for k in range(n + 1)]
+    shuffled = pairs[:]
+    random.Random(7).shuffle(shuffled)
+    results = []
+    for order in (pairs, pairs[::-1], shuffled):
+        clear_grassmannian_caches()
+        results.append({p: grassmannian(*p).poly.coeffs for p in order})
+    clear_grassmannian_caches()
+    assert results[0] == results[1] == results[2]
+    for k, n in pairs:
+        assert results[0][k, n] == q_pascal_coeffs(k, n)
+
+
+@pytest.mark.parametrize("dropped", [4, 8])
+def test_packed_rows_without_one_typecode_size(monkeypatch, dropped):
+    # Without 4-byte items, 3- and 4-byte slots widen into 8-byte items;
+    # without 8-byte items, 5- to 8-byte slots are read as byte slices.
+    codes = [c for c in "BHILQ" if array(c).itemsize != dropped]
+    monkeypatch.setattr(polyring, "_SLOTS", polyring._slot_types(codes))
+    clear_grassmannian_caches()
+    try:
+        # One n for each slot width from 1 to 8 bytes.
+        for n in (9, 17, 25, 33, 42, 50, 58, 66):
+            for k in range(n + 1):
+                assert grassmannian(k, n).poly.coeffs == q_pascal_coeffs(k, n)
+    finally:
+        clear_grassmannian_caches()
 
 
 def test_grassmannian_at_size():
@@ -193,14 +274,19 @@ def test_stable_maps_gr_degree_two_reference():
 
 
 def test_stable_maps_gr_guards():
-    with pytest.raises(InvalidParameters):
-        stable_maps_gr(1, 2, 2)
-    with pytest.raises(InvalidParameters):
-        stable_maps_gr(0, 4, 2)
-    with pytest.raises(InvalidParameters):
-        stable_maps_gr(4, 4, 3)
-    with pytest.raises(InvalidParameters):
-        stable_maps_gr(1, 4, 4)
+    # The catalog builder and the key check share one range check, so a
+    # bad key reads the same from either entry point.
+    for k, n, d, message in (
+        (1, 2, 2, "M(Gr(1,2),2): need n >= 3"),
+        (0, 4, 2, "M(Gr(0,4),2): need 1 <= k <= n-1"),
+        (4, 4, 3, "M(Gr(4,4),3): need 1 <= k <= n-1"),
+        (1, 4, 4, "M(Gr(1,4),4): degree must be 2 or 3"),
+    ):
+        with pytest.raises(InvalidParameters) as direct:
+            stable_maps_gr(k, n, d)
+        with pytest.raises(InvalidParameters) as keyed:
+            space_poly(ModuliKey(k, n, d, "M"))
+        assert str(direct.value) == str(keyed.value) == message
 
 
 @pytest.mark.parametrize("d", [2, 3])

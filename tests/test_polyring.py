@@ -17,6 +17,8 @@ from curvebetti.polyring import (
     exact_div,
     monomial,
     mul_one_minus,
+    packed_ratio,
+    unpack_slots,
 )
 
 coeff_lists = st.lists(st.integers(-9, 9), max_size=8)
@@ -361,3 +363,96 @@ def test_div_one_minus_by_a_factor_longer_than_the_dividend():
             f"(1 + 2q + 3q^2) / (1 - q^{j}): remainder 1 + 2q + 3q^2"
         )
     assert div_one_minus(ZERO, 10) == ZERO
+
+
+# ------------------------------------------------------- packed integers
+
+
+def pack(cs: list[int], width: int) -> int:
+    """Reference packing: coefficient j in slot j of width bytes."""
+    return sum(c << (8 * width * j) for j, c in enumerate(cs))
+
+
+@pytest.mark.parametrize("width", range(1, 11))
+def test_unpack_slots_reads_every_width(width):
+    # Digits from zero to the top of the slot, with zero slots above the
+    # highest nonzero one; widths 3, 5, 6 and 7 widen into larger items
+    # and widths past 8 are read as byte slices.
+    top = 2 ** (8 * width) - 1
+    digits = [0, 1, top, top // 3, 2 ** (8 * width - 1), 7]
+    assert unpack_slots(pack(digits, width), 9, width) == digits + [0, 0, 0]
+    assert unpack_slots(0, 2, width) == [0, 0]
+
+
+@pytest.mark.parametrize("dropped", [4, 8])
+def test_unpack_slots_without_one_typecode_size(monkeypatch, dropped):
+    codes = [c for c in "BHILQ" if array(c).itemsize != dropped]
+    monkeypatch.setattr(polyring, "_SLOTS", polyring._slot_types(codes))
+    for width in range(1, 9):
+        digits = [2 ** (8 * width) - 1, 0, 5, 2 ** (8 * width - 1)]
+        assert unpack_slots(pack(digits, width), 4, width) == digits
+
+
+@given(
+    st.lists(st.integers(0, 9), min_size=1, max_size=30),
+    st.integers(1, 6),
+    st.integers(1, 5),
+)
+def test_packed_ratio_multiplies_by_a_geometric_sum(v, i, m):
+    # (1 - q^(im)) / (1 - q^i) = 1 + q^i + ... + q^(i(m-1)), so the
+    # quotient is a product with nonnegative coefficients below 128.
+    geometric = IntPoly([1 if j % i == 0 else 0 for j in range(i * (m - 1) + 1)])
+    expected = IntPoly(v) * geometric
+    count = len(v) + i * (m - 1)
+    for width in (1, 3, 8):
+        quot = packed_ratio(pack(v, width), i * m, i, count, width)
+        assert IntPoly(unpack_slots(quot, count, width)) == expected
+
+
+def test_packed_ratio_divides_down_to_one():
+    # (1 + q + ... + q^(i-1)) (1 - q) / (1 - q^i) = 1.
+    for i in (1, 2, 5, 40):
+        assert packed_ratio(pack([1] * i, 2), 1, i, 1, 2) == 1
+
+
+def test_packed_ratio_rejects_a_remainder():
+    # (1 - q) / (1 - q^2) is no polynomial.
+    for count in (1, 2, 5):
+        with pytest.raises(NonExactDivision):
+            packed_ratio(1, 1, 2, count, 1)
+    # A quotient needs more slots than it is given.
+    with pytest.raises(NonExactDivision):
+        packed_ratio(pack([1, 1], 1), 2, 1, 2, 1)
+
+
+def test_packed_ratio_rejects_a_quotient_slot_at_half_width():
+    # V = 127 + 127q^2 + 3q^4 has V(-1) = 257, so V is not divisible by
+    # 1 + q, and V (1 - q) / (1 - q^2) is no polynomial.  At q = 256 the
+    # integer identity holds all the same, because 257 = 1 + 256 divides
+    # V(256); the quotient's carries hide in a slot of 128 or more, which
+    # only the half-slot check sees.
+    v = pack([127, 0, 127, 0, 3], 1)
+    quot = v // 257
+    assert quot * 257 == v and quot < 256**4
+    assert quot - (quot << 16) == v - (v << 8)
+    assert max(unpack_slots(quot, 4, 1)) >= 128
+    with pytest.raises(NonExactDivision):
+        packed_ratio(v, 1, 2, 4, 1)
+
+
+def test_packed_ratio_rejects_a_dividend_slot_at_half_width():
+    # Q = 127 + 127q + 127q^2 times 1 + q + q^2 has the coefficient 381,
+    # which carries at q = 256: V(256) has the digits 127, 254, 125,
+    # 255, 127, and V(256) (1 - 256) = Q(256) (1 - 256^3) holds with
+    # every slot of Q below 128.  Yet the polynomial with V's digits is
+    # no multiple of 1 + q + q^2, so only the check on V's slots can
+    # reject it.
+    v = pack([127, 254, 125, 255, 127], 1)
+    q = pack([127, 127, 127], 1)
+    assert v == q * (1 + 256 + 256**2)
+    with pytest.raises(NonExactDivision):
+        div_one_minus(mul_one_minus(IntPoly([127, 254, 125, 255, 127]), 1), 3)
+    with pytest.raises(NonExactDivision):
+        packed_ratio(v, 1, 3, 3, 1)
+    with pytest.raises(DivisionByZero):
+        packed_ratio(1, 1, 0, 1, 1)
