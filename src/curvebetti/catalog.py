@@ -285,18 +285,39 @@ _check_kernel_weights()
 DEGREE3_KERNEL_DEN = (1, 2, 2, 3, 3)
 
 
+# The fixed multiplier of each weight in degree3_kernel, as
+# (coefficient, exponent) terms: 1, (1 + q)^2 (1 + q^2), -q (1 + q)^2, q^2.
+_KERNEL_MULTIPLIERS = (
+    ((1, 0),),
+    ((1, 0), (2, 1), (2, 2), (2, 3), (1, 4)),
+    ((-1, 1), (-2, 2), (-1, 3)),
+    ((1, 2),),
+)
+
+
 def degree3_kernel(k: int, n: int) -> IntPoly:
-    """Numerator of the degree 3 stable-map kernel over DEGREE3_KERNEL_DEN."""
-    f1, f2, f3, f4 = DEGREE3_KERNEL
-    return (
-        f1 * (ONE + monomial(2 * n))
-        + (ONE + monomial(1)) ** 2
-        * (
-            f2 * monomial(n) * (ONE + monomial(2))
-            - f3 * monomial(1) * (ONE + monomial(n)) * (monomial(k) + monomial(n - k))
-        )
-        + f4 * monomial(2) * (monomial(2 * k) + monomial(2 * n - 2 * k))
-    )
+    """Numerator of the degree 3 stable-map kernel over DEGREE3_KERNEL_DEN.
+
+    With f1, f2, f3, f4 the weights of DEGREE3_KERNEL it is
+
+        f1 (1 + q^(2n)) + (1 + q)^2 (1 + q^2) f2 q^n
+        - q (1 + q)^2 f3 (q^k + q^(n-k) + q^(n+k) + q^(2n-k))
+        + q^2 f4 (q^(2k) + q^(2n-2k)),
+
+    a sum of shifted weights: each term of a weight's fixed multiplier,
+    at each of its shifts, adds the weight's coefficients, times the
+    term's coefficient, into one list.  DEGREE3_KERNEL is read at each
+    call.
+    """
+    shifts = ((0, 2 * n), (n,), (k, n - k, n + k, 2 * n - k), (2 * k, 2 * n - 2 * k))
+    weights = [w.coeffs for w in DEGREE3_KERNEL]
+    out = [0] * (2 * n + 4 + max(map(len, weights)))
+    for w, terms, places in zip(weights, _KERNEL_MULTIPLIERS, shifts):
+        for c, e in terms:
+            for p in places:
+                for i, x in enumerate(w, p + e):
+                    out[i] += c * x
+    return IntPoly(out)
 
 
 def check_curve_range(k: int, n: int, d: int, what: str) -> None:

@@ -221,6 +221,7 @@ def _simpson3_steps(k: int, n: int) -> tuple[SurgeryStep, ...]:
             * (projective(n - 3).poly - ONE)
         )
     )
+    # Centers multiply their small factors first; the order is for cost only.
     return (
         SurgeryStep(
             kind="blowup",
@@ -231,14 +232,14 @@ def _simpson3_steps(k: int, n: int) -> tuple[SurgeryStep, ...]:
         ),
         SurgeryStep(
             kind="blowup",
-            center=x * bl_diag * stable_maps_p1(2),
+            center=x * (bl_diag * stable_maps_p1(2)),
             fiber=projective(n - 2),
             label="Gamma^2_1",
             expected_codim=n - 1,
         ),
         SurgeryStep(
             kind="blowup",
-            center=f1 * projective(n - 3) * ruled,
+            center=f1 * (projective(n - 3) * ruled),
             fiber=projective(n - 3),
             label="Gamma^3_2",
             expected_codim=n - 2,
@@ -251,7 +252,7 @@ def _simpson3_steps(k: int, n: int) -> tuple[SurgeryStep, ...]:
         ),
         SurgeryStep(
             kind="blowdown",
-            center=f1 * projective(1) * projective(n - 3) * projective(n - 3),
+            center=f1 * (projective(1) * projective(n - 3) * projective(n - 3)),
             fiber=weighted_projective((1, 2, 2, 3, 3)),
             label="Gamma^3_4",
         ),
@@ -276,14 +277,14 @@ def _delta_steps(k: int, n: int, planar_cubics: PoincarePoly) -> tuple[SurgerySt
     different codimensions in the ambient Hilbert scheme.
     """
     steps: list[SurgeryStep] = []
+    # Centers multiply their small factors first; the order is for cost only.
     if k >= 2:
         codim = 2 * n - k - 4
         steps.append(
             SurgeryStep(
                 kind="blowup",
                 center=grassmannian(k + 1, n)
-                * grassmannian(k - 2, k + 1)
-                * planar_cubics,
+                * (grassmannian(k - 2, k + 1) * planar_cubics),
                 fiber=projective(codim - 1),
                 label="Delta_A",
                 expected_codim=codim,
@@ -295,8 +296,7 @@ def _delta_steps(k: int, n: int, planar_cubics: PoincarePoly) -> tuple[SurgerySt
             SurgeryStep(
                 kind="blowup",
                 center=grassmannian(k + 2, n)
-                * grassmannian(k - 1, k + 2)
-                * planar_cubics,
+                * (grassmannian(k - 1, k + 2) * planar_cubics),
                 fiber=projective(codim - 1),
                 label="Delta_B",
                 expected_codim=codim,

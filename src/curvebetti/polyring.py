@@ -6,14 +6,15 @@ q^j is a Betti number, so every operation here must be exact: no floats,
 no modular tricks, and division either succeeds with remainder zero or
 raises.
 
-Multiplication is Kronecker substitution: both operands are evaluated at
-q = 2^w by packing their coefficients into one integer each, the two
-integers are multiplied once (CPython's Karatsuba multiply does the
-convolution), and the product's coefficients are read back out of w-bit
-slots.  The slot width is exact, not heuristic: a product coefficient
-sums at most min(len a, len b) terms, each below 2^(bits a + bits b) in
-absolute value, so w = bits a + bits b + bits(min(len a, len b)) + 1
-bits, rounded up to whole bytes, hold it with its sign.
+Multiplication is Kronecker substitution (kronecker_product): both
+operands are evaluated at q = 2^w by packing their coefficients into
+one integer each, the two integers are multiplied once (CPython's
+Karatsuba multiply does the convolution), and the product's
+coefficients are read back out of w-bit slots.  The slot width is
+exact, not heuristic: a product coefficient sums at most
+min(len a, len b) terms, each below 2^(bits a + bits b) in absolute
+value, so w = bits a + bits b + bits(min(len a, len b)) + 1 bits,
+rounded up to whole bytes, hold it with its sign.
 
 A slot of at most 8 bytes is widened to the next machine word of 1, 2,
 4 or 8 bytes that the platform's array module offers, and packing and
@@ -32,6 +33,18 @@ Products and quotients by (1 - q^j) have their own O(len) steps,
 mul_one_minus and div_one_minus; the latter divides one factor at a
 time, as one running sum per residue class mod j, and checks that the
 remainder is zero.  exact_div stays the general divider.
+
+Before packing, IntPoly.__mul__ looks at the shape of the shorter
+operand b, and at nothing else.  If b has at most two nonzero
+coefficients, c q^s + d q^t, the product is the longer operand a
+shifted by s and by t, scaled by c and d where they are not 1, and
+added.  Otherwise, if b (1 - q) has at most two nonzero coefficients,
+b is a single run c q^s (1 + q + ... + q^(m-1)), and the product is
+c q^s (a (1 - q^m)) / (1 - q): one mul_one_minus and one
+div_one_minus, whose remainder check still runs.  Both are sums of
+exact integers, so they give the Kronecker product coefficient for
+coefficient; every other pair is packed.  Blow-up corrections are
+such products: the centre times P(fiber) - 1 = q + ... + q^(c-1).
 
 packed_ratio runs one step V (1 - q^a) / (1 - q^i) on packed integers
 with slots of w bytes, B = 2^(8w), holding nonnegative coefficients:
@@ -111,45 +124,39 @@ class IntPoly:
         return IntPoly(-c for c in self.coeffs)
 
     def __sub__(self, other: int | IntPoly) -> IntPoly:
-        return self + (-_as_poly(other))
+        return _difference(self.coeffs, _as_poly(other).coeffs)
 
     def __rsub__(self, other: int | IntPoly) -> IntPoly:
-        return _as_poly(other) + (-self)
+        return _difference(_as_poly(other).coeffs, self.coeffs)
 
     def __mul__(self, other: int | IntPoly) -> IntPoly:
-        a, b = self.coeffs, _as_poly(other).coeffs
-        if not a or not b:
+        x, y = self, _as_poly(other)
+        if len(x.coeffs) < len(y.coeffs):
+            x, y = y, x
+        a, b = x.coeffs, y.coeffs
+        if not b:
             return ZERO
-        # Kronecker substitution at q = 2^(8 * width); see the module
-        # docstring for why the slot width is exact.
-        lo_a, lo_b = min(a), min(b)
-        width = (
-            max(max(a), -lo_a).bit_length()
-            + max(max(b), -lo_b).bit_length()
-            + min(len(a), len(b)).bit_length()
-            + 8  # one sign bit, and 7 to round up to whole bytes
-        ) // 8
-        size = len(a) + len(b) - 1
-        # A typecode of "" marks a slot wider than 8 bytes: byte slices.
-        width, code = _SLOTS.get(width, (width, ""))
-        if code and lo_a >= 0 and lo_b >= 0:
-            product = _pack_words(code, a) * _pack_words(code, b)
-            return IntPoly(unpack_slots(product, size, width))
-        bias = 1 << (8 * width - 1)
-        biases = bias.to_bytes(width, "little")
-
-        def pack(cs: tuple[int, ...]) -> int:
-            if code:
-                value = _pack_words(code, map(bias.__add__, cs))
-            else:
-                value = int.from_bytes(
-                    b"".join([(c + bias).to_bytes(width, "little") for c in cs]),
-                    "little",
+        # b is the shorter operand; a factor of at most two terms, or a
+        # single run c q^s (1 + ... + q^(m-1)), takes O(len) steps (see
+        # the module docstring).
+        zeros = b.count(0)
+        terms = len(b) - zeros
+        if terms == 1:
+            return IntPoly((0,) * zeros + _scaled(a, b[-1]))
+        if terms == 2:
+            t = len(b) - 1
+            s = b.index(next(filter(None, b)))
+            return IntPoly(
+                map(
+                    operator.add,
+                    (0,) * s + _scaled(a, b[s]) + (0,) * (t - s),
+                    (0,) * t + _scaled(a, b[t]),
                 )
-            return value - int.from_bytes(biases * len(cs), "little")
-
-        product = pack(a) * pack(b) + int.from_bytes(biases * size, "little")
-        return IntPoly(map(bias.__rsub__, unpack_slots(product, size, width)))
+            )
+        if b[zeros:].count(b[-1]) == terms:
+            run = div_one_minus(mul_one_minus(x, terms), 1)
+            return IntPoly((0,) * zeros + _scaled(run.coeffs, b[-1]))
+        return kronecker_product(a, b)
 
     __rmul__ = __mul__
 
@@ -219,6 +226,20 @@ ZERO = IntPoly()
 ONE = IntPoly([1])
 
 
+def _difference(a: tuple[int, ...], b: tuple[int, ...]) -> IntPoly:
+    """a - b, padding the shorter with zeros."""
+    return IntPoly(
+        map(operator.sub, a + (0,) * (len(b) - len(a)), b + (0,) * (len(a) - len(b)))
+    )
+
+
+def _scaled(cs: tuple[int, ...], c: int) -> tuple[int, ...]:
+    """The coefficients cs times c; as they are when c is 1."""
+    if c == 1:
+        return cs
+    return tuple(map(operator.neg if c == -1 else c.__mul__, cs))
+
+
 def _as_poly(x: int | IntPoly) -> IntPoly:
     if isinstance(x, IntPoly):
         return x
@@ -275,6 +296,41 @@ def unpack_slots(value: int, count: int, width: int) -> list[int]:
     if _BIG_ENDIAN:
         words.byteswap()
     return words.tolist()
+
+
+def kronecker_product(a: tuple[int, ...], b: tuple[int, ...]) -> IntPoly:
+    """The product of two nonempty coefficient tuples, packed and
+    multiplied as one integer each, whatever their shape."""
+    # Kronecker substitution at q = 2^(8 * width); see the module
+    # docstring for why the slot width is exact.
+    lo_a, lo_b = min(a), min(b)
+    width = (
+        max(max(a), -lo_a).bit_length()
+        + max(max(b), -lo_b).bit_length()
+        + min(len(a), len(b)).bit_length()
+        + 8  # one sign bit, and 7 to round up to whole bytes
+    ) // 8
+    size = len(a) + len(b) - 1
+    # A typecode of "" marks a slot wider than 8 bytes: byte slices.
+    width, code = _SLOTS.get(width, (width, ""))
+    if code and lo_a >= 0 and lo_b >= 0:
+        product = _pack_words(code, a) * _pack_words(code, b)
+        return IntPoly(unpack_slots(product, size, width))
+    bias = 1 << (8 * width - 1)
+    biases = bias.to_bytes(width, "little")
+
+    def pack(cs: tuple[int, ...]) -> int:
+        if code:
+            value = _pack_words(code, map(bias.__add__, cs))
+        else:
+            value = int.from_bytes(
+                b"".join([(c + bias).to_bytes(width, "little") for c in cs]),
+                "little",
+            )
+        return value - int.from_bytes(biases * len(cs), "little")
+
+    product = pack(a) * pack(b) + int.from_bytes(biases * size, "little")
+    return IntPoly(map(bias.__rsub__, unpack_slots(product, size, width)))
 
 
 def monomial(j: int, c: int = 1) -> IntPoly:

@@ -63,8 +63,9 @@ class SurgeryStep:
 
     def correction(self) -> IntPoly:
         """Signed contribution of this step to the total."""
-        delta = self.center.poly * (self.fiber.poly - ONE)
-        return delta if self.kind == "blowup" else -delta
+        if self.kind == "blowup":
+            return self.center.poly * (self.fiber.poly - ONE)
+        return self.center.poly * (ONE - self.fiber.poly)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -17,6 +17,7 @@ from curvebetti.catalog import (
     InvalidParameters,
     NegativeBetti,
     PoincarePoly,
+    degree3_kernel,
     fano_lines,
     fano_planes,
     grassmannian,
@@ -27,7 +28,7 @@ from curvebetti.catalog import (
     weighted_projective,
 )
 from curvebetti.pipelines import ModuliKey, space_poly
-from curvebetti.polyring import IntPoly
+from curvebetti.polyring import ONE, IntPoly, monomial
 
 GRID = [(k, n) for k in range(1, 5) for n in range(k + 1, 11)]
 
@@ -266,6 +267,27 @@ def test_kernel_weights_frozen_values():
     for w in DEGREE3_KERNEL:
         assert w.evaluate(1) == 0
         assert w.reversed() == -w
+
+
+def product_form_kernel(k: int, n: int) -> IntPoly:
+    """degree3_kernel as a sum of products of polynomials, the form it
+    was first written in."""
+    f1, f2, f3, f4 = DEGREE3_KERNEL
+    return (
+        f1 * (ONE + monomial(2 * n))
+        + (ONE + monomial(1)) ** 2
+        * (
+            f2 * monomial(n) * (ONE + monomial(2))
+            - f3 * monomial(1) * (ONE + monomial(n)) * (monomial(k) + monomial(n - k))
+        )
+        + f4 * monomial(2) * (monomial(2 * k) + monomial(2 * n - 2 * k))
+    )
+
+
+def test_degree3_kernel_is_the_product_form():
+    for n in range(3, 81):
+        for k in range(n + 1):
+            assert degree3_kernel(k, n) == product_form_kernel(k, n), (k, n)
 
 
 def test_stable_maps_gr_degree_two_reference():

@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import pytest
@@ -293,3 +294,39 @@ def test_verify_suite_evaluates_each_key_once(monkeypatch):
     report = verify_suite(keys)
     assert sorted(calls) == sorted(keys)
     assert report.total_failures == 0
+
+
+def _output_lines():
+    """One line per key with n <= 30 (k from -1 to n+1, d from 2 to 4,
+    M/S/H, both modes) and per grassmannian(k, n) with n <= 72: the
+    coefficients of each valid result, the exception class of each
+    invalid key."""
+    for n in range(31):
+        for k in range(-1, n + 2):
+            for d in (2, 3, 4):
+                for c in pipelines.COMPACTIFICATIONS:
+                    for mode in ("closed", "pipeline"):
+                        try:
+                            value = space_poly(ModuliKey(k, n, d, c), mode).poly.coeffs
+                        except Exception as exc:  # noqa: BLE001
+                            value = type(exc).__name__
+                        yield f"{k} {n} {d} {c} {mode}: {value}"
+    _clear_caches()
+    # n <= 72 crosses the packed-row boundary at n = 66/67.
+    for n in range(73):
+        for k in range(n + 1):
+            yield f"Gr({k},{n}): {grassmannian(k, n).poly.coeffs}"
+        grassmannian.cache_clear()
+
+
+# sha256 of _output_lines(), one "\n"-terminated line each, computed with
+# the multiply, surgery and kernel code as they stood before products by
+# sparse and single-run factors took their own O(len) path.
+OUTPUT_DIGEST = "bf6288d1ce05dbc869a868ea4d7dcacef1928295a546182f7010e77f1f8a16e9"
+
+
+def test_outputs_match_the_recorded_digest(empty_caches):
+    digest = hashlib.sha256()
+    for line in _output_lines():
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == OUTPUT_DIGEST

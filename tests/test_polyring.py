@@ -15,6 +15,7 @@ from curvebetti.polyring import (
     NonExactDivision,
     div_one_minus,
     exact_div,
+    kronecker_product,
     monomial,
     mul_one_minus,
     packed_ratio,
@@ -198,6 +199,12 @@ def test_kronecker_product_matches_schoolbook(a, b):
     assert pa * pb == schoolbook(pa, pb)
 
 
+def packed_and_dispatched(pa: IntPoly, pb: IntPoly) -> list[IntPoly]:
+    """The packed product, and pa * pb.  All-equal operands are single
+    runs, which __mul__ does not pack."""
+    return [kronecker_product(pa.coeffs, pb.coeffs), pa * pb]
+
+
 def test_kronecker_product_at_the_slot_bound():
     # Coefficients of all-equal maximal magnitude make the middle product
     # coefficient as large as the slot width allows, at either sign.
@@ -206,16 +213,15 @@ def test_kronecker_product_at_the_slot_bound():
             for n in (1, 2, 3, 4, 7, 8, 15, 16, 31):
                 pa = IntPoly([2**bits_a - 1] * n)
                 pb = IntPoly([2**bits_b - 1] * n)
-                assert pa * pb == schoolbook(pa, pb)
-                assert pa * -pb == schoolbook(pa, -pb)
+                for x, y in ((pa, pb), (pa, -pb)):
+                    assert packed_and_dispatched(x, y) == [schoolbook(x, y)] * 2
 
 
 def test_kronecker_product_edge_cases():
     big = 2**256 - 1
     assert IntPoly([big]) * IntPoly([-big]) == IntPoly([-(big * big)])
-    assert IntPoly([big] * 300) * IntPoly([big] * 300) == schoolbook(
-        IntPoly([big] * 300), IntPoly([big] * 300)
-    )
+    runs = IntPoly([big] * 300)
+    assert packed_and_dispatched(runs, runs) == [schoolbook(runs, runs)] * 2
     assert IntPoly([1, -1] * 150) * ZERO == ZERO
     assert ZERO * IntPoly([5]) == ZERO
     assert 0 * IntPoly([1, 2]) == ZERO
@@ -266,7 +272,10 @@ def test_kronecker_product_at_every_slot_width():
     for width, a, b in operands_at_each_slot_width():
         widths.add(width)
         for pa, pb in sign_patterns(a, b):
-            assert pa * pb == schoolbook(pa, pb), (width, len(a))
+            assert packed_and_dispatched(pa, pb) == [schoolbook(pa, pb)] * 2, (
+                width,
+                len(a),
+            )
     assert widths == set(range(1, 10))
     assert sorted({size for size, _ in polyring._SLOTS.values()}) == [1, 2, 4, 8]
     assert 9 not in polyring._SLOTS
@@ -281,7 +290,7 @@ def test_kronecker_product_without_one_typecode_size(monkeypatch, dropped):
     assert all(size != dropped for size, _ in polyring._SLOTS.values())
     for _, a, b in operands_at_each_slot_width():
         for pa, pb in sign_patterns(a, b):
-            assert pa * pb == schoolbook(pa, pb)
+            assert packed_and_dispatched(pa, pb) == [schoolbook(pa, pb)] * 2
 
 
 @settings(deadline=None, max_examples=30)
@@ -289,6 +298,62 @@ def test_kronecker_product_without_one_typecode_size(monkeypatch, dropped):
 def test_int_times_poly(c, a):
     pa = IntPoly(a)
     assert c * pa == pa * c == IntPoly([c * x for x in a])
+
+
+# --------------------------------- products by sparse and single-run factors
+
+nonzero_coeffs = st.one_of(
+    st.sampled_from([1, -1, 2, -2]),
+    st.integers(-(2**100), 2**100).filter(bool),
+)
+
+
+@st.composite
+def special_factors(draw):
+    """c q^s, c q^s + d q^t with t = s + 1 or a gap, or a single run
+    c q^s (1 + ... + q^(m-1)) with m from 1 to 200."""
+    s = draw(st.integers(0, 60))
+    c = draw(nonzero_coeffs)
+    kind = draw(st.sampled_from(["monomial", "binomial", "run"]))
+    if kind == "monomial":
+        return monomial(s, c)
+    if kind == "binomial":
+        t = s + draw(st.one_of(st.just(1), st.integers(2, 300)))
+        return monomial(s, c) + monomial(t, draw(nonzero_coeffs))
+    return IntPoly((0,) * s + (c,) * draw(st.integers(1, 200)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(special_factors(), long_lists, st.booleans())
+def test_sparse_and_run_factors_match_schoolbook(b, a, b_first):
+    # The special factor comes up both as the shorter operand, which takes
+    # the O(len) paths, and as the longer one, which is packed.
+    pa = IntPoly(a)
+    assert (b * pa if b_first else pa * b) == schoolbook(pa, b)
+
+
+def test_sparse_and_run_factors_at_the_edges():
+    a = IntPoly([3, -1, 4, 1, -5, 9, 2, -6])
+    for b in (
+        ONE,
+        -ONE,
+        monomial(5, 2**100),
+        monomial(0, -7) + monomial(1, 7),
+        monomial(2) - monomial(200),
+        IntPoly([0, 0] + [-1] * 3),
+        IntPoly([5] * 8),
+        IntPoly([1, 2, 1]),
+        IntPoly([1, 1, 0, 1]),
+    ):
+        assert a * b == b * a == schoolbook(a, b), b
+
+
+@given(coeff_lists, coeff_lists, st.integers(-5, 5))
+def test_subtraction_is_adding_the_negation(a, b, c):
+    pa, pb = IntPoly(a), IntPoly(b)
+    assert pa - pb == pa + (-pb) == -(pb - pa)
+    assert c - pa == IntPoly([c]) + (-pa)
+    assert pa - c == pa + IntPoly([-c])
 
 
 # ------------------------------------------------------ (1 - q^j) steps
