@@ -23,7 +23,6 @@ fits below half a machine word, and the chain runs on coefficient lists.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from collections.abc import Iterable
@@ -40,10 +39,10 @@ from .polyring import (
     unpack_slots,
 )
 from .polyring import exact_div  # noqa: F401  (bench/test_bench.py looks it up here)
+from .record import Record, setfield
 
 
-@dataclasses.dataclass(frozen=True)
-class PoincarePoly:
+class PoincarePoly(Record):
     """A polynomial with the bookkeeping of the space it came from.
 
     dim is the complex dimension (the q-degree) and components the
@@ -51,17 +50,16 @@ class PoincarePoly:
     space is the zero polynomial with dim 0 and components 0.
     """
 
-    poly: IntPoly
-    dim: int
-    components: int
+    __slots__ = ("poly", "dim", "components")
+
+    def __init__(self, poly: IntPoly, dim: int, components: int):
+        setfield(self, "poly", poly)
+        setfield(self, "dim", dim)
+        setfield(self, "components", components)
 
     @classmethod
-    def from_poly(
-        cls,
-        poly: IntPoly,
-        claimed_dim: int | None = None,
-        what: str = "space",
-    ) -> PoincarePoly:
+    def from_poly(cls, poly: IntPoly, claimed_dim: int | None = None,
+                  what: str = "space") -> PoincarePoly:
         if min(poly.coeffs, default=0) < 0:
             j, c = next((j, c) for j, c in enumerate(poly.coeffs) if c < 0)
             raise NegativeBetti(f"{what}: coefficient of q^{j} is {c}")

@@ -217,6 +217,16 @@ def _cmd_betti(args) -> int:
     return 0
 
 
+def _write_file(path: str, text: str) -> None:
+    """Replace path's contents by text, once it is ready; an OSError names path."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        e.filename = path
+        raise
+
+
 def _parse_n_range(text: str) -> tuple[int, int]:
     if ".." in text:
         lo_text, _, hi_text = text.partition("..")
@@ -234,13 +244,8 @@ def _parse_n_range(text: str) -> tuple[int, int]:
 def _cmd_table(args) -> int:
     lo, hi = _parse_n_range(args.n)
     if args.out:
-        # Opened before the sweep, so an unwritable path fails fast; opened
-        # for appending and emptied only once the text is ready, so a sweep
-        # that fails leaves an existing file as it was.
-        with open(args.out, "a") as fh:
-            text = _table_text(args, lo, hi)
-            fh.truncate(0)
-            fh.write(text)
+        open(args.out, "a").close()  # an unwritable path fails before the sweep
+        _write_file(args.out, _table_text(args, lo, hi))
     else:
         sys.stdout.write(_table_text(args, lo, hi))
     return 0
@@ -303,15 +308,10 @@ def _cmd_verify(args) -> int:
         raise InvalidParameters(f"grid {args.grid!r} selects no keys")
     suites = SUITES if args.suite == "all" else (args.suite,)
     if args.json_path:
-        # Opened before the suites run, and emptied only once the report is
-        # ready, as in _cmd_table.
-        with open(args.json_path, "a") as fh:
-            report = verify_suite(keys, suites)
-            text = _render_json(report.to_json())
-            fh.truncate(0)
-            fh.write(text)
-    else:
-        report = verify_suite(keys, suites)
+        open(args.json_path, "a").close()  # fails before the suites run
+    report = verify_suite(keys, suites)
+    if args.json_path:
+        _write_file(args.json_path, _render_json(report.to_json()))
 
     counts = report.counts()
     for suite in SUITES:

@@ -27,7 +27,6 @@ canonical form, round-tripping through parse.
 
 from __future__ import annotations
 
-import dataclasses
 import re
 
 from . import pipelines
@@ -42,98 +41,67 @@ from .catalog import (
     weighted_projective,
 )
 from .errors import CurvebettiError, ParseError
+from .record import Record
 from .surgery import blowdown_apply, blowup_apply
 
-
-@dataclasses.dataclass(frozen=True)
-class Proj:
-    m: int
+# AST nodes: each base is a Gr, and left, right, space, center and fiber SpaceExprs.
 
 
-@dataclasses.dataclass(frozen=True)
-class WProj:
-    weights: tuple[int, ...]
+class Proj(Record):
+    __slots__ = ("m",)
 
 
-@dataclasses.dataclass(frozen=True)
-class Gr:
-    k: int
-    n: int
+class WProj(Record):
+    __slots__ = ("weights",)
 
 
-@dataclasses.dataclass(frozen=True)
-class FanoLines:
-    base: Gr
+class Gr(Record):
+    __slots__ = ("k", "n")
 
 
-@dataclasses.dataclass(frozen=True)
-class FanoPlanes:
-    base: Gr
+class FanoLines(Record):
+    __slots__ = ("base",)
 
 
-@dataclasses.dataclass(frozen=True)
-class PointedLines:
-    base: Gr
+class FanoPlanes(Record):
+    __slots__ = ("base",)
 
 
-@dataclasses.dataclass(frozen=True)
-class MbarP1:
-    d: int
+class PointedLines(Record):
+    __slots__ = ("base",)
 
 
-@dataclasses.dataclass(frozen=True)
-class Moduli:
-    compactification: str
-    base: Gr
-    d: int
+class MbarP1(Record):
+    __slots__ = ("d",)
 
 
-@dataclasses.dataclass(frozen=True)
-class Product:
-    left: SpaceExpr
-    right: SpaceExpr
+class Moduli(Record):
+    __slots__ = ("compactification", "base", "d")
 
 
-@dataclasses.dataclass(frozen=True)
-class Sum:
-    left: SpaceExpr
-    right: SpaceExpr
+class Product(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclasses.dataclass(frozen=True)
-class Diff:
-    left: SpaceExpr
-    right: SpaceExpr
+class Sum(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclasses.dataclass(frozen=True)
-class Blowup:
-    space: SpaceExpr
-    center: SpaceExpr
-    codim: int
+class Diff(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclasses.dataclass(frozen=True)
-class Blowdown:
-    space: SpaceExpr
-    center: SpaceExpr
-    fiber: SpaceExpr
+class Blowup(Record):
+    __slots__ = ("space", "center", "codim")
+
+
+class Blowdown(Record):
+    __slots__ = ("space", "center", "fiber")
 
 
 SpaceExpr = (
-    Proj
-    | WProj
-    | Gr
-    | FanoLines
-    | FanoPlanes
-    | PointedLines
-    | MbarP1
-    | Moduli
-    | Product
-    | Sum
-    | Diff
-    | Blowup
-    | Blowdown
+    Proj | WProj | Gr | FanoLines | FanoPlanes | PointedLines | MbarP1 | Moduli
+    | Product | Sum | Diff | Blowup | Blowdown
 )
 _NODES = SpaceExpr.__args__
 
@@ -141,11 +109,8 @@ _NODES = SpaceExpr.__args__
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|(.))")
 
 
-@dataclasses.dataclass(frozen=True)
-class _Token:
-    kind: str  # "int", "name", "sym", "end"
-    text: str
-    offset: int
+class _Token(Record):
+    __slots__ = ("kind", "text", "offset")  # kind: "int", "name", "sym", "end"
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -344,7 +309,7 @@ def parse(text: str) -> SpaceExpr:
     while stack:
         e, h = stack.pop()
         height = max(height, h)
-        stack.extend((c, h + 1) for c in vars(e).values() if isinstance(c, _NODES))
+        stack.extend((c, h + 1) for c in e.astuple() if isinstance(c, _NODES))
     if height > parser.MAX_DEPTH:
         raise parser.too_deep(0, f"{height} levels")
     return node
@@ -408,7 +373,7 @@ def _eval(expr: SpaceExpr, path: str) -> PoincarePoly:
     if isinstance(expr, (Product, Sum, Diff, Blowup, Blowdown)):
         parts = [
             _eval(child, f"{path}.{name}")
-            for name, child in vars(expr).items()
+            for name, child in zip(expr.__slots__, expr.astuple())
             if isinstance(child, _NODES)
         ]
     try:

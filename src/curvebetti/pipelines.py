@@ -30,7 +30,6 @@ symmetry stays an actual test.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 
 from .catalog import (
@@ -55,20 +54,30 @@ from .polyring import (
     monomial,
     mul_one_minus,
 )
+from .record import Record, setfield
 from .surgery import Pipeline, SurgeryStep, blowup_apply, run_pipeline
 
 COMPACTIFICATIONS = ("M", "S", "H")
 SUITES = ("duality", "pipeline", "special", "symmetry")
 
 
-@dataclasses.dataclass(frozen=True, order=True)
-class ModuliKey:
-    """One compactified space: curves of degree d in grassmannian(k, n)."""
+@functools.total_ordering
+class ModuliKey(Record):
+    """One compactified space: curves of degree d in grassmannian(k, n).
+    Keys sort by (k, n, d, compactification)."""
 
-    k: int
-    n: int
-    d: int
-    compactification: str
+    __slots__ = ("k", "n", "d", "compactification")
+
+    def __init__(self, k: int, n: int, d: int, compactification: str):
+        setfield(self, "k", k)
+        setfield(self, "n", n)
+        setfield(self, "d", d)
+        setfield(self, "compactification", compactification)
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.astuple() < other.astuple()
+        return NotImplemented
 
     def __str__(self) -> str:
         return f"{self.compactification}(Gr({self.k},{self.n}),{self.d})"
@@ -91,11 +100,11 @@ def validate_key(key: ModuliKey) -> None:
 
 def normalize_key(key: ModuliKey) -> ModuliKey:
     """Fold k -> n-k duality so k <= n-k."""
-    return dataclasses.replace(key, k=min(key.k, key.n - key.k))
+    return ModuliKey(min(key.k, key.n - key.k), key.n, key.d, key.compactification)
 
 
 def mirror_key(key: ModuliKey) -> ModuliKey:
-    return dataclasses.replace(key, k=key.n - key.k)
+    return ModuliKey(key.n - key.k, key.n, key.d, key.compactification)
 
 
 def dim_expected(key: ModuliKey) -> int:
@@ -391,18 +400,13 @@ def pipeline_for(key: ModuliKey) -> Pipeline:
 # ------------------------------------------------------------ verification
 
 
-@dataclasses.dataclass(frozen=True)
-class PairReport:
-    """verify_pair result; error is None when the key evaluated at all."""
+class PairReport(Record):
+    """verify_pair result; error is None when the key evaluated at all,
+    and each later field defaults to None."""
 
-    key: ModuliKey
-    error: str | None
-    mode_equal: bool | None = None
-    degree_ok: bool | None = None
-    palindromic: bool | None = None
-    nonnegative: bool | None = None
-    euler: int | None = None
-    first_difference: tuple[int, int, int] | None = None
+    __slots__ = ("key", "error", "mode_equal", "degree_ok", "palindromic",
+                 "nonnegative", "euler", "first_difference")
+    _defaults = dict.fromkeys(__slots__[2:])
 
     def passed(self) -> bool:
         if self.error is not None:
@@ -411,18 +415,10 @@ class PairReport:
         return all(f is not False for f in flags)
 
     def to_json(self) -> dict:
-        return {
-            "key": str(self.key),
-            "error": self.error,
-            "mode_equal": self.mode_equal,
-            "degree_ok": self.degree_ok,
-            "palindromic": self.palindromic,
-            "nonnegative": self.nonnegative,
-            "euler": self.euler,
-            "first_difference": (
-                list(self.first_difference) if self.first_difference else None
-            ),
-        }
+        out = dict(zip(self.__slots__, self.astuple()), key=str(self.key))
+        if self.first_difference:
+            out["first_difference"] = list(self.first_difference)
+        return out
 
 
 def _first_difference(a: IntPoly, b: IntPoly) -> tuple[int, int, int] | None:
@@ -460,17 +456,13 @@ def verify_pair(key: ModuliKey) -> PairReport:
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class CheckResult:
-    suite: str
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(Record):
+    __slots__ = ("suite", "name", "passed", "detail")
+    _defaults = {"detail": ""}
 
 
-@dataclasses.dataclass(frozen=True)
-class SuiteReport:
-    checks: tuple[CheckResult, ...]
+class SuiteReport(Record):
+    __slots__ = ("checks",)  # a tuple of CheckResult
 
     @property
     def total_checks(self) -> int:

@@ -65,18 +65,17 @@ q-binomial recurrence, wherever w fits a machine word (n <= 66).
 
 from __future__ import annotations
 
-import dataclasses
 import operator
 import sys
 from array import array
 from collections.abc import Iterable
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .errors import DivisionByZero, NonExactDivision
+from .record import Record, setfield
 
 
-@dataclasses.dataclass(init=False, frozen=True)
-class IntPoly:
+class IntPoly(Record):
     """Dense integer polynomial; ``coeffs[j]`` multiplies q^j.
 
     The representation is canonical: trailing zeros are stripped and the
@@ -88,13 +87,13 @@ class IntPoly:
     2
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        setfield(self, "coeffs", tuple(cs))
 
     @property
     def degree(self) -> int:
@@ -114,9 +113,7 @@ class IntPoly:
 
     def __add__(self, other: int | IntPoly) -> IntPoly:
         a, b = self.coeffs, _as_poly(other).coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return IntPoly([x + y for x, y in zip(a, b)] + list(a[len(b) :]))
+        return _termwise(operator.add, *((a, b) if len(a) >= len(b) else (b, a)))
 
     __radd__ = __add__
 
@@ -124,10 +121,10 @@ class IntPoly:
         return IntPoly(-c for c in self.coeffs)
 
     def __sub__(self, other: int | IntPoly) -> IntPoly:
-        return _difference(self.coeffs, _as_poly(other).coeffs)
+        return _termwise(operator.sub, self.coeffs, _as_poly(other).coeffs)
 
     def __rsub__(self, other: int | IntPoly) -> IntPoly:
-        return _difference(_as_poly(other).coeffs, self.coeffs)
+        return _termwise(operator.sub, _as_poly(other).coeffs, self.coeffs)
 
     def __mul__(self, other: int | IntPoly) -> IntPoly:
         x, y = self, _as_poly(other)
@@ -226,11 +223,11 @@ ZERO = IntPoly()
 ONE = IntPoly([1])
 
 
-def _difference(a: tuple[int, ...], b: tuple[int, ...]) -> IntPoly:
-    """a - b, padding the shorter with zeros."""
-    return IntPoly(
-        map(operator.sub, a + (0,) * (len(b) - len(a)), b + (0,) * (len(a) - len(b)))
-    )
+def _termwise(op, a: tuple[int, ...], b: tuple[int, ...]) -> IntPoly:
+    """a + b or a - b for op add or sub; past the end of b, op(a_j, 0) = a_j."""
+    if len(a) < len(b):
+        a += (0,) * (len(b) - len(a))
+    return IntPoly(chain(map(op, a, b), a[len(b) :]))
 
 
 def _scaled(cs: tuple[int, ...], c: int) -> tuple[int, ...]:

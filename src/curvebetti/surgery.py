@@ -13,21 +13,19 @@ depends only on the step's own center and fiber, the total is a signed
 sum and the order affects only the trace, not the result.
 
 A step's checks live on SurgeryStep alone: check_fit for a blow-up's
-center, __post_init__ for a connected fiber.  blowup_apply and
+center, __init__ for its kind and a connected fiber.  blowup_apply and
 blowdown_apply build a step too, so they run the same checks.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 from .catalog import PoincarePoly, projective
 from .errors import DimensionMismatch, InvalidParameters, NegativeBetti
 from .polyring import ONE, IntPoly
+from .record import Record, setfield
 
 
-@dataclasses.dataclass(frozen=True)
-class SurgeryStep:
+class SurgeryStep(Record):
     """One blow-up or blow-down: a center, a fiber and a label.
 
     expected_codim, when set on a blow-up, enables the dimension check
@@ -35,17 +33,19 @@ class SurgeryStep:
     the fiber is pinned leave it unset.
     """
 
-    kind: str
-    center: PoincarePoly
-    fiber: PoincarePoly
-    label: str
-    expected_codim: int | None = None
+    __slots__ = ("kind", "center", "fiber", "label", "expected_codim")
 
-    def __post_init__(self):
-        if self.kind not in ("blowup", "blowdown"):
-            raise InvalidParameters(f"step kind {self.kind!r}")
-        if self.fiber.components != 1:
-            raise InvalidParameters(f"step {self.label}: fiber must be connected")
+    def __init__(self, kind: str, center: PoincarePoly, fiber: PoincarePoly,
+                 label: str, expected_codim: int | None = None):
+        if kind not in ("blowup", "blowdown"):
+            raise InvalidParameters(f"step kind {kind!r}")
+        if fiber.components != 1:
+            raise InvalidParameters(f"step {label}: fiber must be connected")
+        setfield(self, "kind", kind)
+        setfield(self, "center", center)
+        setfield(self, "fiber", fiber)
+        setfield(self, "label", label)
+        setfield(self, "expected_codim", expected_codim)
 
     def check_fit(self, space_dim: int) -> None:
         """Check that a blow-up's center has codimension expected_codim
@@ -68,18 +68,18 @@ class SurgeryStep:
         return self.center.poly * (ONE - self.fiber.poly)
 
 
-@dataclasses.dataclass(frozen=True)
-class Pipeline:
-    base: PoincarePoly
-    steps: tuple[SurgeryStep, ...]
+class Pipeline(Record):
+    __slots__ = ("base", "steps")  # a PoincarePoly, a tuple of SurgeryStep
 
 
-@dataclasses.dataclass(frozen=True)
-class TraceRecord:
-    label: str
-    kind: str
-    correction: IntPoly
-    cumulative: IntPoly
+class TraceRecord(Record):
+    __slots__ = ("label", "kind", "correction", "cumulative")
+
+    def __init__(self, label: str, kind: str, correction: IntPoly, cumulative: IntPoly):
+        setfield(self, "label", label)
+        setfield(self, "kind", kind)
+        setfield(self, "correction", correction)
+        setfield(self, "cumulative", cumulative)
 
     def to_json(self) -> dict:
         return {
@@ -90,10 +90,8 @@ class TraceRecord:
         }
 
 
-@dataclasses.dataclass(frozen=True)
-class PipelineRun:
-    result: PoincarePoly
-    trace: tuple[TraceRecord, ...]
+class PipelineRun(Record):
+    __slots__ = ("result", "trace")  # a PoincarePoly, a tuple of TraceRecord
 
 
 def blowup_apply(space: PoincarePoly, center: PoincarePoly, codim: int) -> PoincarePoly:

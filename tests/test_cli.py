@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 
 import pytest
 
@@ -300,6 +301,22 @@ def test_unwritable_paths_fail_before_the_work(tmp_path, capsys, monkeypatch):
     )
     assert code == 2 and out == "" and calls == []
     assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "--k", "1", "--n", "4..6", "--d", "2", "--compactification", "S",
+         "--out", "/dev/full"),
+        ("verify", "--grid", "k=1..1,n=3..4", "--json", "/dev/full"),
+    ],
+)
+def test_failed_write_names_the_path(capsys, argv):
+    # Opening /dev/full succeeds; the write fails, with no filename of its own.
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: cannot write /dev/full: No space left on device\n"
 
 
 def test_failed_sweep_leaves_an_existing_file_as_it_was(tmp_path, capsys, monkeypatch):

@@ -348,6 +348,23 @@ def test_sparse_and_run_factors_at_the_edges():
         assert a * b == b * a == schoolbook(a, b), b
 
 
+def test_addition_strips_cancelled_top_terms_and_takes_ints():
+    assert IntPoly([1, 2]) + IntPoly([0, -2]) == IntPoly([1])
+    assert (IntPoly([1, 2]) + IntPoly([0, -2])).coeffs == (1,)
+    assert IntPoly([0, 1]) + IntPoly([0, -1]) == ZERO
+    assert IntPoly([1, 2, 3]) + 4 == 4 + IntPoly([1, 2, 3]) == IntPoly([5, 2, 3])
+    assert IntPoly([-3]) + 3 == ZERO and ZERO + 0 == ZERO
+    assert IntPoly([1]) + IntPoly([0, 0, 5]) == IntPoly([1, 0, 5])
+
+
+@given(coeff_lists, coeff_lists, st.integers(-5, 5))
+def test_addition_is_termwise(a, b, c):
+    n = max(len(a), len(b))
+    padded = [x + y for x, y in zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))]
+    assert IntPoly(a) + IntPoly(b) == IntPoly(b) + IntPoly(a) == IntPoly(padded)
+    assert IntPoly(a) + c == c + IntPoly(a) == IntPoly(a) + IntPoly([c])
+
+
 @given(coeff_lists, coeff_lists, st.integers(-5, 5))
 def test_subtraction_is_adding_the_negation(a, b, c):
     pa, pb = IntPoly(a), IntPoly(b)
