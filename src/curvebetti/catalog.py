@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from .errors import DimensionMismatch, InvalidParameters, NegativeBetti
 from .polyring import (
@@ -221,11 +221,20 @@ def fano_planes(k: int, n: int) -> PoincarePoly:
     if not 1 <= k <= n - 1:
         raise InvalidParameters(f"fano_planes({k}, {n})")
     total = EMPTY
-    if k >= 2:
-        total = total + grassmannian(k - 2, k + 1) * grassmannian(k + 1, n)
-    if n >= k + 2:
-        total = total + grassmannian(k - 1, k + 2) * grassmannian(k + 2, n)
+    for core, envelope, _, _ in plane_families(k, n):
+        total = total + core * envelope
     return total
+
+
+def plane_families(k: int, n: int) -> Iterator[tuple]:
+    """The nonempty pieces of fano_planes(k, n), as (core, envelope,
+    codim, label): the piece is core x envelope, and codim is the
+    codimension of the planar cubics over it in the Hilbert scheme of
+    twisted cubics."""
+    if k >= 2:
+        yield grassmannian(k - 2, k + 1), grassmannian(k + 1, n), 2 * n - k - 4, "Delta_A"
+    if n >= k + 2:
+        yield grassmannian(k - 1, k + 2), grassmannian(k + 2, n), n + k - 4, "Delta_B"
 
 
 @functools.lru_cache(maxsize=None)
@@ -318,6 +327,13 @@ def degree3_kernel(k: int, n: int) -> IntPoly:
     return IntPoly(out)
 
 
+def degree2_bracket(k: int, n: int) -> IntPoly:
+    """(1 + q^n)(1 + q^3) - q(1 + q)(q^k + q^(n-k)), the bracket of the
+    degree 2 stable-map numerator; the d = 2 sheaf space adds a term."""
+    shifted = monomial(1) * (ONE + monomial(1)) * (monomial(k) + monomial(n - k))
+    return (ONE + monomial(n)) * (ONE + monomial(3)) - shifted
+
+
 def check_curve_range(k: int, n: int, d: int, what: str) -> None:
     """Raise InvalidParameters, naming what, unless the stable-map
     formulas cover degree d curves in grassmannian(k, n)."""
@@ -342,10 +358,7 @@ def stable_maps_gr(k: int, n: int, d: int) -> PoincarePoly:
     """
     check_curve_range(k, n, d, f"M(Gr({k},{n}),{d})")
     if d == 2:
-        bracket = (
-            (ONE + monomial(n)) * (ONE + monomial(3))
-            - monomial(1) * (ONE + monomial(1)) * (monomial(k) + monomial(n - k))
-        )
+        bracket = degree2_bracket(k, n)
         num = functools.reduce(
             mul_one_minus, (n - k, n - k + 1), bracket * grassmannian(k - 1, n).poly
         )

@@ -20,9 +20,11 @@ from .catalog import PoincarePoly
 from .dsl import Moduli, eval_expr, parse, to_text
 from .errors import CurvebettiError, InvalidParameters
 from .pipelines import (
+    DEFAULT_GRID,
     SUITES,
     ModuliKey,
-    keys_for_pair,
+    grid_keys,
+    has_pipeline,
     pipeline_for,
     space_poly,
     validate_key,
@@ -67,8 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--grid",
-        default="k=1..4,n=k+1..10",
-        help="key grid, e.g. k=1..4,n=k+1..10",
+        default=DEFAULT_GRID,
+        help=f"key grid, e.g. {DEFAULT_GRID}",
     )
     verify.add_argument("--json", dest="json_path", help="also write a JSON report")
     verify.add_argument("--color", choices=["auto", "never"], default="auto")
@@ -111,10 +113,8 @@ def _record(
 ) -> dict:
     return {
         "space": space,
-        "k": key.k if key else None,
-        "n": key.n if key else None,
-        "d": key.d if key else None,
-        "compactification": key.compactification if key else None,
+        # k, n, d and compactification; None each for a space that is no key.
+        **dict(zip(ModuliKey.__slots__, key.astuple() if key else (None,) * 4)),
         "dim": result.dim,
         "euler": result.euler(),
         "q_coefficients": list(result.q_coefficients),
@@ -156,23 +156,13 @@ def _render_csv(records: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
-        ["k", "n", "d", "compactification", "dim", "euler"]
-        + [f"b{2 * j}" for j in range(width)]
+        [*ModuliKey.__slots__, "dim", "euler"] + [f"b{2 * j}" for j in range(width)]
     )
     for r in records:
         coeffs = list(r["q_coefficients"])
         coeffs += [0] * (width - len(coeffs))
-        writer.writerow(
-            [
-                "" if r["k"] is None else r["k"],
-                "" if r["n"] is None else r["n"],
-                "" if r["d"] is None else r["d"],
-                "" if r["compactification"] is None else r["compactification"],
-                r["dim"],
-                r["euler"],
-            ]
-            + coeffs
-        )
+        key_fields = ["" if r[f] is None else r[f] for f in ModuliKey.__slots__]
+        writer.writerow(key_fields + [r["dim"], r["euler"]] + coeffs)
     return buf.getvalue()
 
 
@@ -202,7 +192,7 @@ def _cmd_betti(args) -> int:
         key = ModuliKey(args.k, args.n, args.d, args.compactification)
         result = space_poly(key)
         space_text = str(key)
-    if args.trace and key is not None and key.compactification != "M":
+    if args.trace and key is not None and has_pipeline(key):
         trace = _trace_for(key)
     elif args.trace:
         print("note: no pipeline trace for this space", file=sys.stderr)
@@ -261,7 +251,7 @@ def _table_text(args, lo: int, hi: int) -> str:
             print(f"note: skipped n={n}: {e}", file=sys.stderr)
             continue
         trace = None
-        if args.trace and args.format == "json" and key.compactification != "M":
+        if args.trace and args.format == "json" and has_pipeline(key):
             trace = _trace_for(key)
         records.append(_record(space_poly(key), str(key), key, trace))
     if args.trace and args.format != "json":
@@ -276,23 +266,15 @@ def _table_text(args, lo: int, hi: int) -> str:
 
 
 def _parse_grid(spec: str) -> list[ModuliKey]:
+    """k=A..B,n=C..D or k=A..B,n=k+C..D, blanks ignored: see grid_keys."""
     import re
 
-    m = re.fullmatch(
-        r"k=(\d+)\.\.(\d+),n=(?:(k\+(\d+))|(\d+))\.\.(\d+)", spec.replace(" ", "")
-    )
+    m = re.fullmatch(r"k=(\d+)\.\.(\d+),n=(k\+)?(\d+)\.\.(\d+)", spec.replace(" ", ""))
     if m is None:
-        raise InvalidParameters(
-            f"bad grid {spec!r}, expected like k=1..4,n=k+1..10"
-        )
-    k_lo, k_hi = int(m.group(1)), int(m.group(2))
-    n_hi = int(m.group(6))
-    keys: list[ModuliKey] = []
-    for k in range(k_lo, k_hi + 1):
-        n_lo = k + int(m.group(4)) if m.group(3) else int(m.group(5))
-        for n in range(n_lo, n_hi + 1):
-            keys.extend(keys_for_pair(k, n))
-    return sorted(set(keys))
+        raise InvalidParameters(f"bad grid {spec!r}, expected like {DEFAULT_GRID}")
+    k_lo, k_hi, start, n_hi = (int(m[i]) for i in (1, 2, 4, 5))
+    n_lo, n_offset = (None, start) if m[3] else (start, 1)
+    return grid_keys(k_lo, k_hi, n_lo, n_hi, n_offset)
 
 
 def _paint(text: str, color: str, mode: str) -> str:

@@ -22,7 +22,9 @@ both levels associate to the left.
 
 parse produces a small AST, eval_expr evaluates it to a PoincarePoly
 (moduli leaves use the closed route), and to_text prints an AST back in
-canonical form, round-tripping through parse.
+canonical form, round-tripping through parse.  All three read the
+tables below, so a new space is one row of _KEYWORDS and one of
+_EVALUATORS.
 """
 
 from __future__ import annotations
@@ -103,10 +105,37 @@ SpaceExpr = (
     Proj | WProj | Gr | FanoLines | FanoPlanes | PointedLines | MbarP1 | Moduli
     | Product | Sum | Diff | Blowup | Blowdown
 )
-_NODES = SpaceExpr.__args__
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|(.))")
+# Calls: keyword -> (node class, one argument kind per field).  The kinds
+# are int (nonnegative), sint (may be negative: only Gr takes it, so that
+# out-of-range Grassmannians can be written down), ints (one or more),
+# gr, expr (a subexpression), and name, which reads no token and stores
+# the keyword itself.  _Parser.parse_call reads a call, to_text prints it.
+_KEYWORDS = {
+    "P": (Proj, ("int",)),
+    "WP": (WProj, ("ints",)),
+    "Gr": (Gr, ("sint", "sint")),
+    "F1": (FanoLines, ("gr",)),
+    "F2": (FanoPlanes, ("gr",)),
+    "Fx": (PointedLines, ("gr",)),
+    "MbarP1": (MbarP1, ("int",)),
+    **{c: (Moduli, ("name", "gr", "int")) for c in ("M", "S", "H")},
+    "blowup": (Blowup, ("expr", "expr", "int")),
+    "blowdown": (Blowdown, ("expr", "expr", "expr")),
+}
+
+# Infix operators: symbol -> (node class, level); "*" binds tighter.
+_INFIX = {"+": (Sum, 1), "-": (Diff, 1), "*": (Product, 2)}
+_LEVEL = {cls: level for cls, level in _INFIX.values()}
+
+# Node type -> (keyword or operator, argument kinds), for to_text and _eval.
+_SPELLING = {cls: (name, kinds) for name, (cls, kinds) in _KEYWORDS.items()} | {
+    cls: (sym, ("expr", "expr")) for sym, (cls, _) in _INFIX.items()
+}
+
+
+_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<sym>.))")
 
 
 class _Token(Record):
@@ -115,22 +144,11 @@ class _Token(Record):
 
 def _tokenize(text: str) -> list[_Token]:
     out: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            break
-        start = m.start(m.lastindex)
-        if m.group(1) is not None:
-            out.append(_Token("int", m.group(1), start))
-        elif m.group(2) is not None:
-            out.append(_Token("name", m.group(2), start))
-        else:
-            sym = m.group(3)
-            if sym not in "()+-*,":
-                raise ParseError(start, "a token", repr(sym))
-            out.append(_Token("sym", sym, start))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        kind, start = m.lastgroup, m.start(m.lastindex)
+        if kind == "sym" and m[kind] not in "()+-*,":
+            raise ParseError(start, "a token", repr(m[kind]))
+        out.append(_Token(kind, m[kind], start))
     out.append(_Token("end", "", len(text)))
     return out
 
@@ -149,152 +167,88 @@ class _Parser:
     def peek(self) -> _Token:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def fail(self, expected: str) -> ParseError:
         tok = self.peek()
         found = repr(tok.text) if tok.kind != "end" else "end of input"
         return ParseError(tok.offset, expected, found)
 
-    def expect_sym(self, sym: str) -> None:
+    def accept(self, sym: str) -> bool:
+        """Consume the next token if it is the symbol sym."""
         tok = self.peek()
         if tok.kind == "sym" and tok.text == sym:
-            self.advance()
-            return
-        raise self.fail(f"'{sym}'")
+            self.pos += 1
+            return True
+        return False
 
-    def expect_int(self) -> int:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            return int(tok.text)
-        raise self.fail("an integer")
-
-    def expect_signed_int(self) -> int:
-        # Negative values are legal only where this is called: inside Gr.
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text == "-":
-            self.advance()
-            return -self.expect_int()
-        return self.expect_int()
+    def expect_sym(self, sym: str) -> None:
+        if not self.accept(sym):
+            raise self.fail(f"'{sym}'")
 
     def too_deep(self, offset: int, found: str) -> ParseError:
         return ParseError(offset, f"at most {self.MAX_DEPTH} levels of nesting", found)
+
+    # One parse_<kind> method per argument kind of _KEYWORDS.
+
+    def parse_int(self) -> int:
+        tok = self.peek()
+        if tok.kind == "int":
+            self.pos += 1
+            return int(tok.text)
+        raise self.fail("an integer")
+
+    def parse_sint(self) -> int:
+        return -self.parse_int() if self.accept("-") else self.parse_int()
+
+    def parse_ints(self) -> tuple[int, ...]:
+        ints = [self.parse_int()]
+        while self.accept(","):
+            ints.append(self.parse_int())
+        return tuple(ints)
+
+    def parse_gr(self) -> Gr:
+        return self.parse_call(("Gr",), "'Gr'")
 
     def parse_expr(self) -> SpaceExpr:
         if self.depth == self.MAX_DEPTH:
             tok = self.peek()
             raise self.too_deep(tok.offset, "deeper nesting")
         self.depth += 1
-        node = self.parse_term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "sym" and tok.text in "+-":
-                self.advance()
-                right = self.parse_term()
-                node = Sum(node, right) if tok.text == "+" else Diff(node, right)
-            else:
-                self.depth -= 1
-                return node
+        node = self.parse_chain(1)
+        self.depth -= 1
+        return node
 
-    def parse_term(self) -> SpaceExpr:
-        node = self.parse_factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "sym" and tok.text == "*":
-                self.advance()
-                node = Product(node, self.parse_factor())
-            else:
-                return node
+    def parse_chain(self, level: int) -> SpaceExpr:
+        """A left-associated chain of the _INFIX operators of one level."""
+        operand = self.parse_factor if level == 2 else lambda: self.parse_chain(2)
+        node = operand()
+        while (sym := self.peek().text) in _INFIX and _INFIX[sym][1] == level:
+            self.pos += 1
+            node = _INFIX[sym][0](node, operand())
+        return node
 
     def parse_factor(self) -> SpaceExpr:
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text == "(":
-            self.advance()
+        if self.accept("("):
             node = self.parse_expr()
             self.expect_sym(")")
             return node
-        if tok.kind == "name" and tok.text == "blowup":
-            self.advance()
-            self.expect_sym("(")
-            space = self.parse_expr()
-            self.expect_sym(",")
-            center = self.parse_expr()
-            self.expect_sym(",")
-            codim = self.expect_int()
-            self.expect_sym(")")
-            return Blowup(space, center, codim)
-        if tok.kind == "name" and tok.text == "blowdown":
-            self.advance()
-            self.expect_sym("(")
-            space = self.parse_expr()
-            self.expect_sym(",")
-            center = self.parse_expr()
-            self.expect_sym(",")
-            fiber = self.parse_expr()
-            self.expect_sym(")")
-            return Blowdown(space, center, fiber)
-        return self.parse_space()
+        return self.parse_call(_KEYWORDS, "a space")
 
-    def parse_gr(self) -> Gr:
+    def parse_call(self, names, expected: str) -> SpaceExpr:
+        """keyword "(" arg { "," arg } ")" for a keyword among names, with
+        one arg per kind of its row; expected is what a failure reports."""
         tok = self.peek()
-        if not (tok.kind == "name" and tok.text == "Gr"):
-            raise self.fail("'Gr'")
-        self.advance()
+        if tok.kind != "name" or tok.text not in names:
+            raise self.fail(expected)
+        self.pos += 1
+        cls, kinds = _KEYWORDS[tok.text]
+        args: list = [tok.text] if kinds[0] == "name" else []
         self.expect_sym("(")
-        k = self.expect_signed_int()
-        self.expect_sym(",")
-        n = self.expect_signed_int()
+        for i, kind in enumerate(kinds[len(args):]):
+            if i:
+                self.expect_sym(",")
+            args.append(getattr(self, f"parse_{kind}")())
         self.expect_sym(")")
-        return Gr(k, n)
-
-    def parse_space(self) -> SpaceExpr:
-        tok = self.peek()
-        if tok.kind != "name":
-            raise self.fail("a space")
-        name = tok.text
-        if name == "Gr":
-            return self.parse_gr()
-        if name == "P":
-            self.advance()
-            self.expect_sym("(")
-            m = self.expect_int()
-            self.expect_sym(")")
-            return Proj(m)
-        if name == "WP":
-            self.advance()
-            self.expect_sym("(")
-            weights = [self.expect_int()]
-            while self.peek().kind == "sym" and self.peek().text == ",":
-                self.advance()
-                weights.append(self.expect_int())
-            self.expect_sym(")")
-            return WProj(tuple(weights))
-        if name in ("F1", "F2", "Fx"):
-            self.advance()
-            self.expect_sym("(")
-            base = self.parse_gr()
-            self.expect_sym(")")
-            cls = {"F1": FanoLines, "F2": FanoPlanes, "Fx": PointedLines}[name]
-            return cls(base)
-        if name == "MbarP1":
-            self.advance()
-            self.expect_sym("(")
-            d = self.expect_int()
-            self.expect_sym(")")
-            return MbarP1(d)
-        if name in ("M", "S", "H"):
-            self.advance()
-            self.expect_sym("(")
-            base = self.parse_gr()
-            self.expect_sym(",")
-            d = self.expect_int()
-            self.expect_sym(")")
-            return Moduli(name, base, d)
-        raise self.fail("a space")
+        return cls(*args)
 
 
 def parse(text: str) -> SpaceExpr:
@@ -309,7 +263,7 @@ def parse(text: str) -> SpaceExpr:
     while stack:
         e, h = stack.pop()
         height = max(height, h)
-        stack.extend((c, h + 1) for c in e.astuple() if isinstance(c, _NODES))
+        stack.extend((c, h + 1) for c in e.astuple() if type(c) in _SPELLING)
     if height > parser.MAX_DEPTH:
         raise parser.too_deep(0, f"{height} levels")
     return node
@@ -317,49 +271,54 @@ def parse(text: str) -> SpaceExpr:
 
 def to_text(expr: SpaceExpr) -> str:
     """Canonical printing; parse(to_text(e)) reproduces e."""
-
-    def wrap_factor(e: SpaceExpr) -> str:
-        # A sum or difference under a product needs parentheses.
-        s = to_text(e)
-        return f"({s})" if isinstance(e, (Sum, Diff)) else s
-
-    if isinstance(expr, Proj):
-        return f"P({expr.m})"
-    if isinstance(expr, WProj):
-        return f"WP({','.join(str(w) for w in expr.weights)})"
-    if isinstance(expr, Gr):
-        return f"Gr({expr.k},{expr.n})"
-    if isinstance(expr, FanoLines):
-        return f"F1({to_text(expr.base)})"
-    if isinstance(expr, FanoPlanes):
-        return f"F2({to_text(expr.base)})"
-    if isinstance(expr, PointedLines):
-        return f"Fx({to_text(expr.base)})"
-    if isinstance(expr, MbarP1):
-        return f"MbarP1({expr.d})"
-    if isinstance(expr, Moduli):
-        return f"{expr.compactification}({to_text(expr.base)},{expr.d})"
-    if isinstance(expr, Product):
-        # The right side also needs parentheses when it is itself a
-        # product, since a bare chain reparses left-associated.
-        right = to_text(expr.right)
-        if isinstance(expr.right, (Sum, Diff, Product)):
+    cls = type(expr)
+    if cls not in _SPELLING:
+        raise TypeError(f"not a space expression: {expr!r}")
+    name, kinds = _SPELLING[cls]
+    if cls in _LEVEL:
+        # An operand that binds more loosely than its operator needs
+        # parentheses, and so does a right operand that binds the same,
+        # since a bare chain reparses left-associated.  Calls bind tightest.
+        left, right = to_text(expr.left), to_text(expr.right)
+        if _LEVEL.get(type(expr.left), 3) < _LEVEL[cls]:
+            left = f"({left})"
+        if _LEVEL.get(type(expr.right), 3) <= _LEVEL[cls]:
             right = f"({right})"
-        return f"{wrap_factor(expr.left)} * {right}"
-    if isinstance(expr, Sum):
-        return f"{to_text(expr.left)} + {wrap_factor(expr.right)}"
-    if isinstance(expr, Diff):
-        return f"{to_text(expr.left)} - {wrap_factor(expr.right)}"
-    if isinstance(expr, Blowup):
-        return (
-            f"blowup({to_text(expr.space)}, {to_text(expr.center)}, {expr.codim})"
-        )
-    if isinstance(expr, Blowdown):
-        return (
-            f"blowdown({to_text(expr.space)}, {to_text(expr.center)}, "
-            f"{to_text(expr.fiber)})"
-        )
-    raise TypeError(f"not a space expression: {expr!r}")
+        return f"{left} {name} {right}"
+    values = expr.astuple()
+    if kinds[0] == "name":
+        name, kinds, values = values[0], kinds[1:], values[1:]
+    args = [
+        ",".join(map(str, v)) if kind == "ints"
+        else to_text(v) if kind in ("gr", "expr") else str(v)
+        for kind, v in zip(kinds, values)
+    ]
+    # Surgery calls, the ones with subexpressions, space their commas.
+    return f"{name}({(', ' if 'expr' in kinds else ',').join(args)})"
+
+
+# Node type -> its value, from its fields with each subexpression already
+# evaluated.  The builders are looked up by name at each call, so that a
+# rebound module attribute (a tracing wrapper, say) is the one called.
+_EVALUATORS = {
+    Proj: lambda m: projective(m),
+    WProj: lambda weights: weighted_projective(weights),
+    Gr: lambda k, n: grassmannian(k, n),
+    FanoLines: lambda base: fano_lines(base.k, base.n),
+    FanoPlanes: lambda base: fano_planes(base.k, base.n),
+    PointedLines: lambda base: lines_through_point(base.k, base.n),
+    MbarP1: lambda d: stable_maps_p1(d),
+    Moduli: lambda c, base, d: pipelines.space_poly(
+        pipelines.ModuliKey(base.k, base.n, d, c), "closed"
+    ),
+    Product: lambda left, right: left * right,
+    Sum: lambda left, right: left + right,
+    Diff: lambda left, right: PoincarePoly.from_poly(
+        left.poly - right.poly, what="difference"
+    ),
+    Blowup: lambda space, center, codim: blowup_apply(space, center, codim),
+    Blowdown: lambda space, center, fiber: blowdown_apply(space, center, fiber),
+}
 
 
 def eval_expr(expr: SpaceExpr) -> PoincarePoly:
@@ -370,45 +329,16 @@ def eval_expr(expr: SpaceExpr) -> PoincarePoly:
 def _eval(expr: SpaceExpr, path: str) -> PoincarePoly:
     # Subexpressions first, under their own paths, so the try below tags
     # only this node's step.  A leaf's Gr base is not a subexpression.
-    if isinstance(expr, (Product, Sum, Diff, Blowup, Blowdown)):
-        parts = [
-            _eval(child, f"{path}.{name}")
-            for name, child in zip(expr.__slots__, expr.astuple())
-            if isinstance(child, _NODES)
-        ]
+    if type(expr) not in _SPELLING:
+        raise TypeError(f"not a space expression: {expr!r}")
+    _, kinds = _SPELLING[type(expr)]
+    args = [
+        _eval(value, f"{path}.{name}") if kind == "expr" else value
+        for name, kind, value in zip(expr.__slots__, kinds, expr.astuple())
+    ]
     try:
-        if isinstance(expr, Proj):
-            return projective(expr.m)
-        if isinstance(expr, WProj):
-            return weighted_projective(expr.weights)
-        if isinstance(expr, Gr):
-            return grassmannian(expr.k, expr.n)
-        if isinstance(expr, FanoLines):
-            return fano_lines(expr.base.k, expr.base.n)
-        if isinstance(expr, FanoPlanes):
-            return fano_planes(expr.base.k, expr.base.n)
-        if isinstance(expr, PointedLines):
-            return lines_through_point(expr.base.k, expr.base.n)
-        if isinstance(expr, MbarP1):
-            return stable_maps_p1(expr.d)
-        if isinstance(expr, Moduli):
-            key = pipelines.ModuliKey(
-                expr.base.k, expr.base.n, expr.d, expr.compactification
-            )
-            return pipelines.space_poly(key, "closed")
-        if isinstance(expr, Product):
-            return parts[0] * parts[1]
-        if isinstance(expr, Sum):
-            return parts[0] + parts[1]
-        if isinstance(expr, Diff):
-            difference = parts[0].poly - parts[1].poly
-            return PoincarePoly.from_poly(difference, what="difference")
-        if isinstance(expr, Blowup):
-            return blowup_apply(*parts, expr.codim)
-        if isinstance(expr, Blowdown):
-            return blowdown_apply(*parts)
+        return _EVALUATORS[type(expr)](*args)
     except CurvebettiError as e:
         # Retag in place: the class and its fields stay as raised.
         e.args = (f"{e} [at {path}]",)
         raise
-    raise TypeError(f"not a space expression: {expr!r}")

@@ -36,10 +36,12 @@ from .catalog import (
     DEGREE3_KERNEL_DEN,
     PoincarePoly,
     check_curve_range,
+    degree2_bracket,
     degree3_kernel,
     fano_lines,
     grassmannian,
     lines_through_point,
+    plane_families,
     projective,
     stable_maps_gr,
     stable_maps_p1,
@@ -59,6 +61,7 @@ from .surgery import Pipeline, SurgeryStep, blowup_apply, run_pipeline
 
 COMPACTIFICATIONS = ("M", "S", "H")
 SUITES = ("duality", "pipeline", "special", "symmetry")
+DEFAULT_GRID = "k=1..4,n=k+1..10"  # grid_keys() with its defaults
 
 
 @functools.total_ordering
@@ -98,6 +101,11 @@ def validate_key(key: ModuliKey) -> None:
         )
 
 
+def has_pipeline(key: ModuliKey) -> bool:
+    """S and H keys have a surgery pipeline; M is its base and has none."""
+    return key.compactification != "M"
+
+
 def normalize_key(key: ModuliKey) -> ModuliKey:
     """Fold k -> n-k duality so k <= n-k."""
     return ModuliKey(min(key.k, key.n - key.k), key.n, key.d, key.compactification)
@@ -117,11 +125,7 @@ def dim_expected(key: ModuliKey) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _simpson2_closed(k: int, n: int) -> PoincarePoly:
-    bracket = (
-        (ONE + monomial(n)) * (ONE + monomial(3))
-        - monomial(1) * (ONE + monomial(1)) * (monomial(k) + monomial(n - k))
-        + mul_one_minus(monomial(3) - monomial(n - 2), 2)
-    )
+    bracket = degree2_bracket(k, n) + mul_one_minus(monomial(3) - monomial(n - 2), 2)
     num = functools.reduce(
         mul_one_minus, (k, k + 1), bracket * grassmannian(k + 1, n).poly
     )
@@ -285,33 +289,17 @@ def _delta_steps(k: int, n: int, planar_cubics: PoincarePoly) -> tuple[SurgerySt
     planar cubics, and the plane space has up to two pieces with
     different codimensions in the ambient Hilbert scheme.
     """
-    steps: list[SurgeryStep] = []
     # Centers multiply their small factors first; the order is for cost only.
-    if k >= 2:
-        codim = 2 * n - k - 4
-        steps.append(
-            SurgeryStep(
-                kind="blowup",
-                center=grassmannian(k + 1, n)
-                * (grassmannian(k - 2, k + 1) * planar_cubics),
-                fiber=projective(codim - 1),
-                label="Delta_A",
-                expected_codim=codim,
-            )
+    return tuple(
+        SurgeryStep(
+            kind="blowup",
+            center=envelope * (core * planar_cubics),
+            fiber=projective(codim - 1),
+            label=label,
+            expected_codim=codim,
         )
-    if n >= k + 2:
-        codim = n + k - 4
-        steps.append(
-            SurgeryStep(
-                kind="blowup",
-                center=grassmannian(k + 2, n)
-                * (grassmannian(k - 1, k + 2) * planar_cubics),
-                fiber=projective(codim - 1),
-                label="Delta_B",
-                expected_codim=codim,
-            )
-        )
-    return tuple(steps)
+        for core, envelope, codim, label in plane_families(k, n)
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -338,7 +326,7 @@ def _hilbert3_pipeline_obj(k: int, n: int) -> Pipeline:
 
 def _pipeline(key: ModuliKey) -> Pipeline:
     """The surgery pipeline of a valid, normalized key."""
-    if key.compactification == "M":
+    if not has_pipeline(key):
         raise InvalidParameters(
             f"{key}: the stable-map space is the pipeline base and has no "
             "pipeline of its own"
@@ -364,7 +352,7 @@ def _raw_space_poly(key: ModuliKey, mode: str) -> PoincarePoly:
         return _pipeline_poly(key)
     if mode != "closed":
         raise InvalidParameters(f"mode {mode!r} not one of closed, pipeline")
-    if key.compactification == "M":
+    if not has_pipeline(key):
         return stable_maps_gr(key.k, key.n, key.d)
     if key.d == 2:
         return _simpson2_closed(key.k, key.n)
@@ -436,9 +424,7 @@ def verify_pair(key: ModuliKey) -> PairReport:
     """
     try:
         closed = space_poly(key, "closed")
-        pipe = (
-            space_poly(key, "pipeline") if key.compactification != "M" else None
-        )
+        pipe = space_poly(key, "pipeline") if has_pipeline(key) else None
     except CurvebettiError as e:
         return PairReport(key=key, error=f"{type(e).__name__}: {e}")
     mode_equal = None if pipe is None else closed.poly == pipe.poly
@@ -512,13 +498,16 @@ def keys_for_pair(k: int, n: int) -> list[ModuliKey]:
 
 
 def grid_keys(
-    k_lo: int = 1, k_hi: int = 4, n_lo: int | None = None, n_hi: int = 10
+    k_lo: int = 1, k_hi: int = 4, n_lo: int | None = None, n_hi: int = 10,
+    n_offset: int = 1,
 ) -> list[ModuliKey]:
-    """Default verification grid; n_lo of None means n starts at k + 1."""
+    """The valid keys with k_lo <= k <= k_hi and max(n_lo, k + n_offset)
+    <= n <= n_hi; n_lo of None sets no bound beyond k + n_offset.  The
+    defaults give DEFAULT_GRID.  Every key has k < n, so k stops at
+    n_hi - 1, however large k_hi is."""
     keys: list[ModuliKey] = []
-    for k in range(k_lo, k_hi + 1):
-        start = k + 1 if n_lo is None else max(n_lo, k + 1)
-        for n in range(start, n_hi + 1):
+    for k in range(k_lo, min(k_hi, n_hi - 1) + 1):
+        for n in range(max(k + n_offset, n_lo or 0), n_hi + 1):
             keys.extend(keys_for_pair(k, n))
     return sorted(keys)
 
@@ -630,7 +619,7 @@ def verify_suite(
             checks.extend(
                 _check_pipeline(report_for(key))
                 for key in keys
-                if key.compactification != "M"
+                if has_pipeline(key)
             )
         elif suite == "symmetry":
             checks.extend(_check_symmetry(key) for key in keys)

@@ -27,7 +27,7 @@ from curvebetti.catalog import (
     stable_maps_p1,
     weighted_projective,
 )
-from curvebetti.pipelines import ModuliKey, space_poly
+from curvebetti.pipelines import ModuliKey, dim_expected, space_poly
 from curvebetti.polyring import ONE, IntPoly, monomial
 
 GRID = [(k, n) for k in range(1, 5) for n in range(k + 1, 11)]
@@ -225,6 +225,30 @@ def test_fano_planes():
     assert fano_planes(1, 2) == EMPTY
     with pytest.raises(InvalidParameters):
         fano_planes(3, 3)
+
+
+@pytest.mark.parametrize(
+    "k,n", [(1, 3), (1, 4), (2, 4), (2, 5), (3, 5), (3, 7), (4, 6), (5, 6)]
+)
+def test_plane_families_make_up_fano_planes(k, n):
+    families = list(catalog.plane_families(k, n))
+    labels = ["Delta_A"] * (k >= 2) + ["Delta_B"] * (n >= k + 2)
+    assert [label for *_, label in families] == labels
+    total = IntPoly()
+    for core, envelope, codim, _ in families:
+        total = total + (core * envelope).poly
+        # Planar cubics (dimension 8) over each plane, inside the Hilbert scheme.
+        assert codim == dim_expected(ModuliKey(k, n, 3, "H")) - core.dim - envelope.dim - 8
+    assert total == fano_planes(k, n).poly
+
+
+@pytest.mark.parametrize("k,n", [(1, 3), (1, 4), (2, 4), (2, 7), (3, 9)])
+def test_degree2_bracket_is_palindromic_and_dual(k, n):
+    bracket = catalog.degree2_bracket(k, n)
+    assert bracket.degree == n + 3
+    assert bracket.is_palindromic()
+    assert bracket.evaluate(1) == 0
+    assert bracket == catalog.degree2_bracket(n - k, n)
 
 
 def test_lines_through_point():

@@ -2,10 +2,14 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from curvebetti.cli import main
+from curvebetti.cli import _parse_grid, main
+from curvebetti.pipelines import DEFAULT_GRID, grid_keys
 
 
 def run(capsys, *argv):
@@ -246,6 +250,29 @@ def test_verify_bad_grid_exit_2(capsys):
     code, _, err = run(capsys, "verify", "--grid", "k=1..4")
     assert code == 2
     assert "grid" in err
+
+
+def test_grid_forms_build_the_grid_keys_grids():
+    assert _parse_grid(DEFAULT_GRID) == grid_keys()
+    assert _parse_grid(" k = 1..2 , n = 3..6 ") == grid_keys(1, 2, 3, 6)
+    assert _parse_grid("k=0..3,n=k+0..6") == grid_keys(0, 3, None, 6, n_offset=0)
+    assert _parse_grid("k=2..5,n=k+2..8") == grid_keys(2, 5, None, 8, n_offset=2)
+
+
+def test_verify_grid_with_a_huge_k_range_stops_k_below_n():
+    def verify(grid):
+        return subprocess.run(
+            [sys.executable, "-m", "curvebetti", "verify", "--grid", grid],
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+
+    huge = verify("k=1..99999999999,n=k+1..5")
+    small = verify("k=1..4,n=k+1..5")
+    assert (huge.returncode, huge.stdout, huge.stderr) == (0, small.stdout, "")
+    assert small.returncode == 0
 
 
 def test_verify_default_grid_runs_clean(capsys):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from curvebetti import dsl
 from curvebetti.catalog import (
     DimensionMismatch,
     InvalidParameters,
@@ -13,10 +14,12 @@ from curvebetti.dsl import (
     Blowup,
     Diff,
     FanoLines,
+    FanoPlanes,
     Gr,
     MbarP1,
     Moduli,
     ParseError,
+    PointedLines,
     Product,
     Proj,
     Sum,
@@ -164,10 +167,44 @@ def composite(children):
 
 ast_exprs = st.recursive(leaf_exprs, composite, max_leaves=6)
 
+# Every node type, including those whose value may be an error (a
+# difference, a surgery, an out-of-range base), for the syntax tests.
+gr_exprs = st.builds(Gr, st.integers(-2, 4), st.integers(-2, 7))
+any_leaf_exprs = st.one_of(
+    leaf_exprs,
+    gr_exprs,
+    st.builds(FanoLines, gr_exprs),
+    st.builds(FanoPlanes, gr_exprs),
+    st.builds(PointedLines, gr_exprs),
+    st.builds(Moduli, st.sampled_from(["M", "S", "H"]), gr_exprs, st.integers(0, 4)),
+)
 
-@given(ast_exprs)
+
+def any_composite(children):
+    return st.one_of(
+        composite(children),
+        st.builds(Diff, children, children),
+        st.builds(Blowup, children, children, st.integers(0, 5)),
+        st.builds(Blowdown, children, children, children),
+    )
+
+
+any_exprs = st.recursive(any_leaf_exprs, any_composite, max_leaves=8)
+
+
+@given(any_exprs)
 def test_print_parse_round_trip(expr):
     assert parse(to_text(expr)) == expr
+
+
+def test_tables_cover_every_node_type():
+    nodes = set(dsl.SpaceExpr.__args__)
+    assert set(dsl._SPELLING) == set(dsl._EVALUATORS) == nodes
+    assert {cls for cls, _ in dsl._KEYWORDS.values()} | {
+        cls for cls, _ in dsl._INFIX.values()
+    } == nodes
+    for cls, (_, kinds) in dsl._SPELLING.items():
+        assert len(kinds) == len(cls.__slots__), cls
 
 
 @given(ast_exprs)

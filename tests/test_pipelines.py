@@ -1,3 +1,5 @@
+import functools
+import gc
 import hashlib
 import time
 
@@ -9,6 +11,7 @@ from curvebetti.pipelines import (
     ModuliKey,
     dim_expected,
     grid_keys,
+    has_pipeline,
     hilbert_d3,
     keys_for_pair,
     mirror_key,
@@ -294,6 +297,49 @@ def test_verify_suite_evaluates_each_key_once(monkeypatch):
     report = verify_suite(keys)
     assert sorted(calls) == sorted(keys)
     assert report.total_failures == 0
+
+
+def test_grid_keys_offset_and_cap():
+    assert grid_keys() == grid_keys(1, 4, None, 10, n_offset=1)
+    assert len(grid_keys()) == 143
+    # No key has k >= n, so k stops at n_hi - 1 however far k_hi reaches.
+    assert grid_keys(1, 10**11, None, 5) == grid_keys(1, 4, None, 5)
+    assert grid_keys(7, 10**11, None, 5) == []
+    wide = grid_keys(1, 3, None, 8)
+    assert grid_keys(1, 3, None, 8, n_offset=2) == [key for key in wide if key.n >= key.k + 2]
+    assert grid_keys(1, 3, 6, 8) == [key for key in wide if key.n >= 6]
+    assert grid_keys(1, 3, 6, 8, n_offset=4) == [
+        key for key in wide if key.n >= max(6, key.k + 4)
+    ]
+
+
+def test_has_pipeline_exactly_for_s_and_h():
+    assert [has_pipeline(ModuliKey(1, 4, 3, c)) for c in "MSH"] == [False, True, True]
+    with pytest.raises(InvalidParameters, match="has no pipeline"):
+        pipeline_for(ModuliKey(1, 4, 3, "M"))
+    with pytest.raises(InvalidParameters, match="has no pipeline"):
+        space_poly(ModuliKey(1, 4, 2, "M"), "pipeline")
+
+
+def test_every_cache_is_a_module_attribute_of_catalog_or_pipelines():
+    """The benchmark clears the caches it finds among the attributes of
+    catalog and pipelines; a cache kept anywhere else, say in a dispatch
+    table, would stay warm across its timed operations."""
+    from curvebetti import cli, dsl  # noqa: F401  (every module and table built)
+
+    gc.collect()
+    caches = [
+        obj
+        for obj in gc.get_objects()
+        if isinstance(obj, functools._lru_cache_wrapper)
+        and (getattr(obj, "__module__", None) or "").startswith("curvebetti")
+    ]
+    placed = {id(v) for module in (catalog, pipelines) for v in vars(module).values()}
+    stray = [f"{c.__module__}.{c.__qualname__}" for c in caches if id(c) not in placed]
+    assert stray == []
+    assert {"catalog.grassmannian", "pipelines._simpson3_closed"} <= {
+        f"{c.__module__.rpartition('.')[2]}.{c.__qualname__}" for c in caches
+    }
 
 
 def _output_lines():
