@@ -25,8 +25,8 @@ from .errors import (
     ParseError,
 )
 from .pipelines import (
+    CheckResult,
     ModuliKey,
-    PairReport,
     SuiteReport,
     dim_expected,
     grid_keys,

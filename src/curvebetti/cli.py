@@ -270,9 +270,13 @@ def _parse_grid(spec: str) -> list[ModuliKey]:
     import re
 
     m = re.fullmatch(r"k=(\d+)\.\.(\d+),n=(k\+)?(\d+)\.\.(\d+)", spec.replace(" ", ""))
+    bad = InvalidParameters(f"bad grid {spec!r}, expected like {DEFAULT_GRID}")
     if m is None:
-        raise InvalidParameters(f"bad grid {spec!r}, expected like {DEFAULT_GRID}")
-    k_lo, k_hi, start, n_hi = (int(m[i]) for i in (1, 2, 4, 5))
+        raise bad
+    try:
+        k_lo, k_hi, start, n_hi = map(int, m.group(1, 2, 4, 5))
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise bad from None
     n_lo, n_offset = (None, start) if m[3] else (start, 1)
     return grid_keys(k_lo, k_hi, n_lo, n_hi, n_offset)
 

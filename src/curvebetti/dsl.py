@@ -191,10 +191,13 @@ class _Parser:
 
     def parse_int(self) -> int:
         tok = self.peek()
-        if tok.kind == "int":
-            self.pos += 1
+        if tok.kind != "int":
+            raise self.fail("an integer")
+        self.pos += 1
+        try:
             return int(tok.text)
-        raise self.fail("an integer")
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ParseError(tok.offset, "a shorter integer", f"{len(tok.text)} digits") from None
 
     def parse_sint(self) -> int:
         return -self.parse_int() if self.accept("-") else self.parse_int()

@@ -19,9 +19,9 @@ Both routes build on the catalog spaces and start from the same degree
 term by term as printed, the pipeline route as blow-up and blow-down
 corrections.  Exact agreement on a whole grid of (k, n) is therefore a
 strong check of the surgery steps, though not of the kernel itself.
-verify_pair and verify_suite package that check, together with
-structural invariants (palindromicity, expected dimension, duality
-under k -> n-k), into machine-readable reports.
+verify_pair turns one key's two routes into CheckResults (that check,
+and palindromicity with the expected dimension); verify_suite adds
+duality under k -> n-k and collects a grid's checks in one report.
 
 Keys are normalized to k <= n-k before evaluation; the duality suite
 evaluates the raw, unnormalized formulas on both sides so that the
@@ -388,60 +388,6 @@ def pipeline_for(key: ModuliKey) -> Pipeline:
 # ------------------------------------------------------------ verification
 
 
-class PairReport(Record):
-    """verify_pair result; error is None when the key evaluated at all,
-    and each later field defaults to None."""
-
-    __slots__ = ("key", "error", "mode_equal", "degree_ok", "palindromic",
-                 "nonnegative", "euler", "first_difference")
-    _defaults = dict.fromkeys(__slots__[2:])
-
-    def passed(self) -> bool:
-        if self.error is not None:
-            return False
-        flags = (self.mode_equal, self.degree_ok, self.palindromic, self.nonnegative)
-        return all(f is not False for f in flags)
-
-    def to_json(self) -> dict:
-        out = dict(zip(self.__slots__, self.astuple()), key=str(self.key))
-        if self.first_difference:
-            out["first_difference"] = list(self.first_difference)
-        return out
-
-
-def _first_difference(a: IntPoly, b: IntPoly) -> tuple[int, int, int] | None:
-    for j in range(max(a.degree, b.degree) + 1):
-        if a.coefficient(j) != b.coefficient(j):
-            return (j, a.coefficient(j), b.coefficient(j))
-    return None
-
-
-def verify_pair(key: ModuliKey) -> PairReport:
-    """Evaluate one key along every applicable route and compare.
-
-    Arithmetic failures become report entries rather than exceptions, so
-    a sweep over a grid always completes.
-    """
-    try:
-        closed = space_poly(key, "closed")
-        pipe = space_poly(key, "pipeline") if has_pipeline(key) else None
-    except CurvebettiError as e:
-        return PairReport(key=key, error=f"{type(e).__name__}: {e}")
-    mode_equal = None if pipe is None else closed.poly == pipe.poly
-    return PairReport(
-        key=key,
-        error=None,
-        mode_equal=mode_equal,
-        degree_ok=closed.dim == dim_expected(key),
-        palindromic=closed.is_palindromic(),
-        nonnegative=all(c >= 0 for c in closed.poly.coeffs),
-        euler=closed.euler(),
-        first_difference=(
-            None if pipe is None or mode_equal else _first_difference(closed.poly, pipe.poly)
-        ),
-    )
-
-
 class CheckResult(Record):
     __slots__ = ("suite", "name", "passed", "detail")
     _defaults = {"detail": ""}
@@ -512,31 +458,46 @@ def grid_keys(
     return sorted(keys)
 
 
-def _check_duality(report: PairReport) -> CheckResult:
-    key = report.key
-    if report.error is not None:
-        return CheckResult("duality", str(key), False, report.error)
+def _error_detail(e: CurvebettiError) -> str:
+    return f"{type(e).__name__}: {e}"
+
+
+def _first_difference(a: IntPoly, b: IntPoly) -> tuple[int, int, int]:
+    """The lowest power of q where two unequal polynomials differ, and
+    their two coefficients there."""
+    j = next(j for j in range(max(a.degree, b.degree) + 1)
+             if a.coefficient(j) != b.coefficient(j))
+    return j, a.coefficient(j), b.coefficient(j)
+
+
+def verify_pair(key: ModuliKey) -> list[CheckResult]:
+    """The duality check of one key and, for S and H keys, its pipeline
+    check, from one evaluation of each route.
+
+    An arithmetic failure fails each of the key's checks with the error's
+    class and message rather than raising, so a sweep over a grid always
+    completes.
+    """
+    name = str(key)
+    try:
+        closed = space_poly(key, "closed")
+        pipe = space_poly(key, "pipeline") if has_pipeline(key) else None
+    except CurvebettiError as e:
+        suites = ("duality", "pipeline") if has_pipeline(key) else ("duality",)
+        return [CheckResult(suite, name, False, _error_detail(e)) for suite in suites]
     problems = []
-    if not report.palindromic:
+    if not closed.is_palindromic():
         problems.append("not palindromic")
-    if not report.degree_ok:
+    if closed.dim != dim_expected(key):
         problems.append(f"degree != {dim_expected(key)}")
-    return CheckResult("duality", str(key), not problems, "; ".join(problems))
-
-
-def _check_pipeline(report: PairReport) -> CheckResult:
-    key = report.key
-    if report.error is not None:
-        return CheckResult("pipeline", str(key), False, report.error)
-    if report.mode_equal:
-        return CheckResult("pipeline", str(key), True)
-    diff = report.first_difference
-    detail = (
-        f"first difference at q^{diff[0]}: closed {diff[1]}, pipeline {diff[2]}"
-        if diff
-        else "modes differ"
-    )
-    return CheckResult("pipeline", str(key), False, detail)
+    checks = [CheckResult("duality", name, not problems, "; ".join(problems))]
+    if pipe is not None and closed.poly == pipe.poly:
+        checks.append(CheckResult("pipeline", name, True))
+    elif pipe is not None:
+        j, a, b = _first_difference(closed.poly, pipe.poly)
+        detail = f"first difference at q^{j}: closed {a}, pipeline {b}"
+        checks.append(CheckResult("pipeline", name, False, detail))
+    return checks
 
 
 def _check_symmetry(key: ModuliKey) -> CheckResult:
@@ -544,18 +505,11 @@ def _check_symmetry(key: ModuliKey) -> CheckResult:
         a = _raw_space_poly(key, "closed")
         b = _raw_space_poly(mirror_key(key), "closed")
     except CurvebettiError as e:
-        return CheckResult(
-            "symmetry", str(key), False, f"{type(e).__name__}: {e}"
-        )
+        return CheckResult("symmetry", str(key), False, _error_detail(e))
     if a.poly == b.poly:
         return CheckResult("symmetry", str(key), True)
-    diff = _first_difference(a.poly, b.poly)
-    return CheckResult(
-        "symmetry",
-        str(key),
-        False,
-        f"k <-> n-k broken at q^{diff[0]}" if diff else "mismatch",
-    )
+    j = _first_difference(a.poly, b.poly)[0]
+    return CheckResult("symmetry", str(key), False, f"k <-> n-k broken at q^{j}")
 
 
 def _special_checks() -> list[CheckResult]:
@@ -586,7 +540,7 @@ def _special_checks() -> list[CheckResult]:
         try:
             detail = check()
         except CurvebettiError as e:
-            detail = f"{type(e).__name__}: {e}"
+            detail = _error_detail(e)
         out.append(CheckResult("special", name, not detail, detail))
     return out
 
@@ -599,30 +553,23 @@ def verify_suite(
     Suites: duality (palindromicity and expected degree), pipeline
     (closed mode equals pipeline mode, S and H keys only), special
     (three fixed identity families), symmetry (raw formulas agree at k
-    and n-k).  Checks are ordered deterministically.
+    and n-k).  Checks come in SUITES order, each suite's by sorted key.
+    An empty key list is refused unless special is the only suite.
     """
     for s in suites:
         if s not in SUITES:
             raise InvalidParameters(f"unknown suite {s!r}")
     if keys is None:
         keys = grid_keys()
-    keys = sorted(set(keys))
-    # duality and pipeline read the same report; evaluate each key once.
-    report_for = functools.lru_cache(maxsize=None)(verify_pair)
-    checks: list[CheckResult] = []
-    for suite in SUITES:
-        if suite not in suites:
-            continue
-        if suite == "duality":
-            checks.extend(_check_duality(report_for(key)) for key in keys)
-        elif suite == "pipeline":
-            checks.extend(
-                _check_pipeline(report_for(key))
-                for key in keys
-                if has_pipeline(key)
-            )
-        elif suite == "symmetry":
-            checks.extend(_check_symmetry(key) for key in keys)
-        elif suite == "special":
-            checks.extend(_special_checks())
-    return SuiteReport(checks=tuple(checks))
+    if not keys and {"duality", "pipeline", "symmetry"} & set(suites):
+        raise InvalidParameters("no keys to verify")
+    checks: dict[str, list[CheckResult]] = {suite: [] for suite in SUITES}
+    for key in sorted(set(keys)):
+        if "duality" in suites or ("pipeline" in suites and has_pipeline(key)):
+            for check in verify_pair(key):
+                checks[check.suite].append(check)
+        if "symmetry" in suites:
+            checks["symmetry"].append(_check_symmetry(key))
+    if "special" in suites:
+        checks["special"] = _special_checks()
+    return SuiteReport(checks=tuple(c for s in SUITES if s in suites for c in checks[s]))

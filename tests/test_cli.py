@@ -298,6 +298,17 @@ def test_verify_empty_grid_exit_2(capsys):
     assert err == "error: grid 'k=1..1,n=9..3' selects no keys\n"
 
 
+def test_integer_literals_past_the_digit_limit_exit_2(capsys):
+    nines = "9" * 4301  # one past Python's default limit on int() of a string
+    code, out, err = run(capsys, "betti", "--space", f"P({nines})")
+    assert (code, out) == (2, "")
+    assert err == "error: at offset 2: expected a shorter integer, found 4301 digits\n"
+    grid = f"k=1..{nines},n=k+1..5"
+    code, out, err = run(capsys, "verify", "--grid", grid)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad grid {grid!r}, expected like {DEFAULT_GRID}\n"
+
+
 def test_table_unwritable_out_exit_2(tmp_path, capsys):
     target = tmp_path / "missing" / "x"
     code, out, err = run(

@@ -21,7 +21,13 @@ from curvebetti.errors import (
     NonExactDivision,
     ParseError,
 )
-from curvebetti.pipelines import ModuliKey, pipeline_for, space_poly, verify_pair
+from curvebetti.pipelines import (
+    CheckResult,
+    ModuliKey,
+    pipeline_for,
+    space_poly,
+    verify_pair,
+)
 from curvebetti.polyring import IntPoly
 from curvebetti.surgery import blowdown_apply, blowup_apply
 
@@ -99,9 +105,11 @@ def test_verify_pair_reports_the_class_and_message(cls, monkeypatch):
         raise error
 
     monkeypatch.setattr(pipelines, "space_poly", fail)
-    report = verify_pair(ModuliKey(1, 4, 2, "S"))
-    assert report.error == f"{cls.__name__}: {error}"
-    assert not report.passed()
+    detail = f"{cls.__name__}: {error}"
+    assert verify_pair(ModuliKey(1, 4, 2, "S")) == [
+        CheckResult("duality", "S(Gr(1,4),2)", False, detail),
+        CheckResult("pipeline", "S(Gr(1,4),2)", False, detail),
+    ]
 
 
 @pytest.mark.parametrize(

@@ -6,8 +6,16 @@ import time
 import pytest
 
 from curvebetti import catalog, pipelines
-from curvebetti.catalog import InvalidParameters, grassmannian, projective, stable_maps_gr
+from curvebetti.catalog import (
+    POINT,
+    InvalidParameters,
+    PoincarePoly,
+    grassmannian,
+    projective,
+    stable_maps_gr,
+)
 from curvebetti.pipelines import (
+    CheckResult,
     ModuliKey,
     dim_expected,
     grid_keys,
@@ -150,33 +158,30 @@ def test_pipeline_for_shape():
 
 
 def test_verify_pair_passing_key():
-    report = verify_pair(ModuliKey(2, 5, 3, "S"))
-    assert report.error is None
-    assert report.mode_equal is True
-    assert report.degree_ok is True
-    assert report.palindromic is True
-    assert report.nonnegative is True
-    assert report.first_difference is None
-    assert report.passed()
+    assert verify_pair(ModuliKey(2, 5, 3, "S")) == [
+        CheckResult("duality", "S(Gr(2,5),3)", True),
+        CheckResult("pipeline", "S(Gr(2,5),3)", True),
+    ]
 
 
 def test_verify_pair_euler():
-    report = verify_pair(ModuliKey(1, 4, 2, "S"))
-    assert report.euler == 24
+    # Both checks read the polynomial whose Euler number is 24.
+    key = ModuliKey(1, 4, 2, "S")
+    assert [c.passed for c in verify_pair(key)] == [True, True]
+    assert space_poly(key).euler() == 24
 
 
 def test_verify_pair_m_key_has_no_mode_flag():
-    report = verify_pair(ModuliKey(1, 4, 3, "M"))
-    assert report.mode_equal is None
-    assert report.passed()
+    assert verify_pair(ModuliKey(1, 4, 3, "M")) == [
+        CheckResult("duality", "M(Gr(1,4),3)", True)
+    ]
 
 
 def test_verify_pair_captures_errors_as_entries():
-    report = verify_pair(ModuliKey(1, 3, 3, "H"))
-    assert report.error is not None
-    assert "InvalidParameters" in report.error
-    assert not report.passed()
-    assert report.to_json()["error"] == report.error
+    checks = verify_pair(ModuliKey(1, 3, 3, "H"))
+    assert [(c.suite, c.passed) for c in checks] == [("duality", False), ("pipeline", False)]
+    assert checks[0].detail == checks[1].detail
+    assert checks[0].detail.startswith("InvalidParameters: H(Gr(1,3),3): every cubic")
 
 
 def test_keys_for_pair_filters_invalid():
@@ -213,6 +218,13 @@ def test_verify_suite_suite_selection_and_json():
         verify_suite(keys_for_pair(2, 5), suites=("smoke",))
 
 
+def test_verify_suite_refuses_an_empty_key_list():
+    for suite in ("duality", "pipeline", "symmetry"):
+        with pytest.raises(InvalidParameters, match="no keys to verify"):
+            verify_suite([], (suite, "special"))
+    assert verify_suite([], ("special",)).counts() == {"special": (3, 0)}
+
+
 def test_special_checks_report_arithmetic_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise NonExactDivision("injected")
@@ -226,6 +238,96 @@ def test_special_checks_report_arithmetic_errors(monkeypatch):
     ]
     assert all(c.detail == "NonExactDivision: injected" for c in failed)
     assert report.total_checks == 3
+
+
+def _failed_report(keys, suites, expected):
+    """verify_suite over keys and suites gives exactly the checks
+    expected, and its JSON lists the failed ones with their details."""
+    report = verify_suite(keys, suites)
+    assert report.checks == tuple(expected)
+    failed = {}
+    for check in expected:
+        entry = failed.setdefault(check.suite, {"checks": 0, "failures": 0, "failed": []})
+        entry["checks"] += 1
+        if not check.passed:
+            entry["failures"] += 1
+            entry["failed"].append({"name": check.name, "detail": check.detail})
+    assert report.to_json() == {
+        "total_checks": len(expected),
+        "total_failures": sum(not c.passed for c in expected),
+        "suites": failed,
+    }
+
+
+def test_duality_failure_detail(monkeypatch):
+    # M's closed route is stable_maps_gr itself: a one-sided polynomial of
+    # degree 1 fails both halves of the duality check.
+    monkeypatch.setattr(pipelines, "stable_maps_gr", lambda k, n, d: projective(1) + POINT)
+    _failed_report(
+        [ModuliKey(1, 4, 2, "M")],
+        ("duality",),
+        [CheckResult("duality", "M(Gr(1,4),2)", False, "not palindromic; degree != 8")],
+    )
+
+
+def test_pipeline_failure_detail(monkeypatch):
+    key = ModuliKey(1, 4, 2, "S")  # closed: 1 2 3 4 4 4 3 2 1
+    closed = space_poly(key).poly
+    monkeypatch.setattr(
+        pipelines, "_pipeline_poly", lambda key: PoincarePoly.from_poly(closed + monomial(2))
+    )
+    _failed_report(
+        [key],
+        ("duality", "pipeline"),
+        [
+            CheckResult("duality", "S(Gr(1,4),2)", True),
+            CheckResult(
+                "pipeline", "S(Gr(1,4),2)", False, "first difference at q^2: closed 3, pipeline 4"
+            ),
+        ],
+    )
+
+
+def test_symmetry_failure_detail(monkeypatch):
+    closed = pipelines._simpson2_closed
+
+    def skewed(k, n):
+        value = closed(k, n)
+        return PoincarePoly.from_poly(value.poly + monomial(1)) if 2 * k > n else value
+
+    monkeypatch.setattr(pipelines, "_simpson2_closed", skewed)
+    _failed_report(
+        [ModuliKey(1, 4, 2, "S"), ModuliKey(1, 4, 3, "S")],
+        ("symmetry",),
+        [
+            CheckResult("symmetry", "S(Gr(1,4),2)", False, "k <-> n-k broken at q^1"),
+            CheckResult("symmetry", "S(Gr(1,4),3)", True),
+        ],
+    )
+
+
+def test_evaluation_error_fails_duality_and_pipeline(monkeypatch):
+    bad = ModuliKey(1, 4, 3, "H")
+    validate = pipelines.validate_key
+
+    def refuse(key):
+        if key == bad:
+            raise InvalidParameters("injected")
+        validate(key)
+
+    monkeypatch.setattr(pipelines, "validate_key", refuse)
+    detail = "InvalidParameters: injected"
+    _failed_report(
+        [ModuliKey(1, 4, 3, "M"), bad],
+        ("duality", "pipeline", "symmetry"),
+        [
+            CheckResult("duality", "H(Gr(1,4),3)", False, detail),
+            CheckResult("duality", "M(Gr(1,4),3)", True),
+            CheckResult("pipeline", "H(Gr(1,4),3)", False, detail),
+            CheckResult("symmetry", "H(Gr(1,4),3)", True),
+            CheckResult("symmetry", "M(Gr(1,4),3)", True),
+        ],
+    )
 
 
 @pytest.mark.parametrize("n", range(11, 21))

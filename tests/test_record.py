@@ -12,16 +12,17 @@ import pytest
 
 from curvebetti import dsl
 from curvebetti.catalog import POINT, PoincarePoly, projective
-from curvebetti.pipelines import CheckResult, ModuliKey, PairReport, SuiteReport
+from curvebetti.pipelines import CheckResult, ModuliKey, SuiteReport
 from curvebetti.polyring import ONE, IntPoly
 from curvebetti.record import Record
 from curvebetti.surgery import Pipeline, PipelineRun, SurgeryStep, TraceRecord
 
-KEY = ModuliKey(1, 3, 3, "S")
 LINE = projective(1)
 STEP = SurgeryStep("blowup", POINT, LINE, "b")
 TRACE = TraceRecord("b", "blowup", ONE, ONE)
 CHECK = CheckResult("duality", "S(Gr(1,3),3)", True)
+# A failed check as verify_pair builds it, every field given.
+FAILED = ("pipeline", "S(Gr(1,4),2)", False, "first difference at q^2: closed 3, pipeline 4")
 
 # (class, positional arguments, the defaulted fields left out of them)
 EXAMPLES = [
@@ -32,8 +33,8 @@ EXAMPLES = [
     (TraceRecord, ("b", "blowup", ONE, ONE), {}),
     (PipelineRun, (LINE, (TRACE,)), {}),
     (ModuliKey, (1, 3, 3, "S"), {}),
-    (PairReport, (KEY, None), dict.fromkeys(PairReport.__slots__[2:])),
     (CheckResult, ("duality", "S(Gr(1,3),3)", True), {"detail": ""}),
+    (CheckResult, FAILED, {}),
     (SuiteReport, ((CHECK,),), {}),
     (dsl.Proj, (2,), {}),
     (dsl.WProj, ((1, 2),), {}),
@@ -50,6 +51,7 @@ EXAMPLES = [
     (dsl.Blowdown, (dsl.Proj(3), dsl.Proj(1), dsl.Proj(1)), {}),
 ]
 CLASSES = [cls for cls, _, _ in EXAMPLES]
+IDS = [cls.__name__ + ("-failed" if args == FAILED else "") for cls, args, _ in EXAMPLES]
 
 
 def test_examples_cover_every_public_record():
@@ -58,7 +60,7 @@ def test_examples_cover_every_public_record():
 
 
 @pytest.mark.parametrize(
-    ("cls", "args", "defaults"), EXAMPLES, ids=[cls.__name__ for cls in CLASSES]
+    ("cls", "args", "defaults"), EXAMPLES, ids=IDS
 )
 def test_records_keep_the_frozen_dataclass_behaviour(cls, args, defaults):
     record = cls(*args)
