@@ -95,14 +95,19 @@ class PoincarePoly(Record):
 
     def __mul__(self, other: PoincarePoly) -> PoincarePoly:
         """Total space of a fibration: polynomials multiply."""
-        return PoincarePoly.from_poly(self.poly * other.poly)
+        return _nonnegative(self.poly * other.poly)
 
     def __add__(self, other: PoincarePoly) -> PoincarePoly:
         """Disjoint union: polynomials add, components add."""
-        return PoincarePoly.from_poly(self.poly + other.poly)
+        return _nonnegative(self.poly + other.poly)
 
     def __str__(self) -> str:
         return str(self.poly)
+
+
+def _nonnegative(poly: IntPoly) -> PoincarePoly:
+    """A sum or product of spaces, so from_poly's negativity scan is moot."""
+    return PoincarePoly(poly, max(poly.degree, 0), poly.coefficient(0))
 
 
 EMPTY = PoincarePoly(poly=ZERO, dim=0, components=0)

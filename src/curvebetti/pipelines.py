@@ -143,14 +143,14 @@ def _simpson2_pipeline_obj(k: int, n: int) -> Pipeline:
         steps=(
             SurgeryStep(
                 kind="blowup",
-                center=f1 * stable_maps_p1(2),
+                center=(f1, stable_maps_p1(2)),
                 fiber=projective(n - 3),
                 label="Gamma^1",
                 expected_codim=n - 2,
             ),
             SurgeryStep(
                 kind="blowdown",
-                center=f1 * projective(n - 3),
+                center=(f1, projective(n - 3)),
                 fiber=stable_maps_p1(2),
                 label="Gamma^1_2",
             ),
@@ -224,54 +224,48 @@ def _simpson3_steps(k: int, n: int) -> tuple[SurgeryStep, ...]:
     # the diagonal is n - 2.
     bl_diag = blowup_apply(fx * fx, fx, n - 2)
     ruled = PoincarePoly.from_poly(_mixed_ruling_poly())
-    down4_center = PoincarePoly.from_poly(
-        x.poly
-        * (
-            bl_diag.poly * projective(n - 2).poly
-            + projective(1).poly
-            * fx.poly
-            * projective(n - 3).poly
-            * (projective(n - 3).poly - ONE)
-        )
+    down4_core = PoincarePoly.from_poly(
+        bl_diag.poly * projective(n - 2).poly
+        + projective(1).poly * fx.poly * projective(n - 3).poly * (projective(n - 3).poly - ONE)
     )
-    # Centers multiply their small factors first; the order is for cost only.
+    # Each center leads with its large factor, f1 or x: the shared head.
     return (
         SurgeryStep(
             kind="blowup",
-            center=f1 * stable_maps_p1(3),
+            center=(f1, stable_maps_p1(3)),
             fiber=projective(2 * n - 5),
             label="Gamma^1_0",
             expected_codim=2 * n - 4,
         ),
         SurgeryStep(
             kind="blowup",
-            center=x * (bl_diag * stable_maps_p1(2)),
+            center=(x, bl_diag, stable_maps_p1(2)),
             fiber=projective(n - 2),
             label="Gamma^2_1",
             expected_codim=n - 1,
         ),
         SurgeryStep(
             kind="blowup",
-            center=f1 * (projective(n - 3) * ruled),
+            center=(f1, projective(n - 3), ruled),
             fiber=projective(n - 3),
             label="Gamma^3_2",
             expected_codim=n - 2,
         ),
         SurgeryStep(
             kind="blowdown",
-            center=down4_center,
+            center=(x, down4_core),
             fiber=weighted_projective((1, 2, 2)),
             label="Gamma^2_3",
         ),
         SurgeryStep(
             kind="blowdown",
-            center=f1 * (projective(1) * projective(n - 3) * projective(n - 3)),
+            center=(f1, projective(1), projective(n - 3), projective(n - 3)),
             fiber=weighted_projective((1, 2, 2, 3, 3)),
             label="Gamma^3_4",
         ),
         SurgeryStep(
             kind="blowdown",
-            center=f1 * grassmannian(2, n - 2),
+            center=(f1, grassmannian(2, n - 2)),
             fiber=projective(7),
             label="Gamma^1_5",
         ),
@@ -289,11 +283,10 @@ def _delta_steps(k: int, n: int, planar_cubics: PoincarePoly) -> tuple[SurgerySt
     planar cubics, and the plane space has up to two pieces with
     different codimensions in the ambient Hilbert scheme.
     """
-    # Centers multiply their small factors first; the order is for cost only.
     return tuple(
         SurgeryStep(
             kind="blowup",
-            center=envelope * (core * planar_cubics),
+            center=(envelope, core, planar_cubics),
             fiber=projective(codim - 1),
             label=label,
             expected_codim=codim,
@@ -554,8 +547,11 @@ def verify_suite(
     (closed mode equals pipeline mode, S and H keys only), special
     (three fixed identity families), symmetry (raw formulas agree at k
     and n-k).  Checks come in SUITES order, each suite's by sorted key.
-    An empty key list is refused unless special is the only suite.
+    An empty key list is refused unless special is the only suite, and
+    an empty suites tuple always.
     """
+    if not suites:
+        raise InvalidParameters("no suites to run")
     for s in suites:
         if s not in SUITES:
             raise InvalidParameters(f"unknown suite {s!r}")

@@ -12,9 +12,16 @@ base space plus an ordered list of such steps; since each correction
 depends only on the step's own center and fiber, the total is a signed
 sum and the order affects only the trace, not the result.
 
+A center is a tuple of factors, a bare space a one-factor tuple.
+split() keeps the first, the head, apart and multiplies the others into
+the signed P(fiber) - 1.  Steps share large heads (the lines, the
+Grassmannian), so run_pipeline adds the small parts per head and makes
+one large product per head; run_pipeline_traced expands every step.
+
 A step's checks live on SurgeryStep alone: check_fit for a blow-up's
-center, __init__ for its kind and a connected fiber.  blowup_apply and
-blowdown_apply build a step too, so they run the same checks.
+center, from its factors, and __init__ for its kind and a connected
+fiber.  blowup_apply and blowdown_apply build a step too, so they run
+the same checks.
 """
 
 from __future__ import annotations
@@ -28,21 +35,22 @@ from .record import Record, setfield
 class SurgeryStep(Record):
     """One blow-up or blow-down: a center, a fiber and a label.
 
-    expected_codim, when set on a blow-up, enables the dimension check
-    center.dim + codim == space.dim.  Blow-downs and steps where only
-    the fiber is pinned leave it unset.
+    center is a tuple of factors; a bare PoincarePoly is stored as a
+    one-factor tuple.  expected_codim, when set on a blow-up, enables
+    the dimension check center dim + codim == space.dim.  Blow-downs and
+    steps where only the fiber is pinned leave it unset.
     """
 
     __slots__ = ("kind", "center", "fiber", "label", "expected_codim")
 
-    def __init__(self, kind: str, center: PoincarePoly, fiber: PoincarePoly,
-                 label: str, expected_codim: int | None = None):
+    def __init__(self, kind: str, center: PoincarePoly | tuple[PoincarePoly, ...],
+                 fiber: PoincarePoly, label: str, expected_codim: int | None = None):
         if kind not in ("blowup", "blowdown"):
             raise InvalidParameters(f"step kind {kind!r}")
         if fiber.components != 1:
             raise InvalidParameters(f"step {label}: fiber must be connected")
         setfield(self, "kind", kind)
-        setfield(self, "center", center)
+        setfield(self, "center", center if isinstance(center, tuple) else (center,))
         setfield(self, "fiber", fiber)
         setfield(self, "label", label)
         setfield(self, "expected_codim", expected_codim)
@@ -50,22 +58,31 @@ class SurgeryStep(Record):
     def check_fit(self, space_dim: int) -> None:
         """Check that a blow-up's center has codimension expected_codim
         in a space of dimension space_dim."""
+        dim = sum(factor.dim for factor in self.center)
         if (
             self.kind == "blowup"
             and self.expected_codim is not None
-            and not self.center.is_empty()
-            and self.center.dim + self.expected_codim != space_dim
+            and not any(factor.is_empty() for factor in self.center)
+            and dim + self.expected_codim != space_dim
         ):
             raise DimensionMismatch(
-                f"step {self.label}: center dimension {self.center.dim} + "
+                f"step {self.label}: center dimension {dim} + "
                 f"codimension {self.expected_codim} != {space_dim}"
             )
 
+    def split(self) -> tuple[PoincarePoly, IntPoly]:
+        """(head, small): the first factor of the center, and the others
+        times the signed P(fiber) - 1."""
+        head, *rest = self.center
+        small = self.fiber.poly - ONE if self.kind == "blowup" else ONE - self.fiber.poly
+        for factor in rest:
+            small = factor.poly * small
+        return head, small
+
     def correction(self) -> IntPoly:
         """Signed contribution of this step to the total."""
-        if self.kind == "blowup":
-            return self.center.poly * (self.fiber.poly - ONE)
-        return self.center.poly * (ONE - self.fiber.poly)
+        head, small = self.split()
+        return head.poly * small
 
 
 class Pipeline(Record):
@@ -135,25 +152,26 @@ def run_pipeline_traced(pipeline: Pipeline) -> PipelineRun:
         current = current + correction
         if first_bad is None and min(current.coeffs, default=0) < 0:
             first_bad = step
-        trace.append(
-            TraceRecord(
-                label=step.label,
-                kind=step.kind,
-                correction=correction,
-                cumulative=current,
-            )
-        )
+        trace.append(TraceRecord(step.label, step.kind, correction, current))
     if min(current.coeffs, default=0) < 0:
         label = first_bad.label if first_bad is not None else "?"
         raise NegativeBetti(
             f"pipeline total has a negative coefficient (first went negative "
             f"at step {label})"
         )
-    return PipelineRun(
-        result=PoincarePoly.from_poly(current, what="pipeline total"),
-        trace=tuple(trace),
-    )
+    result = PoincarePoly.from_poly(current, what="pipeline total")
+    return PipelineRun(result, tuple(trace))
 
 
 def run_pipeline(pipeline: Pipeline) -> PoincarePoly:
-    return run_pipeline_traced(pipeline).result
+    """run_pipeline_traced's total by one large product per head.  A
+    negative total reruns traced, to name the first step that went bad."""
+    groups: dict[PoincarePoly, IntPoly] = {}
+    for step in pipeline.steps:
+        step.check_fit(pipeline.base.dim)
+        head, small = step.split()
+        groups[head] = groups[head] + small if head in groups else small
+    total = sum((head.poly * small for head, small in groups.items()), pipeline.base.poly)
+    if min(total.coeffs, default=0) < 0:
+        return run_pipeline_traced(pipeline).result
+    return PoincarePoly.from_poly(total, what="pipeline total")

@@ -225,6 +225,12 @@ def test_verify_suite_refuses_an_empty_key_list():
     assert verify_suite([], ("special",)).counts() == {"special": (3, 0)}
 
 
+def test_verify_suite_refuses_an_empty_suites_tuple():
+    for keys in (grid_keys(1, 1, None, 4), [], None):
+        with pytest.raises(InvalidParameters, match="no suites to run"):
+            verify_suite(keys, ())
+
+
 def test_special_checks_report_arithmetic_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise NonExactDivision("injected")

@@ -6,14 +6,23 @@ from hypothesis import strategies as st
 
 from curvebetti.catalog import (
     EMPTY,
+    POINT,
     DimensionMismatch,
     InvalidParameters,
     NegativeBetti,
     PoincarePoly,
+    fano_lines,
     grassmannian,
     projective,
 )
-from curvebetti.pipelines import _simpson3_pipeline_obj
+from curvebetti.pipelines import (
+    ModuliKey,
+    _simpson3_pipeline_obj,
+    grid_keys,
+    has_pipeline,
+    normalize_key,
+    pipeline_for,
+)
 from curvebetti.polyring import IntPoly
 from curvebetti.surgery import (
     Pipeline,
@@ -182,3 +191,58 @@ def test_negative_total_names_the_first_step_even_after_a_recovery():
 def test_step_kind_validation():
     with pytest.raises(InvalidParameters):
         SurgeryStep("fold", projective(1), projective(1), "x")
+
+
+def test_a_bare_center_is_a_one_factor_tuple():
+    step = SurgeryStep("blowup", POINT, projective(1), "b")
+    assert step.center == (POINT,)
+    assert step == SurgeryStep("blowup", (POINT,), projective(1), "b")
+    assert step.split() == (POINT, IntPoly([0, 1]))
+
+
+def test_factored_center_fits_and_corrects_as_its_product():
+    factors = (projective(2), projective(1), grassmannian(2, 4))
+    expanded = factors[0] * factors[1] * factors[2]
+    step = SurgeryStep("blowup", factors, projective(2), "f", expected_codim=3)
+    flat = SurgeryStep("blowup", expanded, projective(2), "f", expected_codim=3)
+    step.check_fit(expanded.dim + 3)
+    with pytest.raises(DimensionMismatch, match="center dimension 7 "):
+        step.check_fit(expanded.dim + 2)
+    assert step.correction() == flat.correction()
+    head, small = step.split()
+    assert head == factors[0] and head.poly * small == flat.correction()
+    # An empty factor empties the center, which then fits anywhere.
+    SurgeryStep("blowup", (projective(3), EMPTY), projective(1), "e", 2).check_fit(0)
+
+
+FOLD_KEYS = sorted(
+    {normalize_key(key) for key in grid_keys(1, 19, None, 20) if has_pipeline(key)}
+)
+
+
+@pytest.mark.parametrize("order", ["canonical", "reversed"])
+def test_grouped_fold_equals_the_per_step_fold(order):
+    """run_pipeline adds the small parts per head before multiplying;
+    run_pipeline_traced multiplies out every step on its own."""
+    assert {key.d for key in FOLD_KEYS} == {2, 3} and len(FOLD_KEYS) > 200
+    for key in FOLD_KEYS:
+        pipe = pipeline_for(key)
+        if order == "reversed":
+            pipe = Pipeline(base=pipe.base, steps=pipe.steps[::-1])
+        grouped = run_pipeline(pipe).poly
+        assert grouped == run_pipeline_traced(pipe).trace[-1].cumulative, str(key)
+
+
+def test_run_pipeline_makes_one_large_product_per_head(monkeypatch):
+    pipe = pipeline_for(ModuliKey(12, 40, 3, "S"))
+    heads = [fano_lines(12, 40).poly, grassmannian(12, 40).poly]
+    operands = []
+    mul = IntPoly.__mul__
+
+    def counting_mul(a, b):
+        operands.extend(h for h in heads if h in (a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(IntPoly, "__mul__", counting_mul)
+    run_pipeline(pipe)
+    assert operands == heads
