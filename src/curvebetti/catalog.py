@@ -32,10 +32,9 @@ from .polyring import (
     ONE,
     ZERO,
     IntPoly,
-    div_one_minus,
     monomial,
-    mul_one_minus,
     packed_ratio,
+    ratio,
     unpack_slots,
 )
 from .polyring import exact_div  # noqa: F401  (bench/test_bench.py looks it up here)
@@ -43,19 +42,26 @@ from .record import Record, setfield
 
 
 class PoincarePoly(Record):
-    """A polynomial with the bookkeeping of the space it came from.
+    """The Poincare polynomial of a space.
 
-    dim is the complex dimension (the q-degree) and components the
-    number of connected pieces (the constant coefficient).  The empty
-    space is the zero polynomial with dim 0 and components 0.
+    dim, the complex dimension, is the q-degree, and components, the
+    number of connected pieces, the constant coefficient; the empty
+    space, the zero polynomial, has both 0.  PoincarePoly(poly) trusts
+    its caller; from_poly checks the coefficients and the degree.
     """
 
-    __slots__ = ("poly", "dim", "components")
+    __slots__ = ("poly",)
 
-    def __init__(self, poly: IntPoly, dim: int, components: int):
+    def __init__(self, poly: IntPoly):
         setfield(self, "poly", poly)
-        setfield(self, "dim", dim)
-        setfield(self, "components", components)
+
+    @property
+    def dim(self) -> int:
+        return max(self.poly.degree, 0)
+
+    @property
+    def components(self) -> int:
+        return self.poly.coefficient(0)
 
     @classmethod
     def from_poly(cls, poly: IntPoly, claimed_dim: int | None = None,
@@ -63,12 +69,11 @@ class PoincarePoly(Record):
         if min(poly.coeffs, default=0) < 0:
             j, c = next((j, c) for j, c in enumerate(poly.coeffs) if c < 0)
             raise NegativeBetti(f"{what}: coefficient of q^{j} is {c}")
-        dim = max(poly.degree, 0)
-        if claimed_dim is not None and not poly.is_zero() and dim != claimed_dim:
+        if claimed_dim is not None and not poly.is_zero() and poly.degree != claimed_dim:
             raise DimensionMismatch(
-                f"{what}: degree {dim} but expected dimension {claimed_dim}"
+                f"{what}: degree {poly.degree} but expected dimension {claimed_dim}"
             )
-        return cls(poly=poly, dim=dim, components=poly.coefficient(0))
+        return cls(poly)
 
     def is_empty(self) -> bool:
         return self.poly.is_zero()
@@ -95,23 +100,18 @@ class PoincarePoly(Record):
 
     def __mul__(self, other: PoincarePoly) -> PoincarePoly:
         """Total space of a fibration: polynomials multiply."""
-        return _nonnegative(self.poly * other.poly)
+        return PoincarePoly(self.poly * other.poly)
 
     def __add__(self, other: PoincarePoly) -> PoincarePoly:
         """Disjoint union: polynomials add, components add."""
-        return _nonnegative(self.poly + other.poly)
+        return PoincarePoly(self.poly + other.poly)
 
     def __str__(self) -> str:
         return str(self.poly)
 
 
-def _nonnegative(poly: IntPoly) -> PoincarePoly:
-    """A sum or product of spaces, so from_poly's negativity scan is moot."""
-    return PoincarePoly(poly, max(poly.degree, 0), poly.coefficient(0))
-
-
-EMPTY = PoincarePoly(poly=ZERO, dim=0, components=0)
-POINT = PoincarePoly(poly=ONE, dim=0, components=1)
+EMPTY = PoincarePoly(ZERO)
+POINT = PoincarePoly(ONE)
 
 
 def projective(m: int) -> PoincarePoly:
@@ -122,7 +122,7 @@ def projective(m: int) -> PoincarePoly:
     """
     if m < 0:
         raise InvalidParameters(f"projective space of dimension {m}")
-    return PoincarePoly(poly=IntPoly([1] * (m + 1)), dim=m, components=1)
+    return PoincarePoly(IntPoly([1] * (m + 1)))
 
 
 def weighted_projective(weights: Iterable[int]) -> PoincarePoly:
@@ -191,7 +191,7 @@ def grassmannian(k: int, n: int) -> PoincarePoly:
     else:
         value = ONE
         for i in range(1, m + 1):
-            value = div_one_minus(mul_one_minus(value, n - i + 1), i)
+            value = ratio(value, (n - i + 1,), (i,))
     return PoincarePoly.from_poly(
         value, claimed_dim=k * (n - k), what=f"grassmannian({k},{n})"
     )
@@ -253,8 +253,7 @@ def lines_through_point(k: int, n: int) -> PoincarePoly:
     """
     if not 1 <= k <= n - 1:
         raise InvalidParameters(f"lines_through_point({k}, {n})")
-    num = functools.reduce(mul_one_minus, (n - k, k), ONE)
-    value = functools.reduce(div_one_minus, (1, 1), num)
+    value = ratio(ONE, (n - k, k), (1, 1))
     return PoincarePoly.from_poly(
         value, claimed_dim=n - 2, what=f"lines_through_point({k},{n})"
     )
@@ -263,9 +262,9 @@ def lines_through_point(k: int, n: int) -> PoincarePoly:
 def stable_maps_p1(d: int) -> PoincarePoly:
     """Stable-map space of degree d rational curves on a line, d = 2 or 3."""
     if d == 2:
-        return PoincarePoly(poly=IntPoly([1, 1, 1]), dim=2, components=1)
+        return PoincarePoly(IntPoly([1, 1, 1]))
     if d == 3:
-        return PoincarePoly(poly=IntPoly([1, 1, 2, 1, 1]), dim=4, components=1)
+        return PoincarePoly(IntPoly([1, 1, 2, 1, 1]))
     raise InvalidParameters(f"stable_maps_p1({d})")
 
 
@@ -293,8 +292,10 @@ _check_kernel_weights()
 
 # The degree 3 kernel is degree3_kernel(k, n) over the product of
 # (1 - q^j) for j in DEGREE3_KERNEL_DEN; the quotient alone need not be
-# a polynomial, only its product with the space of lines is.
+# a polynomial, only its product with the space of lines is.  The
+# degree 2 numerators are divided by the product for j in DEGREE2_DEN.
 DEGREE3_KERNEL_DEN = (1, 2, 2, 3, 3)
+DEGREE2_DEN = (1, 1, 2, 2)
 
 
 # The fixed multiplier of each weight in degree3_kernel, as
@@ -363,14 +364,11 @@ def stable_maps_gr(k: int, n: int, d: int) -> PoincarePoly:
     """
     check_curve_range(k, n, d, f"M(Gr({k},{n}),{d})")
     if d == 2:
-        bracket = degree2_bracket(k, n)
-        num = functools.reduce(
-            mul_one_minus, (n - k, n - k + 1), bracket * grassmannian(k - 1, n).poly
-        )
-        value = functools.reduce(div_one_minus, (1, 1, 2, 2), num)
+        num = degree2_bracket(k, n) * grassmannian(k - 1, n).poly
+        value = ratio(num, (n - k, n - k + 1), DEGREE2_DEN)
     else:
         num = degree3_kernel(k, n) * fano_lines(k, n).poly
-        value = functools.reduce(div_one_minus, DEGREE3_KERNEL_DEN, num)
+        value = ratio(num, down=DEGREE3_KERNEL_DEN)
     return PoincarePoly.from_poly(
         value,
         claimed_dim=k * (n - k) + d * n - 3,

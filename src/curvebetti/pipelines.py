@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 
 from .catalog import (
+    DEGREE2_DEN,
     DEGREE3_KERNEL_DEN,
     PoincarePoly,
     check_curve_range,
@@ -51,10 +52,9 @@ from .errors import CurvebettiError, InvalidParameters
 from .polyring import (
     ONE,
     IntPoly,
-    div_one_minus,
     exact_div,  # noqa: F401  (bench/test_bench.py looks it up here)
     monomial,
-    mul_one_minus,
+    ratio,
 )
 from .record import Record, setfield
 from .surgery import Pipeline, SurgeryStep, blowup_apply, run_pipeline
@@ -125,35 +125,29 @@ def dim_expected(key: ModuliKey) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _simpson2_closed(k: int, n: int) -> PoincarePoly:
-    bracket = degree2_bracket(k, n) + mul_one_minus(monomial(3) - monomial(n - 2), 2)
-    num = functools.reduce(
-        mul_one_minus, (k, k + 1), bracket * grassmannian(k + 1, n).poly
-    )
+    bracket = degree2_bracket(k, n) + ratio(monomial(3) - monomial(n - 2), (2,))
     return PoincarePoly.from_poly(
-        functools.reduce(div_one_minus, (1, 1, 2, 2), num),
+        ratio(bracket * grassmannian(k + 1, n).poly, (k, k + 1), DEGREE2_DEN),
         claimed_dim=k * (n - k) + 2 * n - 3,
         what=f"S(Gr({k},{n}),2) closed",
     )
 
 
-def _simpson2_pipeline_obj(k: int, n: int) -> Pipeline:
+def _simpson2_steps(k: int, n: int) -> tuple[SurgeryStep, ...]:
     f1 = fano_lines(k, n)
-    return Pipeline(
-        base=stable_maps_gr(k, n, 2),
-        steps=(
-            SurgeryStep(
-                kind="blowup",
-                center=(f1, stable_maps_p1(2)),
-                fiber=projective(n - 3),
-                label="Gamma^1",
-                expected_codim=n - 2,
-            ),
-            SurgeryStep(
-                kind="blowdown",
-                center=(f1, projective(n - 3)),
-                fiber=stable_maps_p1(2),
-                label="Gamma^1_2",
-            ),
+    return (
+        SurgeryStep(
+            kind="blowup",
+            center=(f1, stable_maps_p1(2)),
+            fiber=projective(n - 3),
+            label="Gamma^1",
+            expected_codim=n - 2,
+        ),
+        SurgeryStep(
+            kind="blowdown",
+            center=(f1, projective(n - 3)),
+            fiber=stable_maps_p1(2),
+            label="Gamma^1_2",
         ),
     )
 
@@ -201,14 +195,10 @@ def _simpson3_closed(k: int, n: int) -> PoincarePoly:
     )
     braced = (
         degree3_kernel(k, n)
-        + functools.reduce(mul_one_minus, DEGREE3_KERNEL_DEN, polynomial_terms)
-        - functools.reduce(
-            mul_one_minus, (n - 3, 1, 2, 3, 3), geom(n - 2) * (geom(8) - ONE)
-        )
+        + ratio(polynomial_terms, DEGREE3_KERNEL_DEN)
+        - ratio(geom(n - 2) * (geom(8) - ONE), (n - 3, 1, 2, 3, 3))
     )
-    value = functools.reduce(
-        div_one_minus, DEGREE3_KERNEL_DEN, braced * fano_lines(k, n).poly
-    )
+    value = ratio(braced * fano_lines(k, n).poly, down=DEGREE3_KERNEL_DEN)
     return PoincarePoly.from_poly(
         value,
         claimed_dim=k * (n - k) + 3 * n - 3,
@@ -272,10 +262,6 @@ def _simpson3_steps(k: int, n: int) -> tuple[SurgeryStep, ...]:
     )
 
 
-def _simpson3_pipeline_obj(k: int, n: int) -> Pipeline:
-    return Pipeline(base=stable_maps_gr(k, n, 3), steps=_simpson3_steps(k, n))
-
-
 def _delta_steps(k: int, n: int, planar_cubics: PoincarePoly) -> tuple[SurgeryStep, ...]:
     """Blow-ups along the planar-curve locus, one per plane family.
 
@@ -309,14 +295,6 @@ def _hilbert3_closed(k: int, n: int) -> PoincarePoly:
     )
 
 
-def _hilbert3_pipeline_obj(k: int, n: int) -> Pipeline:
-    return Pipeline(
-        base=stable_maps_gr(k, n, 3),
-        steps=_simpson3_steps(k, n)
-        + _delta_steps(k, n, _pipeline_poly(ModuliKey(1, 3, 3, "S"))),
-    )
-
-
 def _pipeline(key: ModuliKey) -> Pipeline:
     """The surgery pipeline of a valid, normalized key."""
     if not has_pipeline(key):
@@ -324,12 +302,15 @@ def _pipeline(key: ModuliKey) -> Pipeline:
             f"{key}: the stable-map space is the pipeline base and has no "
             "pipeline of its own"
         )
+    k, n = key.k, key.n
     if key.d == 2:
         # In degree 2 the sheaf and Hilbert compactifications coincide.
-        return _simpson2_pipeline_obj(key.k, key.n)
-    if key.compactification == "S":
-        return _simpson3_pipeline_obj(key.k, key.n)
-    return _hilbert3_pipeline_obj(key.k, key.n)
+        steps = _simpson2_steps(k, n)
+    else:
+        steps = _simpson3_steps(k, n)
+        if key.compactification == "H":
+            steps += _delta_steps(k, n, _pipeline_poly(ModuliKey(1, 3, 3, "S")))
+    return Pipeline(base=stable_maps_gr(k, n, key.d), steps=steps)
 
 
 @functools.lru_cache(maxsize=None)
@@ -495,6 +476,7 @@ def verify_pair(key: ModuliKey) -> list[CheckResult]:
 
 def _check_symmetry(key: ModuliKey) -> CheckResult:
     try:
+        validate_key(key)
         a = _raw_space_poly(key, "closed")
         b = _raw_space_poly(mirror_key(key), "closed")
     except CurvebettiError as e:

@@ -29,10 +29,11 @@ carries into the next.  Slots wider than 8 bytes, which only
 coefficients above about 60 bits need, are biased the same way and
 packed and unpacked as byte slices.
 
-Products and quotients by (1 - q^j) have their own O(len) steps,
-mul_one_minus and div_one_minus; the latter divides one factor at a
-time, as one running sum per residue class mod j, and checks that the
-remainder is zero.  exact_div stays the general divider.
+Products and quotients of factors (1 - q^j) have one function, ratio,
+which takes one O(len) step per factor: a shift and subtraction per
+factor multiplied, and per factor divided one running sum per residue
+class mod j, with a check that the remainder is zero.  exact_div stays
+the general divider.
 
 Before packing, IntPoly.__mul__ looks at the shape of the shorter
 operand b, and at nothing else.  If b has at most two nonzero
@@ -40,10 +41,10 @@ coefficients, c q^s + d q^t, the product is the longer operand a
 shifted by s and by t, scaled by c and d where they are not 1, and
 added.  Otherwise, if b (1 - q) has at most two nonzero coefficients,
 b is a single run c q^s (1 + q + ... + q^(m-1)), and the product is
-c q^s (a (1 - q^m)) / (1 - q): one mul_one_minus and one
-div_one_minus, whose remainder check still runs.  Both are sums of
-exact integers, so they give the Kronecker product coefficient for
-coefficient; every other pair is packed.  Blow-up corrections are
+c q^s (a (1 - q^m)) / (1 - q): one ratio, whose remainder check
+still runs.  Both are sums of exact integers, so they give the
+Kronecker product coefficient for coefficient; every other pair is
+packed.  Blow-up corrections are
 such products: the centre times P(fiber) - 1 = q + ... + q^(c-1).
 
 packed_ratio runs one step V (1 - q^a) / (1 - q^i) on packed integers
@@ -151,28 +152,14 @@ class IntPoly(Record):
                 )
             )
         if b[zeros:].count(b[-1]) == terms:
-            run = div_one_minus(mul_one_minus(x, terms), 1)
+            run = ratio(x, (terms,), (1,))
             return IntPoly((0,) * zeros + _scaled(run.coeffs, b[-1]))
         return kronecker_product(a, b)
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> IntPoly:
-        if exponent < 0:
-            raise ValueError("negative exponent")
-        result = IntPoly([1])
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def __truediv__(self, other: int | IntPoly) -> IntPoly:
         return exact_div(self, _as_poly(other))
-
-    def shift(self, j: int) -> IntPoly:
-        """Multiply by q^j."""
-        if self.is_zero():
-            return self
-        return IntPoly((0,) * j + self.coeffs)
 
     def evaluate(self, x: int) -> int:
         """Value at an integer point, by Horner's rule.
@@ -335,41 +322,40 @@ def monomial(j: int, c: int = 1) -> IntPoly:
     return IntPoly((0,) * j + (c,))
 
 
-def mul_one_minus(p: IntPoly, j: int) -> IntPoly:
-    """p * (1 - q^j), by one shift and subtraction.
+def ratio(p: IntPoly, up: Iterable[int] = (), down: Iterable[int] = ()) -> IntPoly:
+    """p times the product of (1 - q^a) for a in up, over the product of
+    (1 - q^i) for i in down, one O(len) step per factor; each i >= 1.
 
-    >>> mul_one_minus(IntPoly([1, 1]), 2)
+    Multiplying by 1 - q^a is one shift and subtraction.  Dividing by
+    1 - q^i takes the running sums q_m = p_m + q_(m-i) of the power
+    series, one itertools.accumulate over each residue class of m mod i.
+    That division is exact if and only if the last i of them are zero;
+    otherwise NonExactDivision is raised.
+
+    >>> ratio(IntPoly([1, 1]), up=(2,))
     IntPoly('1 + q - q^2 - q^3')
-    """
-    cs = p.coeffs
-    pad = (0,) * j
-    return IntPoly(map(operator.sub, cs + pad, pad + cs))
-
-
-def div_one_minus(p: IntPoly, j: int) -> IntPoly:
-    """p / (1 - q^j) when the division is exact; j >= 1.
-
-    The quotient's coefficients are the running sums q_i = p_i + q_(i-j)
-    of the power series p / (1 - q^j), one itertools.accumulate over
-    each residue class of i mod j.  The division is exact if and only
-    if the last j of them, up to q^deg(p), are zero; otherwise
-    NonExactDivision is raised.
-
-    >>> div_one_minus(IntPoly([1, 0, 0, 0, -1]), 1)
+    >>> ratio(IntPoly([1, 0, 0, 0, -1]), down=(1,))
     IntPoly('1 + q + q^2 + q^3')
     """
-    if j < 1:
-        raise DivisionByZero(f"division by 1 - q^{j}")
     cs = list(p.coeffs)
-    # A class r with r + j past the end has one entry, its own sum.
-    for r in range(min(j, len(cs) - j)):
-        cs[r::j] = accumulate(cs[r::j])
-    top = max(len(cs) - j, 0)
-    if any(cs[top:]):
-        raise NonExactDivision(
-            f"({p}) / (1 - q^{j}): remainder {IntPoly(cs[top:]).shift(top)}"
-        )
-    return IntPoly(cs[:top])
+    for a in up:
+        pad = [0] * a
+        cs = list(map(operator.sub, cs + pad, pad + cs))
+    for i in down:
+        if i < 1:
+            raise DivisionByZero(f"division by 1 - q^{i}")
+        num, cs = cs, cs.copy()
+        # A class r with r + i past the end has one entry, its own sum.
+        for r in range(min(i, len(cs) - i)):
+            cs[r::i] = accumulate(cs[r::i])
+        top = max(len(cs) - i, 0)
+        if any(cs[top:]):
+            raise NonExactDivision(
+                f"({IntPoly(num)}) / (1 - q^{i}): "
+                f"remainder {IntPoly([0] * top + cs[top:])}"
+            )
+        del cs[top:]
+    return IntPoly(cs)
 
 
 def packed_ratio(v: int, a: int, i: int, count: int, width: int) -> int:

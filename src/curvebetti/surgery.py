@@ -19,9 +19,9 @@ Grassmannian), so run_pipeline adds the small parts per head and makes
 one large product per head; run_pipeline_traced expands every step.
 
 A step's checks live on SurgeryStep alone: check_fit for a blow-up's
-center, from its factors, and __init__ for its kind and a connected
-fiber.  blowup_apply and blowdown_apply build a step too, so they run
-the same checks.
+center, from its factors, and __init__ for its kind, a connected fiber
+and a center of at least one factor.  blowup_apply and blowdown_apply
+build a step too, so they run the same checks.
 """
 
 from __future__ import annotations
@@ -49,8 +49,11 @@ class SurgeryStep(Record):
             raise InvalidParameters(f"step kind {kind!r}")
         if fiber.components != 1:
             raise InvalidParameters(f"step {label}: fiber must be connected")
+        center = center if isinstance(center, tuple) else (center,)
+        if not center:
+            raise InvalidParameters(f"step {label}: center has no factor")
         setfield(self, "kind", kind)
-        setfield(self, "center", center if isinstance(center, tuple) else (center,))
+        setfield(self, "center", center)
         setfield(self, "fiber", fiber)
         setfield(self, "label", label)
         setfield(self, "expected_codim", expected_codim)

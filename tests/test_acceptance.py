@@ -168,11 +168,8 @@ def test_criterion_7_surgery_round_trip_and_order_independence(acceptance):
             bad += 1
 
     shuffles_ok = True
-    for maker in (
-        pipelines._simpson3_pipeline_obj,
-        pipelines._hilbert3_pipeline_obj,
-    ):
-        pipeline = maker(2, 5)
+    for comp in ("S", "H"):
+        pipeline = pipelines.pipeline_for(pipelines.ModuliKey(2, 5, 3, comp))
         baseline = run_pipeline(pipeline).poly
         steps = list(pipeline.steps)
         for _ in range(50):

@@ -299,7 +299,7 @@ def product_form_kernel(k: int, n: int) -> IntPoly:
     f1, f2, f3, f4 = DEGREE3_KERNEL
     return (
         f1 * (ONE + monomial(2 * n))
-        + (ONE + monomial(1)) ** 2
+        + (ONE + monomial(1)) * (ONE + monomial(1))
         * (
             f2 * monomial(n) * (ONE + monomial(2))
             - f3 * monomial(1) * (ONE + monomial(n)) * (monomial(k) + monomial(n - k))

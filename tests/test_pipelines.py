@@ -330,8 +330,29 @@ def test_evaluation_error_fails_duality_and_pipeline(monkeypatch):
             CheckResult("duality", "H(Gr(1,4),3)", False, detail),
             CheckResult("duality", "M(Gr(1,4),3)", True),
             CheckResult("pipeline", "H(Gr(1,4),3)", False, detail),
-            CheckResult("symmetry", "H(Gr(1,4),3)", True),
+            CheckResult("symmetry", "H(Gr(1,4),3)", False, detail),
             CheckResult("symmetry", "M(Gr(1,4),3)", True),
+        ],
+    )
+
+
+def test_symmetry_refuses_the_keys_the_other_suites_refuse():
+    # Neither key is valid: an unknown compactification, whose raw
+    # formula would still evaluate, and H over Gr(1,3), whose raw
+    # formula fails with an unrelated message.
+    keys = [ModuliKey(1, 3, 3, "H"), ModuliKey(1, 4, 3, "X")]
+    details = []
+    for key in keys:
+        with pytest.raises(InvalidParameters) as excinfo:
+            validate_key(key)
+        details.append(f"InvalidParameters: {excinfo.value}")
+    _failed_report(
+        keys,
+        ("duality", "pipeline", "symmetry"),
+        [
+            CheckResult(suite, str(key), False, detail)
+            for suite in ("duality", "pipeline", "symmetry")
+            for key, detail in zip(keys, details)
         ],
     )
 

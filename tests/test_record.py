@@ -27,7 +27,7 @@ FAILED = ("pipeline", "S(Gr(1,4),2)", False, "first difference at q^2: closed 3,
 # (class, positional arguments, the defaulted fields left out of them)
 EXAMPLES = [
     (IntPoly, ((1, 2),), {}),
-    (PoincarePoly, (LINE.poly, 1, 1), {}),
+    (PoincarePoly, (LINE.poly,), {}),
     (SurgeryStep, ("blowup", POINT, LINE, "b"), {"expected_codim": None}),
     (Pipeline, (LINE, (STEP,)), {}),
     (TraceRecord, ("b", "blowup", ONE, ONE), {}),

@@ -17,7 +17,6 @@ from curvebetti.catalog import (
 )
 from curvebetti.pipelines import (
     ModuliKey,
-    _simpson3_pipeline_obj,
     grid_keys,
     has_pipeline,
     normalize_key,
@@ -135,7 +134,7 @@ def test_run_pipeline_matches_step_application():
 
 
 def test_run_pipeline_is_permutation_invariant():
-    pipe = _simpson3_pipeline_obj(2, 5)
+    pipe = pipeline_for(ModuliKey(2, 5, 3, "S"))
     reference = run_pipeline(pipe)
     for perm in itertools.permutations(pipe.steps):
         permuted = Pipeline(base=pipe.base, steps=perm)
@@ -143,7 +142,7 @@ def test_run_pipeline_is_permutation_invariant():
 
 
 def test_run_pipeline_trace_stays_nonnegative_in_canonical_order():
-    pipe = _simpson3_pipeline_obj(1, 5)
+    pipe = pipeline_for(ModuliKey(1, 5, 3, "S"))
     run = run_pipeline_traced(pipe)
     for record in run.trace:
         assert all(c >= 0 for c in record.cumulative.coeffs), record.label
@@ -191,6 +190,13 @@ def test_negative_total_names_the_first_step_even_after_a_recovery():
 def test_step_kind_validation():
     with pytest.raises(InvalidParameters):
         SurgeryStep("fold", projective(1), projective(1), "x")
+
+
+def test_a_center_without_factors_is_refused():
+    for kind in ("blowup", "blowdown"):
+        with pytest.raises(InvalidParameters) as excinfo:
+            SurgeryStep(kind, (), projective(1), "x")
+        assert str(excinfo.value) == "step x: center has no factor"
 
 
 def test_a_bare_center_is_a_one_factor_tuple():
