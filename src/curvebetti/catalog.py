@@ -35,6 +35,7 @@ from .polyring import (
     monomial,
     packed_ratio,
     ratio,
+    slot_tops,
     unpack_slots,
 )
 from .polyring import exact_div  # noqa: F401  (bench/test_bench.py looks it up here)
@@ -152,6 +153,12 @@ def _row_width(n: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
+def _row_tops(n: int) -> int:
+    """The top bit of each slot of the middle, longest, row of n."""
+    return slot_tops(_row_width(n), 1, (n // 2) * (n - n // 2) + 1)
+
+
+@functools.lru_cache(maxsize=None)
 def _q_binomial_row(n: int, i: int) -> int:
     """[n choose i]_q packed in _row_width(n)-byte slots, 0 <= i <= n/2.
 
@@ -161,7 +168,7 @@ def _q_binomial_row(n: int, i: int) -> int:
     if i == 0:
         return 1
     return packed_ratio(
-        _q_binomial_row(n, i - 1), n - i + 1, i, i * (n - i) + 1, _row_width(n)
+        _q_binomial_row(n, i - 1), n - i + 1, i, i * (n - i) + 1, _row_width(n), _row_tops(n)
     )
 
 
@@ -355,20 +362,20 @@ def check_curve_range(k: int, n: int, d: int, what: str) -> None:
 def stable_maps_gr(k: int, n: int, d: int) -> PoincarePoly:
     """Stable-map space of degree d rational curves in grassmannian(k, n).
 
-    Closed form: a numerator divided by a fixed product of (1 - q^j),
-    one factor at a time.  For d = 2 the numerator is a low-degree
-    bracket times grassmannian(k-1, n) (1 - q^(n-k)) (1 - q^(n-k+1));
-    for d = 3 it is the kernel numerator times the polynomial of the
-    space of lines.
+    Closed form: a numerator over a fixed product of (1 - q^j).  For
+    d = 2 it is a low-degree bracket times grassmannian(k-1, n)
+    (1 - q^(n-k)) (1 - q^(n-k+1)); for d = 3 the kernel numerator times
+    the lines, grassmannian(k+1, n) grassmannian(k-1, k+1), small factor
+    first.  The large Grassmannian is ratio's by, multiplied packed.
     The result has dimension k(n-k) + dn - 3 and the degree is checked.
     """
     check_curve_range(k, n, d, f"M(Gr({k},{n}),{d})")
     if d == 2:
-        num = degree2_bracket(k, n) * grassmannian(k - 1, n).poly
-        value = ratio(num, (n - k, n - k + 1), DEGREE2_DEN)
+        small, big = degree2_bracket(k, n), grassmannian(k - 1, n)
+        value = ratio(small, (n - k, n - k + 1), DEGREE2_DEN, by=big.poly)
     else:
-        num = degree3_kernel(k, n) * fano_lines(k, n).poly
-        value = ratio(num, down=DEGREE3_KERNEL_DEN)
+        small = degree3_kernel(k, n) * grassmannian(k - 1, k + 1).poly
+        value = ratio(small, down=DEGREE3_KERNEL_DEN, by=grassmannian(k + 1, n).poly)
     return PoincarePoly.from_poly(
         value,
         claimed_dim=k * (n - k) + d * n - 3,

@@ -127,13 +127,15 @@ def dim_expected(key: ModuliKey) -> int:
 def _simpson2_closed(k: int, n: int) -> PoincarePoly:
     bracket = degree2_bracket(k, n) + ratio(monomial(3) - monomial(n - 2), (2,))
     return PoincarePoly.from_poly(
-        ratio(bracket * grassmannian(k + 1, n).poly, (k, k + 1), DEGREE2_DEN),
+        ratio(bracket, (k, k + 1), DEGREE2_DEN, by=grassmannian(k + 1, n).poly),
         claimed_dim=k * (n - k) + 2 * n - 3,
         what=f"S(Gr({k},{n}),2) closed",
     )
 
 
 def _simpson2_steps(k: int, n: int) -> tuple[SurgeryStep, ...]:
+    # The small parts add up to P(n-3) - MbarP1(2), from n = 6 the run
+    # q^3 + ... + q^(n-3): the expanded lines take one O(len) product.
     f1 = fano_lines(k, n)
     return (
         SurgeryStep(
@@ -198,7 +200,9 @@ def _simpson3_closed(k: int, n: int) -> PoincarePoly:
         + ratio(polynomial_terms, DEGREE3_KERNEL_DEN)
         - ratio(geom(n - 2) * (geom(8) - ONE), (n - 3, 1, 2, 3, 3))
     )
-    value = ratio(braced * fano_lines(k, n).poly, down=DEGREE3_KERNEL_DEN)
+    # The lines are Gr(k+1, n) x Gr(k-1, k+1); the small factor goes in first.
+    small = braced * grassmannian(k - 1, k + 1).poly
+    value = ratio(small, down=DEGREE3_KERNEL_DEN, by=grassmannian(k + 1, n).poly)
     return PoincarePoly.from_poly(
         value,
         claimed_dim=k * (n - k) + 3 * n - 3,
@@ -208,7 +212,7 @@ def _simpson3_closed(k: int, n: int) -> PoincarePoly:
 
 def _simpson3_steps(k: int, n: int) -> tuple[SurgeryStep, ...]:
     x = grassmannian(k, n)
-    f1 = fano_lines(k, n)
+    f1 = (grassmannian(k + 1, n), grassmannian(k - 1, k + 1))  # the lines
     fx = lines_through_point(k, n)
     # Pairs of pointed lines with the diagonal blown up; codimension of
     # the diagonal is n - 2.
@@ -218,11 +222,12 @@ def _simpson3_steps(k: int, n: int) -> tuple[SurgeryStep, ...]:
         bl_diag.poly * projective(n - 2).poly
         + projective(1).poly * fx.poly * projective(n - 3).poly * (projective(n - 3).poly - ONE)
     )
-    # Each center leads with its large factor, f1 or x: the shared head.
+    # Each center leads with its large factor, x or the lines' Gr(k+1, n),
+    # the head it shares (in H, with Delta_A): the lines are never expanded.
     return (
         SurgeryStep(
             kind="blowup",
-            center=(f1, stable_maps_p1(3)),
+            center=(*f1, stable_maps_p1(3)),
             fiber=projective(2 * n - 5),
             label="Gamma^1_0",
             expected_codim=2 * n - 4,
@@ -236,7 +241,7 @@ def _simpson3_steps(k: int, n: int) -> tuple[SurgeryStep, ...]:
         ),
         SurgeryStep(
             kind="blowup",
-            center=(f1, projective(n - 3), ruled),
+            center=(*f1, projective(n - 3), ruled),
             fiber=projective(n - 3),
             label="Gamma^3_2",
             expected_codim=n - 2,
@@ -249,13 +254,13 @@ def _simpson3_steps(k: int, n: int) -> tuple[SurgeryStep, ...]:
         ),
         SurgeryStep(
             kind="blowdown",
-            center=(f1, projective(1), projective(n - 3), projective(n - 3)),
+            center=(*f1, projective(1), projective(n - 3), projective(n - 3)),
             fiber=weighted_projective((1, 2, 2, 3, 3)),
             label="Gamma^3_4",
         ),
         SurgeryStep(
             kind="blowdown",
-            center=(f1, grassmannian(2, n - 2)),
+            center=(*f1, grassmannian(2, n - 2)),
             fiber=projective(7),
             label="Gamma^1_5",
         ),

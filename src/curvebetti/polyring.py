@@ -17,51 +17,57 @@ value, so w = bits a + bits b + bits(min(len a, len b)) + 1 bits,
 rounded up to whole bytes, hold it with its sign.
 
 A slot of at most 8 bytes is widened to the next machine word of 1, 2,
-4 or 8 bytes that the platform's array module offers, and packing and
-unpacking run in C: array(...).tobytes() and int.from_bytes pack, and
-int.to_bytes and array(...).tolist() unpack (unpack_slots).  Packed
-integers are little-endian, slot j holding coefficient j, whatever the
-platform; array items are byte-swapped on a big-endian one.  When both
-operands are nonnegative, as most Betti products are, every slot holds
-its coefficient as it is.  Otherwise coefficients are stored with a
-bias of half a slot, so every slot is a nonnegative number and no slot
-carries into the next.  Slots wider than 8 bytes, which only
-coefficients above about 60 bits need, are biased the same way and
-packed and unpacked as byte slices.
+4 or 8 bytes that the platform's array module offers, so that packing
+and unpacking run in C (array, int.from_bytes, int.to_bytes); packed
+integers are little-endian, slot j holding coefficient j, on every
+platform.  With B = 2^(8w), a nonnegative operand packs as it is.  A
+signed one packs through the signed typecode, each negative c as
+c + B, and then subtracts its slots' sign bits moved up one bit: one
+borrow of B per negative slot, from the slot above.  A product with a
+signed factor is read as (P + biases) ^ biases through the signed
+typecode, biases holding B/2 in every slot: the sum has every slot in
+[0, B), and the xor turns each into its coefficient's two's
+complement.  Slots wider than 8 bytes, needed only above about 60 bits,
+are packed and read the same way, as byte slices.
 
 Products and quotients of factors (1 - q^j) have one function, ratio,
 which takes one O(len) step per factor: a shift and subtraction per
 factor multiplied, and per factor divided one running sum per residue
 class mod j, with a check that the remainder is zero.  exact_div stays
-the general divider.
+the general divider.  ratio(x, up, down, by=y) keeps the large product
+packed: x y is packed with one more bit of slot per factor of up, so
+that N = x y prod(1 - q^a) has every |N_j| < B/2; each a is applied
+as v -= v << 8w a, and one divmod by D(B), D = prod(1 - q^i) over the
+l factors of down, gives Q(B).  Q is accepted only if the remainder is
+0, Q(B) >= 0 fits the quotient's slots and every slot of Q is below
+B / 2^(l+1).  The coefficients of D have absolute sum at most 2^l, so
+then Q D - N has every coefficient below B in absolute value and
+vanishes at B: it is the zero polynomial, and Q = N / D exactly.
+Otherwise the list steps run on the decoded product, with the same
+quotient or the same NonExactDivision.
 
-Before packing, IntPoly.__mul__ looks at the shape of the shorter
-operand b, and at nothing else.  If b has at most two nonzero
-coefficients, c q^s + d q^t, the product is the longer operand a
-shifted by s and by t, scaled by c and d where they are not 1, and
-added.  Otherwise, if b (1 - q) has at most two nonzero coefficients,
-b is a single run c q^s (1 + q + ... + q^(m-1)), and the product is
-c q^s (a (1 - q^m)) / (1 - q): one ratio, whose remainder check
+Before packing, IntPoly.__mul__ looks at the shape of the operands.  If
+the shorter one, b, has at most two nonzero coefficients, c q^s + d q^t,
+the product is the other, a, shifted by s and by t, scaled by c and d
+where they are not 1, and added.  If b or a is a single run
+c q^s (1 + q + ... + q^(m-1)), the product is c q^s times the other
+operand times (1 - q^m) / (1 - q): one ratio, whose remainder check
 still runs.  Both are sums of exact integers, so they give the
-Kronecker product coefficient for coefficient; every other pair is
-packed.  Blow-up corrections are
-such products: the centre times P(fiber) - 1 = q + ... + q^(c-1).
+Kronecker product coefficient for coefficient.  Blow-up corrections
+are such products: the centre times P(fiber) - 1 = q + ... + q^(c-1).
 
 packed_ratio runs one step V (1 - q^a) / (1 - q^i) on packed integers
-with slots of w bytes, B = 2^(8w), holding nonnegative coefficients:
-x = V(B) - V(B) B^a is one shift and subtraction, and the quotient
-Q(B) is the power series x / (1 - B^i) modulo B^L, for L quotient
-slots, as running sums by doubling (about log2(L / i) shift-adds, each
-masked to L slots).  It is certified, not trusted: NonExactDivision is
-raised unless every slot of V(B) and of Q(B) is below B/2 (no 0x80 bit
-in any slot's top byte) and Q(B) - Q(B) B^i == x.  Then both sides of
-Q + V q^a = V + Q q^i, evaluated at B, are sums of two polynomials
-with every coefficient in [0, B/2): their coefficients lie in [0, B),
-no slot carries, and equal integers have equal base-B digits.  The
-integer identity is then the polynomial identity
-Q (1 - q^i) = V (1 - q^a), so the division is exact and Q is its
-quotient.  catalog.grassmannian chains these steps, one per row of the
-q-binomial recurrence, wherever w fits a machine word (n <= 66).
+with slots of w bytes holding nonnegative coefficients: x = V(B) -
+V(B) B^a is one shift and subtraction, and the quotient Q(B) is the
+power series x / (1 - B^i) modulo B^L, for L quotient slots, as
+running sums by doubling (about log2(L / i) masked shift-adds).  It is
+certified, not trusted: NonExactDivision is raised unless every slot
+of V(B) and of Q(B) is below B/2 and Q(B) - Q(B) B^i == x.  Then both
+sides of Q + V q^a = V + Q q^i, evaluated at B, are sums of two
+polynomials with every coefficient in [0, B/2): no slot carries, and
+equal integers have equal base-B digits, so Q (1 - q^i) = V (1 - q^a)
+as polynomials.  catalog.grassmannian chains these steps, one per row
+of the q-binomial recurrence, wherever w fits a machine word (n <= 66).
 """
 
 from __future__ import annotations
@@ -131,29 +137,33 @@ class IntPoly(Record):
         x, y = self, _as_poly(other)
         if len(x.coeffs) < len(y.coeffs):
             x, y = y, x
-        a, b = x.coeffs, y.coeffs
-        if not b:
+        if not y.coeffs:
             return ZERO
-        # b is the shorter operand; a factor of at most two terms, or a
-        # single run c q^s (1 + ... + q^(m-1)), takes O(len) steps (see
-        # the module docstring).
-        zeros = b.count(0)
-        terms = len(b) - zeros
-        if terms == 1:
-            return IntPoly((0,) * zeros + _scaled(a, b[-1]))
-        if terms == 2:
-            t = len(b) - 1
-            s = b.index(next(filter(None, b)))
-            return IntPoly(
-                map(
-                    operator.add,
-                    (0,) * s + _scaled(a, b[s]) + (0,) * (t - s),
-                    (0,) * t + _scaled(a, b[t]),
+        # A factor b of at most two terms, or a single run
+        # c q^s (1 + ... + q^(m-1)), takes O(len) steps (see the module
+        # docstring): first the shorter operand, then the longer one
+        # unless its middle coefficient, 0 or c in any run, rules it out.
+        for x, y in ((x, y), (y, x)):
+            a, b = x.coeffs, y.coeffs
+            zeros = b.count(0)
+            terms = len(b) - zeros
+            if terms == 1:
+                return IntPoly((0,) * zeros + _scaled(a, b[-1]))
+            if terms == 2:
+                t = len(b) - 1
+                s = b.index(next(filter(None, b)))
+                return IntPoly(
+                    map(
+                        operator.add,
+                        (0,) * s + _scaled(a, b[s]) + (0,) * (t - s),
+                        (0,) * t + _scaled(a, b[t]),
+                    )
                 )
-            )
-        if b[zeros:].count(b[-1]) == terms:
-            run = ratio(x, (terms,), (1,))
-            return IntPoly((0,) * zeros + _scaled(run.coeffs, b[-1]))
+            if b[zeros:].count(b[-1]) == terms:
+                run = ratio(x, (terms,), (1,))
+                return IntPoly((0,) * zeros + _scaled(run.coeffs, b[-1]))
+            if a[len(a) // 2] not in (0, a[-1]):
+                break
         return kronecker_product(a, b)
 
     __rmul__ = __mul__
@@ -247,74 +257,73 @@ _SLOTS = _slot_types("BHILQ")
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
-def _pack_words(code: str, cs: Iterable[int]) -> int:
-    """The integer whose little-endian array items of typecode code are cs."""
-    words = array(code, cs)
-    if _BIG_ENDIAN:
-        words.byteswap()
-    return int.from_bytes(words.tobytes(), "little")
+def slot_tops(width: int, bits: int, count: int) -> int:
+    """The mask of the top bits bits of each of count width-byte slots."""
+    top = (1 << 8 * width) - (1 << max(8 * width - bits, 0))
+    return int.from_bytes(top.to_bytes(width, "little") * count, "little")
 
 
-def unpack_slots(value: int, count: int, width: int) -> list[int]:
-    """The count slots of width bytes of a nonnegative packed integer,
-    lowest first: the base-2^(8 width) digits of value.
-
-    One to_bytes call; each slot is then copied into the low bytes of
-    the smallest array item that holds it, by width extended-slice
-    assignments, and array(...).tolist() reads the items.  A width with
-    no such item is read as byte slices.
-    """
+def unpack_slots(value: int, count: int, width: int, signed: bool = False) -> list[int]:
+    """The count slots of width bytes of a packed integer, lowest first:
+    the base-2^(8 width) digits of a nonnegative value or, with signed,
+    the coefficients of a packed polynomial (module docstring).  Each
+    slot is copied into the low bytes of the smallest array item that
+    holds it, and array(...).tolist() reads the items; a width with no
+    such item is read as byte slices."""
+    if signed:
+        biases = slot_tops(width, 1, count)
+        value = (value + biases) ^ biases
     data = value.to_bytes(count * width, "little")
     size, code = _SLOTS.get(width, (width, ""))
     if not code:
         return [
-            int.from_bytes(data[i : i + width], "little")
+            int.from_bytes(data[i : i + width], "little", signed=signed)
             for i in range(0, count * width, width)
         ]
-    if size != width:
+    if size != width:  # never signed: a signed width is an item size
         items = bytearray(count * size)
         for b in range(width):
             items[b::size] = data[b::width]
         data = items
-    words = array(code, data)
+    words = array(code.lower() if signed else code, data)
     if _BIG_ENDIAN:
         words.byteswap()
     return words.tolist()
 
 
-def kronecker_product(a: tuple[int, ...], b: tuple[int, ...]) -> IntPoly:
-    """The product of two nonempty coefficient tuples, packed and
-    multiplied as one integer each, whatever their shape."""
-    # Kronecker substitution at q = 2^(8 * width); see the module
-    # docstring for why the slot width is exact.
+def _packed_product(a: tuple[int, ...], b: tuple[int, ...], spare: int = 0) -> tuple:
+    """(a(B) b(B), width, signed), B = 2^(8 width), in the slots that
+    hold every product coefficient, its sign and spare bits more; signed
+    if a or b has a negative coefficient.  See the module docstring."""
     lo_a, lo_b = min(a), min(b)
     width = (
         max(max(a), -lo_a).bit_length()
         + max(max(b), -lo_b).bit_length()
         + min(len(a), len(b)).bit_length()
+        + spare
         + 8  # one sign bit, and 7 to round up to whole bytes
     ) // 8
-    size = len(a) + len(b) - 1
-    # A typecode of "" marks a slot wider than 8 bytes: byte slices.
     width, code = _SLOTS.get(width, (width, ""))
-    if code and lo_a >= 0 and lo_b >= 0:
-        product = _pack_words(code, a) * _pack_words(code, b)
-        return IntPoly(unpack_slots(product, size, width))
-    bias = 1 << (8 * width - 1)
-    biases = bias.to_bytes(width, "little")
 
-    def pack(cs: tuple[int, ...]) -> int:
+    def pack(cs: tuple[int, ...], lo: int) -> int:
         if code:
-            value = _pack_words(code, map(bias.__add__, cs))
+            words = array(code if lo >= 0 else code.lower(), cs)
+            if _BIG_ENDIAN:
+                words.byteswap()
+            data = words.tobytes()
         else:
-            value = int.from_bytes(
-                b"".join([(c + bias).to_bytes(width, "little") for c in cs]),
-                "little",
-            )
-        return value - int.from_bytes(biases * len(cs), "little")
+            data = b"".join([c.to_bytes(width, "little", signed=True) for c in cs])
+        u = int.from_bytes(data, "little")
+        return u if lo >= 0 else u - ((u & slot_tops(width, 1, len(cs))) << 1)
 
-    product = pack(a) * pack(b) + int.from_bytes(biases * size, "little")
-    return IntPoly(map(bias.__rsub__, unpack_slots(product, size, width)))
+    return pack(a, lo_a) * pack(b, lo_b), width, lo_a < 0 or lo_b < 0
+
+
+def kronecker_product(a: tuple[int, ...], b: tuple[int, ...]) -> IntPoly:
+    """The product of two nonempty coefficient tuples, packed and
+    multiplied as one integer each, whatever their shape."""
+    product, width, signed = _packed_product(a, b)
+    return IntPoly(unpack_slots(product, len(a) + len(b) - 1, width, signed))
 
 
 def monomial(j: int, c: int = 1) -> IntPoly:
@@ -322,21 +331,44 @@ def monomial(j: int, c: int = 1) -> IntPoly:
     return IntPoly((0,) * j + (c,))
 
 
-def ratio(p: IntPoly, up: Iterable[int] = (), down: Iterable[int] = ()) -> IntPoly:
-    """p times the product of (1 - q^a) for a in up, over the product of
-    (1 - q^i) for i in down, one O(len) step per factor; each i >= 1.
+def ratio(p: IntPoly, up: Iterable[int] = (), down: Iterable[int] = (),
+          by: IntPoly | None = None) -> IntPoly:
+    """p, times by if given, times the product of (1 - q^a) for a in up,
+    over the product of (1 - q^i) for i in down; each i >= 1.
 
     Multiplying by 1 - q^a is one shift and subtraction.  Dividing by
     1 - q^i takes the running sums q_m = p_m + q_(m-i) of the power
     series, one itertools.accumulate over each residue class of m mod i.
     That division is exact if and only if the last i of them are zero;
-    otherwise NonExactDivision is raised.
+    otherwise NonExactDivision is raised.  With by, the product and the
+    quotient are tried packed first, as the module docstring says.
 
     >>> ratio(IntPoly([1, 1]), up=(2,))
     IntPoly('1 + q - q^2 - q^3')
     >>> ratio(IntPoly([1, 0, 0, 0, -1]), down=(1,))
     IntPoly('1 + q + q^2 + q^3')
+    >>> ratio(IntPoly([1, 1]), (3,), (1, 1), by=IntPoly([1, -1]))
+    IntPoly('1 + 2q + 2q^2 + q^3')
     """
+    up, down = tuple(up), tuple(down)
+    if p and by:
+        x, y = p.coeffs, by.coeffs
+        product, width, signed = _packed_product(x, y, len(up))
+        size = len(x) + len(y) - 1
+        count = size + sum(up) - sum(down)
+        if count > 0 and min(up, default=0) >= 0 and min(down, default=1) >= 1:
+            shift, v, d = 8 * width, product, 1
+            for j in up:
+                v -= v << shift * j
+            for i in down:
+                d -= d << shift * i
+            quot, rem = divmod(v, d)
+            tops = slot_tops(width, len(down) + 1, count)
+            if not rem and 0 <= quot < 1 << shift * count and not quot & tops:
+                return IntPoly(unpack_slots(quot, count, width))
+        p = IntPoly(unpack_slots(product, size, width, signed))
+    elif by is not None:
+        p = ZERO
     cs = list(p.coeffs)
     for a in up:
         pad = [0] * a
@@ -358,17 +390,12 @@ def ratio(p: IntPoly, up: Iterable[int] = (), down: Iterable[int] = ()) -> IntPo
     return IntPoly(cs)
 
 
-def packed_ratio(v: int, a: int, i: int, count: int, width: int) -> int:
-    """V (1 - q^a) / (1 - q^i) on integers packed in width-byte slots;
-    i >= 1.
-
-    v packs a polynomial V with nonnegative coefficients, and the result
-    packs the quotient Q in count slots.  Multiplying by 1 - q^a is one
-    shift and subtraction, and Q is the power series of x = V (1 - q^a)
-    over 1 - q^i, modulo q^count: running sums, by doubling a span that
-    starts at i.  Q is then certified as the module docstring says:
-    NonExactDivision is raised unless every slot of V and of Q is below
-    half a slot and Q (1 - q^i) = x as integers.
+def packed_ratio(v: int, a: int, i: int, count: int, width: int, tops: int = 0) -> int:
+    """V (1 - q^a) / (1 - q^i), i >= 1, on integers packed in width-byte
+    slots: v packs V, whose coefficients are nonnegative, and the result
+    the quotient Q in count slots, by running sums that double a span
+    from i, certified as the module docstring says.  A chain may pass in
+    tops = slot_tops(width, 1, slots) once; one too short is rebuilt.
 
     >>> packed_ratio(1, 2, 1, 2, 1)  # (1 - q^2) / (1 - q) = 1 + q
     257
@@ -384,8 +411,9 @@ def packed_ratio(v: int, a: int, i: int, count: int, width: int) -> int:
         quot = (quot + (quot << shift * span)) & mask
         span *= 2
     slots = max(count, -(-v.bit_length() // shift))
-    top = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
-    if (quot | v) & top or quot - (quot << shift * i) != x:
+    if tops.bit_length() < shift * slots:
+        tops = slot_tops(width, 1, slots)
+    if (quot | v) & tops or quot - (quot << shift * i) != x:
         raise NonExactDivision(
             f"(1 - q^{a}) / (1 - q^{i}) in {count} slots of {width} bytes: "
             "not exact, or a slot at or above half its range"

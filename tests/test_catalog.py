@@ -3,6 +3,7 @@ import math
 import random
 import time
 from array import array
+from unittest import mock
 
 import pytest
 import sympy
@@ -11,6 +12,7 @@ from sympy.polys.rings import ring
 from curvebetti import catalog, polyring
 from curvebetti.catalog import (
     DEGREE3_KERNEL,
+    DEGREE3_KERNEL_DEN,
     EMPTY,
     POINT,
     DimensionMismatch,
@@ -28,7 +30,7 @@ from curvebetti.catalog import (
     weighted_projective,
 )
 from curvebetti.pipelines import ModuliKey, dim_expected, space_poly
-from curvebetti.polyring import ONE, IntPoly, monomial
+from curvebetti.polyring import ONE, IntPoly, monomial, ratio
 
 GRID = [(k, n) for k in range(1, 5) for n in range(k + 1, 11)]
 
@@ -344,6 +346,50 @@ def test_stable_maps_gr_structure(k, n, d):
     assert m.is_palindromic()
     assert all(c >= 0 for c in m.poly.coeffs)
     assert m.poly == stable_maps_gr(n - k, n, d).poly
+
+
+@pytest.mark.parametrize("k, n, packed", [(10, 40, True), (24, 48, False)])
+def test_stable_maps_gr_degree_three_divides_packed_or_by_list(k, n, packed):
+    # The quotient of M(Gr(10,40),3), with coefficients of 48 bits, is
+    # certified in 8-byte slots.  That of M(Gr(24,48),3) has coefficients
+    # of 65 bits, past the slots, so the division falls back to the list
+    # steps, whose running sums are itertools.accumulate calls.  Either
+    # way it is the expanded space of lines times the kernel, divided
+    # factor by factor.
+    expected = ratio(degree3_kernel(k, n) * fano_lines(k, n).poly, down=DEGREE3_KERNEL_DEN)
+    stable_maps_gr.cache_clear()
+    with mock.patch.object(polyring, "accumulate", wraps=polyring.accumulate) as sums:
+        got = stable_maps_gr(k, n, 3).poly
+    assert got == expected
+    assert sums.called != packed
+    assert max(got.coeffs).bit_length() == (48 if packed else 65)
+
+
+def test_stable_maps_gr_degree_three_never_expands_the_lines(monkeypatch):
+    # The small factor Gr(k-1, k+1) of the lines goes into the kernel
+    # first; the large one, Gr(k+1, n), is multiplied in once, packed.
+    lines = fano_lines(12, 40).poly.coeffs
+    operands = []
+    mul, packed_product = IntPoly.__mul__, polyring._packed_product
+
+    def recording_mul(a, b):
+        operands.extend((a.coeffs, getattr(b, "coeffs", b)))
+        return mul(a, b)
+
+    def recording_packed_product(a, b, spare=0):
+        operands.extend((a, b))
+        return packed_product(a, b, spare)
+
+    def no_lines(k, n):
+        raise AssertionError("fano_lines called")
+
+    stable_maps_gr.cache_clear()
+    monkeypatch.setattr(IntPoly, "__mul__", recording_mul)
+    monkeypatch.setattr(polyring, "_packed_product", recording_packed_product)
+    monkeypatch.setattr(catalog, "fano_lines", no_lines)
+    assert stable_maps_gr(12, 40, 3).poly == space_poly(ModuliKey(12, 40, 3, "M")).poly
+    assert grassmannian(13, 40).poly.coeffs in operands
+    assert lines not in operands
 
 
 def test_stable_maps_gr_cubics_in_plane_properties():

@@ -1,5 +1,6 @@
 import functools
 from array import array
+from unittest import mock
 
 import pytest
 import sympy
@@ -19,6 +20,7 @@ from curvebetti.polyring import (
     monomial,
     packed_ratio,
     ratio,
+    slot_tops,
     unpack_slots,
 )
 
@@ -205,14 +207,14 @@ def packed_and_dispatched(pa: IntPoly, pb: IntPoly) -> list[IntPoly]:
 
 
 def test_kronecker_product_at_the_slot_bound():
-    # Coefficients of all-equal maximal magnitude make the middle product
-    # coefficient as large as the slot width allows, at either sign.
+    # Coefficients of maximal magnitude make the middle product coefficient
+    # as large as the slot width allows, at either sign, with one operand
+    # or both signed.
     for bits_a in range(1, 12):
         for bits_b in range(1, 12):
             for n in (1, 2, 3, 4, 7, 8, 15, 16, 31):
-                pa = IntPoly([2**bits_a - 1] * n)
-                pb = IntPoly([2**bits_b - 1] * n)
-                for x, y in ((pa, pb), (pa, -pb)):
+                a, b = [2**bits_a - 1] * n, [2**bits_b - 1] * n
+                for x, y in sign_patterns(a, b):
                     assert packed_and_dispatched(x, y) == [schoolbook(x, y)] * 2
 
 
@@ -253,12 +255,18 @@ def operands_at_each_slot_width():
 
 
 def sign_patterns(a: list[int], b: list[int]):
-    """The operands as nonnegative x nonnegative, mixed-sign (one operand
-    negated, or both alternating) and negative x negative."""
+    """The operands as nonnegative x nonnegative; one operand signed
+    (negated, or alternating in sign) and the other nonnegative; and both
+    signed (alternating, negated or one of each).  Signed operands pack
+    through the signed typecodes, with one borrow per negative slot."""
     alt_a = [(-1) ** i * c for i, c in enumerate(a)]
     alt_b = [(-1) ** i * c for i, c in enumerate(b)]
     neg_a, neg_b = [-c for c in a], [-c for c in b]
-    for x, y in ((a, b), (a, neg_b), (neg_a, b), (alt_a, alt_b), (neg_a, neg_b)):
+    for x, y in (
+        (a, b),
+        (a, neg_b), (neg_a, b), (a, alt_b), (alt_a, b),
+        (alt_a, alt_b), (neg_a, neg_b), (alt_a, neg_b),
+    ):
         yield IntPoly(x), IntPoly(y)
 
 
@@ -322,13 +330,26 @@ def special_factors(draw):
     return IntPoly((0,) * s + (c,) * draw(st.integers(1, 200)))
 
 
+def is_run(p: IntPoly) -> bool:
+    """Whether p is c q^s (1 + ... + q^(m-1)): equal nonzero coefficients
+    from the lowest nonzero one up."""
+    nonzero = [c for c in p.coeffs if c]
+    return len(set(p.coeffs[p.coeffs.index(nonzero[0]) :])) == 1
+
+
 @settings(deadline=None, max_examples=60)
 @given(special_factors(), long_lists, st.booleans())
 def test_sparse_and_run_factors_match_schoolbook(b, a, b_first):
-    # The special factor comes up both as the shorter operand, which takes
-    # the O(len) paths, and as the longer one, which is packed.
+    # The special factor comes up both as the shorter operand and as the
+    # longer one.  A sparse shorter one, and a run either way, take the
+    # O(len) paths; a run is never packed.
     pa = IntPoly(a)
-    assert (b * pa if b_first else pa * b) == schoolbook(pa, b)
+    with mock.patch.object(
+        polyring, "kronecker_product", wraps=polyring.kronecker_product
+    ) as packed:
+        assert (b * pa if b_first else pa * b) == schoolbook(pa, b)
+    if is_run(b):
+        assert not packed.called
 
 
 def test_sparse_and_run_factors_at_the_edges():
@@ -343,6 +364,9 @@ def test_sparse_and_run_factors_at_the_edges():
         IntPoly([5] * 8),
         IntPoly([1, 2, 1]),
         IntPoly([1, 1, 0, 1]),
+        IntPoly([0] * 3 + [-4] * 20),  # a run longer than a
+        IntPoly([0] * 30 + [9]),  # a monomial longer than a
+        IntPoly([1] * 9 + [0, 1]),  # middle 1 = top, not a run
     ):
         assert a * b == b * a == schoolbook(a, b), b
 
@@ -428,6 +452,56 @@ def test_ratio_agrees_with_exact_div(a, up, down, at, delta):
             ratio(p, up, down)
     else:
         assert ratio(p, up, down) == expected
+
+
+def outcome(f):
+    """f's value, or the class and text of the division error it raises."""
+    try:
+        return f()
+    except (NonExactDivision, DivisionByZero) as e:
+        return type(e).__name__, str(e)
+
+
+# Mostly nonnegative operands, so that exact quotients are often
+# nonnegative and the packed division is certified.
+ratio_operands = st.lists(
+    st.one_of(st.integers(0, 9), st.integers(0, 2**40), st.integers(-9, 9), wide_coeffs),
+    min_size=0,
+    max_size=40,
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    ratio_operands,
+    ratio_operands,
+    st.lists(st.integers(0, 6), max_size=3),
+    st.lists(st.integers(0, 6), max_size=5),
+    st.booleans(),
+)
+def test_ratio_by_is_ratio_of_the_product(x, y, up, down, divisible):
+    # Packed and certified, or fallen back to the list steps: the same
+    # quotient, or the same error and text, as ratio of the product.
+    px, py = IntPoly(x), IntPoly(y)
+    if divisible and 0 not in down:
+        px = ratio(px, up=down)
+    assert outcome(lambda: ratio(px, up, down, by=py)) == outcome(
+        lambda: ratio(px * py, up, down)
+    )
+
+
+@pytest.mark.parametrize("m, packed", [(31, True), (32, False)])
+def test_ratio_by_certifies_or_falls_back(m, packed):
+    # (1 - q^m)^2 / (1 - q)^2 = (1 + ... + q^(m-1))^2 peaks at m.  The
+    # product (1 - q^m)^2 * 1 fits one-byte slots, and the certificate
+    # takes quotient slots below 2^8 / 2^(2 + 1) = 32: m = 31 is
+    # certified packed, m = 32 falls back to the list steps, whose
+    # running sums are itertools.accumulate calls.
+    run = IntPoly([1] * m)
+    with mock.patch.object(polyring, "accumulate", wraps=polyring.accumulate) as sums:
+        got = ratio(ratio(ONE, (m, m)), down=(1, 1), by=ONE)
+    assert got == schoolbook(run, run)
+    assert sums.called != packed
 
 
 def test_div_one_minus_edge_cases():
@@ -519,6 +593,21 @@ def test_packed_ratio_divides_down_to_one():
     # (1 + q + ... + q^(i-1)) (1 - q) / (1 - q^i) = 1.
     for i in (1, 2, 5, 40):
         assert packed_ratio(pack([1] * i, 2), 1, i, 1, 2) == 1
+
+
+def test_slot_tops_and_a_passed_mask():
+    assert slot_tops(1, 1, 3) == pack([0x80] * 3, 1)
+    assert slot_tops(2, 3, 2) == pack([0xE000] * 2, 2)
+    assert slot_tops(1, 9, 2) == pack([0xFF] * 2, 1)
+    # A mask of more slots than a step needs is used as it is; a shorter
+    # one is rebuilt, so a slot above it is still checked: here only the
+    # dividend's slot 1, at 254, shows that the division is not exact
+    # (see test_packed_ratio_rejects_a_dividend_slot_at_half_width).
+    v = pack([127, 254, 125, 255, 127], 1)
+    for tops in (0, slot_tops(1, 1, 100), slot_tops(1, 1, 1)):
+        assert packed_ratio(pack([1] * 40, 2), 1, 40, 1, 2, tops) == 1
+        with pytest.raises(NonExactDivision):
+            packed_ratio(v, 1, 3, 3, 1, tops)
 
 
 def test_packed_ratio_rejects_a_remainder():

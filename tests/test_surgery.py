@@ -11,7 +11,6 @@ from curvebetti.catalog import (
     InvalidParameters,
     NegativeBetti,
     PoincarePoly,
-    fano_lines,
     grassmannian,
     projective,
 )
@@ -240,15 +239,20 @@ def test_grouped_fold_equals_the_per_step_fold(order):
 
 
 def test_run_pipeline_makes_one_large_product_per_head(monkeypatch):
-    pipe = pipeline_for(ModuliKey(12, 40, 3, "S"))
-    heads = [fano_lines(12, 40).poly, grassmannian(12, 40).poly]
+    # The lines enter as grassmannian(k+1, n) times a small factor, so in
+    # H their head is also Delta_A's envelope; Delta_B's is Gr(k+2, n).
     operands = []
     mul = IntPoly.__mul__
+    for comp, head_ks in (("S", [13, 12]), ("H", [13, 12, 14])):
+        pipe = pipeline_for(ModuliKey(12, 40, 3, comp))
+        heads = [grassmannian(k, 40).poly for k in head_ks]
 
-    def counting_mul(a, b):
-        operands.extend(h for h in heads if h in (a, b))
-        return mul(a, b)
+        def counting_mul(a, b):
+            operands.extend(h for h in heads if h in (a, b))
+            return mul(a, b)
 
-    monkeypatch.setattr(IntPoly, "__mul__", counting_mul)
-    run_pipeline(pipe)
-    assert operands == heads
+        operands.clear()
+        monkeypatch.setattr(IntPoly, "__mul__", counting_mul)
+        run_pipeline(pipe)
+        monkeypatch.undo()
+        assert operands == heads, comp
