@@ -70,22 +70,15 @@ class PoincarePoly(Record):
         if min(poly.coeffs, default=0) < 0:
             j, c = next((j, c) for j, c in enumerate(poly.coeffs) if c < 0)
             raise NegativeBetti(f"{what}: coefficient of q^{j} is {c}")
-        if claimed_dim is not None and not poly.is_zero() and poly.degree != claimed_dim:
+        if claimed_dim is not None and poly and poly.degree != claimed_dim:
             raise DimensionMismatch(
                 f"{what}: degree {poly.degree} but expected dimension {claimed_dim}"
             )
         return cls(poly)
 
-    def is_empty(self) -> bool:
-        return self.poly.is_zero()
-
-    @property
-    def q_coefficients(self) -> tuple[int, ...]:
-        return self.poly.coeffs
-
     def betti_numbers(self) -> list[int]:
         """Full Betti list b_0, b_1, ..., b_{2 dim}; odd entries are 0."""
-        if self.is_empty():
+        if not self.poly:
             return []
         out: list[int] = []
         for c in self.poly.coeffs:

@@ -117,7 +117,7 @@ def _record(
         **dict(zip(ModuliKey.__slots__, key.astuple() if key else (None,) * 4)),
         "dim": result.dim,
         "euler": result.euler(),
-        "q_coefficients": list(result.q_coefficients),
+        "q_coefficients": list(result.poly.coeffs),
         "betti": result.betti_numbers(),
         "palindromic": result.is_palindromic(),
         "components": result.components,

@@ -46,14 +46,14 @@ vanishes at B: it is the zero polynomial, and Q = N / D exactly.
 Otherwise the list steps run on the decoded product, with the same
 quotient or the same NonExactDivision.
 
-Before packing, IntPoly.__mul__ looks at the shape of the operands.  If
-the shorter one, b, has at most two nonzero coefficients, c q^s + d q^t,
-the product is the other, a, shifted by s and by t, scaled by c and d
-where they are not 1, and added.  If b or a is a single run
-c q^s (1 + q + ... + q^(m-1)), the product is c q^s times the other
-operand times (1 - q^m) / (1 - q): one ratio, whose remainder check
-still runs.  Both are sums of exact integers, so they give the
-Kronecker product coefficient for coefficient.  Blow-up corrections
+Before packing, IntPoly.__mul__ looks at the shape of the shorter
+operand only.  If that one, b, has at most two nonzero coefficients,
+c q^s + d q^t, the product is the other, a, shifted by s and by t,
+scaled by c and d where they are not 1, and added.  If b is a single
+run c q^s (1 + q + ... + q^(m-1)), the product is c q^s times a times
+(1 - q^m) / (1 - q): one ratio, whose remainder check still runs.
+Both are sums of exact integers, so they give the Kronecker product
+coefficient for coefficient.  Blow-up corrections
 are such products: the centre times P(fiber) - 1 = q + ... + q^(c-1).
 
 packed_ratio runs one step V (1 - q^a) / (1 - q^i) on packed integers
@@ -78,7 +78,7 @@ from array import array
 from collections.abc import Iterable
 from itertools import accumulate, chain
 
-from .errors import DivisionByZero, NonExactDivision
+from .errors import DivisionByZero, InvalidParameters, NonExactDivision
 from .record import Record, setfield
 
 
@@ -107,9 +107,6 @@ class IntPoly(Record):
         """Degree, with the zero polynomial at -1."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -137,33 +134,29 @@ class IntPoly(Record):
         x, y = self, _as_poly(other)
         if len(x.coeffs) < len(y.coeffs):
             x, y = y, x
-        if not y.coeffs:
+        a, b = x.coeffs, y.coeffs
+        if not b:
             return ZERO
-        # A factor b of at most two terms, or a single run
-        # c q^s (1 + ... + q^(m-1)), takes O(len) steps (see the module
-        # docstring): first the shorter operand, then the longer one
-        # unless its middle coefficient, 0 or c in any run, rules it out.
-        for x, y in ((x, y), (y, x)):
-            a, b = x.coeffs, y.coeffs
-            zeros = b.count(0)
-            terms = len(b) - zeros
-            if terms == 1:
-                return IntPoly((0,) * zeros + _scaled(a, b[-1]))
-            if terms == 2:
-                t = len(b) - 1
-                s = b.index(next(filter(None, b)))
-                return IntPoly(
-                    map(
-                        operator.add,
-                        (0,) * s + _scaled(a, b[s]) + (0,) * (t - s),
-                        (0,) * t + _scaled(a, b[t]),
-                    )
+        # b is the shorter operand; a factor of at most two terms, or a
+        # single run c q^s (1 + ... + q^(m-1)), takes O(len) steps (see
+        # the module docstring).
+        zeros = b.count(0)
+        terms = len(b) - zeros
+        if terms == 1:
+            return IntPoly((0,) * zeros + _scaled(a, b[-1]))
+        if terms == 2:
+            t = len(b) - 1
+            s = b.index(next(filter(None, b)))
+            return IntPoly(
+                map(
+                    operator.add,
+                    (0,) * s + _scaled(a, b[s]) + (0,) * (t - s),
+                    (0,) * t + _scaled(a, b[t]),
                 )
-            if b[zeros:].count(b[-1]) == terms:
-                run = ratio(x, (terms,), (1,))
-                return IntPoly((0,) * zeros + _scaled(run.coeffs, b[-1]))
-            if a[len(a) // 2] not in (0, a[-1]):
-                break
+            )
+        if b[zeros:].count(b[-1]) == terms:
+            run = ratio(x, (terms,), (1,))
+            return IntPoly((0,) * zeros + _scaled(run.coeffs, b[-1]))
         return kronecker_product(a, b)
 
     __rmul__ = __mul__
@@ -327,14 +320,17 @@ def kronecker_product(a: tuple[int, ...], b: tuple[int, ...]) -> IntPoly:
 
 
 def monomial(j: int, c: int = 1) -> IntPoly:
-    """c * q^j."""
+    """c * q^j, for j >= 0."""
+    if j < 0:
+        raise InvalidParameters(f"monomial q^{j}: negative exponent")
     return IntPoly((0,) * j + (c,))
 
 
 def ratio(p: IntPoly, up: Iterable[int] = (), down: Iterable[int] = (),
           by: IntPoly | None = None) -> IntPoly:
     """p, times by if given, times the product of (1 - q^a) for a in up,
-    over the product of (1 - q^i) for i in down; each i >= 1.
+    over the product of (1 - q^i) for i in down.  Each a must be >= 0,
+    or InvalidParameters is raised, and each i >= 1, or DivisionByZero.
 
     Multiplying by 1 - q^a is one shift and subtraction.  Dividing by
     1 - q^i takes the running sums q_m = p_m + q_(m-i) of the power
@@ -351,12 +347,18 @@ def ratio(p: IntPoly, up: Iterable[int] = (), down: Iterable[int] = (),
     IntPoly('1 + 2q + 2q^2 + q^3')
     """
     up, down = tuple(up), tuple(down)
+    if up and min(up) < 0:
+        raise InvalidParameters(
+            f"factor 1 - q^{next(a for a in up if a < 0)}: negative exponent"
+        )
+    if down and min(down) < 1:
+        raise DivisionByZero(f"division by 1 - q^{next(i for i in down if i < 1)}")
     if p and by:
         x, y = p.coeffs, by.coeffs
         product, width, signed = _packed_product(x, y, len(up))
         size = len(x) + len(y) - 1
         count = size + sum(up) - sum(down)
-        if count > 0 and min(up, default=0) >= 0 and min(down, default=1) >= 1:
+        if count > 0:
             shift, v, d = 8 * width, product, 1
             for j in up:
                 v -= v << shift * j
@@ -374,8 +376,6 @@ def ratio(p: IntPoly, up: Iterable[int] = (), down: Iterable[int] = (),
         pad = [0] * a
         cs = list(map(operator.sub, cs + pad, pad + cs))
     for i in down:
-        if i < 1:
-            raise DivisionByZero(f"division by 1 - q^{i}")
         num, cs = cs, cs.copy()
         # A class r with r + i past the end has one entry, its own sum.
         for r in range(min(i, len(cs) - i)):
@@ -391,15 +391,18 @@ def ratio(p: IntPoly, up: Iterable[int] = (), down: Iterable[int] = (),
 
 
 def packed_ratio(v: int, a: int, i: int, count: int, width: int, tops: int = 0) -> int:
-    """V (1 - q^a) / (1 - q^i), i >= 1, on integers packed in width-byte
-    slots: v packs V, whose coefficients are nonnegative, and the result
-    the quotient Q in count slots, by running sums that double a span
-    from i, certified as the module docstring says.  A chain may pass in
+    """V (1 - q^a) / (1 - q^i), a >= 0 and i >= 1, on integers packed
+    in width-byte slots: v packs V, whose coefficients are nonnegative,
+    and the result the quotient Q in count slots, by running sums that
+    double a span from i, certified as the module docstring says.  A
+    negative a raises InvalidParameters.  A chain may pass in
     tops = slot_tops(width, 1, slots) once; one too short is rebuilt.
 
     >>> packed_ratio(1, 2, 1, 2, 1)  # (1 - q^2) / (1 - q) = 1 + q
     257
     """
+    if a < 0:
+        raise InvalidParameters(f"factor 1 - q^{a}: negative exponent")
     if i < 1:
         raise DivisionByZero(f"division by 1 - q^{i}")
     shift = 8 * width
@@ -431,9 +434,9 @@ def exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
     >>> exact_div(IntPoly([1, 0, 0, 0, -1]), IntPoly([1, -1]))
     IntPoly('1 + q + q^2 + q^3')
     """
-    if den.is_zero():
+    if not den:
         raise DivisionByZero("division by the zero polynomial")
-    if num.is_zero():
+    if not num:
         return ZERO
     if num.degree < den.degree:
         raise NonExactDivision(

@@ -65,7 +65,7 @@ class SurgeryStep(Record):
         if (
             self.kind == "blowup"
             and self.expected_codim is not None
-            and not any(factor.is_empty() for factor in self.center)
+            and all(factor.poly for factor in self.center)
             and dim + self.expected_codim != space_dim
         ):
             raise DimensionMismatch(
@@ -162,8 +162,7 @@ def run_pipeline_traced(pipeline: Pipeline) -> PipelineRun:
             f"pipeline total has a negative coefficient (first went negative "
             f"at step {label})"
         )
-    result = PoincarePoly.from_poly(current, what="pipeline total")
-    return PipelineRun(result, tuple(trace))
+    return PipelineRun(PoincarePoly(current), tuple(trace))
 
 
 def run_pipeline(pipeline: Pipeline) -> PoincarePoly:
@@ -177,4 +176,4 @@ def run_pipeline(pipeline: Pipeline) -> PoincarePoly:
     total = sum((head.poly * small for head, small in groups.items()), pipeline.base.poly)
     if min(total.coeffs, default=0) < 0:
         return run_pipeline_traced(pipeline).result
-    return PoincarePoly.from_poly(total, what="pipeline total")
+    return PoincarePoly(total)

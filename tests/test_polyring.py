@@ -14,6 +14,7 @@ from curvebetti.polyring import (
     ZERO,
     DivisionByZero,
     IntPoly,
+    InvalidParameters,
     NonExactDivision,
     exact_div,
     kronecker_product,
@@ -56,6 +57,9 @@ def test_scalar_and_power():
     assert P(1, 1) * P(1, 1) == P(1, 2, 1)
     assert monomial(3) == P(0, 0, 0, 1)
     assert monomial(2, -4) == P(0, 0, -4)
+    assert monomial(0, 7) == P(7)
+    with pytest.raises(InvalidParameters):
+        monomial(-2, 5)
 
 
 def test_exact_div_geometric():
@@ -341,14 +345,16 @@ def is_run(p: IntPoly) -> bool:
 @given(special_factors(), long_lists, st.booleans())
 def test_sparse_and_run_factors_match_schoolbook(b, a, b_first):
     # The special factor comes up both as the shorter operand and as the
-    # longer one.  A sparse shorter one, and a run either way, take the
-    # O(len) paths; a run is never packed.
+    # longer one; the value is checked either way.  Only the shorter
+    # operand's shape is looked at: b is that one if it has fewer
+    # coefficients, or as many and comes second, and a run there is
+    # never packed.
     pa = IntPoly(a)
     with mock.patch.object(
         polyring, "kronecker_product", wraps=polyring.kronecker_product
     ) as packed:
         assert (b * pa if b_first else pa * b) == schoolbook(pa, b)
-    if is_run(b):
+    if is_run(b) and len(b.coeffs) + b_first <= len(pa.coeffs):
         assert not packed.called
 
 
@@ -515,6 +521,25 @@ def test_div_one_minus_edge_cases():
         ratio(ONE, down=(0,))
     assert ratio(IntPoly([1, 2]), (0,)) == ZERO
     assert ratio(IntPoly([1, 2])) == IntPoly([1, 2])
+
+
+def test_ratio_and_packed_ratio_refuse_bad_exponents():
+    # Checked on entry, before the packed or the list path: a negative
+    # exponent up is a misuse, and a factor 1 - q^i with i < 1 is zero or
+    # no polynomial, named as the first such factor of down.
+    p = IntPoly([1, 2])
+    for by in (None, IntPoly([3, 1])):
+        with pytest.raises(InvalidParameters):
+            ratio(p, up=(-1,), by=by)
+        with pytest.raises(InvalidParameters):
+            ratio(p, up=(2, -3), down=(1,), by=by)
+        for i in (0, -1):
+            with pytest.raises(DivisionByZero) as excinfo:
+                ratio(p, down=(1, i, -5), by=by)
+            assert str(excinfo.value) == f"division by 1 - q^{i}"
+    with pytest.raises(InvalidParameters):
+        packed_ratio(1, -1, 1, 2, 1)
+    assert packed_ratio(1, 0, 1, 2, 1) == 0  # 1 - q^0 = 0
 
 
 @pytest.mark.parametrize("j", [1, 2, 7, 48, 100])
