@@ -103,9 +103,35 @@ class PoincarePoly(Record):
     def __str__(self) -> str:
         return str(self.poly)
 
+    # A space is the Quotient over itself with small part 1 (see Quotient).
+    small, up, down, anchor = ONE, (), (), property(lambda self: self)
+
 
 EMPTY = PoincarePoly(ZERO)
 POINT = PoincarePoly(ONE)
+
+
+class Quotient(Record):
+    """anchor times small times the product of (1 - q^a) for a in up, over
+    the product of (1 - q^i) for i in down: a space kept as a small part
+    over a large anchor that surgery.fold shares.  dim needs no ratio."""
+
+    __slots__ = ("anchor", "small", "up", "down")
+
+    def __init__(self, anchor: PoincarePoly, small: IntPoly = ONE,
+                 up: tuple[int, ...] = (), down: tuple[int, ...] = ()):
+        setfield(self, "anchor", anchor)
+        setfield(self, "small", small)
+        setfield(self, "up", up)
+        setfield(self, "down", down)
+
+    @property
+    def poly(self) -> IntPoly:
+        return ratio(self.small, self.up, self.down, by=self.anchor.poly)
+
+    @property
+    def dim(self) -> int:
+        return self.anchor.dim + self.small.degree + sum(self.up) - sum(self.down)
 
 
 def projective(m: int) -> PoincarePoly:
@@ -197,6 +223,14 @@ def grassmannian(k: int, n: int) -> PoincarePoly:
     )
 
 
+def grassmannian_over(j: int, a: int, n: int) -> Quotient:
+    """grassmannian(j, n), 0 <= j, a <= n, as a Quotient over
+    grassmannian(a, n): the recurrence's steps from row a to row j."""
+    rows = range(min(j, a) + 1, max(j, a) + 1)
+    up, down = tuple(n - i + 1 for i in rows), tuple(rows)
+    return Quotient(grassmannian(a, n), ONE, *((up, down) if j > a else (down, up)))
+
+
 @functools.lru_cache(maxsize=None)
 def fano_lines(k: int, n: int) -> PoincarePoly:
     """Space of lines in grassmannian(k, n).
@@ -235,11 +269,11 @@ def plane_families(k: int, n: int) -> Iterator[tuple]:
     """The nonempty pieces of fano_planes(k, n), as (core, envelope,
     codim, label): the piece is core x envelope, and codim is the
     codimension of the planar cubics over it in the Hilbert scheme of
-    twisted cubics."""
+    twisted cubics.  Both envelopes have the lines' Gr(k+1, n) as anchor."""
     if k >= 2:
         yield grassmannian(k - 2, k + 1), grassmannian(k + 1, n), 2 * n - k - 4, "Delta_A"
     if n >= k + 2:
-        yield grassmannian(k - 1, k + 2), grassmannian(k + 2, n), n + k - 4, "Delta_B"
+        yield grassmannian(k - 1, k + 2), grassmannian_over(k + 2, k + 1, n), n + k - 4, "Delta_B"
 
 
 @functools.lru_cache(maxsize=None)
@@ -340,6 +374,14 @@ def degree2_bracket(k: int, n: int) -> IntPoly:
     return (ONE + monomial(n)) * (ONE + monomial(3)) - shifted
 
 
+@functools.lru_cache(maxsize=None)
+def degree3_quotient(k: int, n: int) -> Quotient:
+    """M(Gr(k, n), 3) as a Quotient over the lines' grassmannian(k+1, n):
+    degree3_kernel times grassmannian(k-1, k+1) over DEGREE3_KERNEL_DEN."""
+    small = degree3_kernel(k, n) * grassmannian(k - 1, k + 1).poly
+    return Quotient(grassmannian(k + 1, n), small, down=DEGREE3_KERNEL_DEN)
+
+
 def check_curve_range(k: int, n: int, d: int, what: str) -> None:
     """Raise InvalidParameters, naming what, unless the stable-map
     formulas cover degree d curves in grassmannian(k, n)."""
@@ -357,9 +399,9 @@ def stable_maps_gr(k: int, n: int, d: int) -> PoincarePoly:
 
     Closed form: a numerator over a fixed product of (1 - q^j).  For
     d = 2 it is a low-degree bracket times grassmannian(k-1, n)
-    (1 - q^(n-k)) (1 - q^(n-k+1)); for d = 3 the kernel numerator times
-    the lines, grassmannian(k+1, n) grassmannian(k-1, k+1), small factor
-    first.  The large Grassmannian is ratio's by, multiplied packed.
+    (1 - q^(n-k)) (1 - q^(n-k+1)); for d = 3 degree3_quotient, the kernel
+    numerator times the lines, grassmannian(k+1, n) grassmannian(k-1,
+    k+1).  The large Grassmannian is ratio's by, multiplied packed.
     The result has dimension k(n-k) + dn - 3 and the degree is checked.
     """
     check_curve_range(k, n, d, f"M(Gr({k},{n}),{d})")
@@ -367,8 +409,7 @@ def stable_maps_gr(k: int, n: int, d: int) -> PoincarePoly:
         small, big = degree2_bracket(k, n), grassmannian(k - 1, n)
         value = ratio(small, (n - k, n - k + 1), DEGREE2_DEN, by=big.poly)
     else:
-        small = degree3_kernel(k, n) * grassmannian(k - 1, k + 1).poly
-        value = ratio(small, down=DEGREE3_KERNEL_DEN, by=grassmannian(k + 1, n).poly)
+        value = degree3_quotient(k, n).poly
     return PoincarePoly.from_poly(
         value,
         claimed_dim=k * (n - k) + d * n - 3,

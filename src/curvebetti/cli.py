@@ -233,6 +233,10 @@ def _parse_n_range(text: str) -> tuple[int, int]:
 
 def _cmd_table(args) -> int:
     lo, hi = _parse_n_range(args.n)
+    try:  # a key valid at some n in the range is valid at hi: no rule refuses a larger n
+        validate_key(ModuliKey(args.k, hi, args.d, args.compactification))
+    except InvalidParameters:
+        raise InvalidParameters(f"range {args.n!r} selects no keys") from None
     if args.out:
         open(args.out, "a").close()  # an unwritable path fails before the sweep
         _write_file(args.out, _table_text(args, lo, hi))

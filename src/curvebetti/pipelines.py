@@ -14,6 +14,9 @@ This module computes S and H along both routes:
 * pipeline mode starts from the stable-map polynomial and folds the
   surgery steps, with centers built out of catalog spaces.
 
+In degree 3 each route of S and H is one ratio by the lines' Gr(k+1, n):
+every term is a Quotient over it (surgery.fold).
+
 Both routes build on the catalog spaces and start from the same degree
 3 stable-map kernel, but combine them differently: the closed route
 term by term as printed, the pipeline route as blow-up and blow-down
@@ -36,11 +39,14 @@ from .catalog import (
     DEGREE2_DEN,
     DEGREE3_KERNEL_DEN,
     PoincarePoly,
+    Quotient,
     check_curve_range,
     degree2_bracket,
     degree3_kernel,
+    degree3_quotient,
     fano_lines,
     grassmannian,
+    grassmannian_over,
     lines_through_point,
     plane_families,
     projective,
@@ -57,7 +63,7 @@ from .polyring import (
     ratio,
 )
 from .record import Record, setfield
-from .surgery import Pipeline, SurgeryStep, blowup_apply, run_pipeline
+from .surgery import Pipeline, SurgeryStep, blowup_apply, fold, run_pipeline
 
 COMPACTIFICATIONS = ("M", "S", "H")
 SUITES = ("duality", "pipeline", "special", "symmetry")
@@ -167,7 +173,7 @@ def _mixed_ruling_poly() -> IntPoly:
 
 
 @functools.lru_cache(maxsize=None)
-def _simpson3_closed(k: int, n: int) -> PoincarePoly:
+def _simpson3_quotient(k: int, n: int) -> Quotient:
     def geom(j: int) -> IntPoly:
         # (1 - q^j) / (1 - q), the projective space of dimension j - 1.
         return projective(j - 1).poly
@@ -202,16 +208,17 @@ def _simpson3_closed(k: int, n: int) -> PoincarePoly:
     )
     # The lines are Gr(k+1, n) x Gr(k-1, k+1); the small factor goes in first.
     small = braced * grassmannian(k - 1, k + 1).poly
-    value = ratio(small, down=DEGREE3_KERNEL_DEN, by=grassmannian(k + 1, n).poly)
-    return PoincarePoly.from_poly(
-        value,
-        claimed_dim=k * (n - k) + 3 * n - 3,
-        what=f"S(Gr({k},{n}),3) closed",
-    )
+    return Quotient(grassmannian(k + 1, n), small, down=DEGREE3_KERNEL_DEN)
+
+
+@functools.lru_cache(maxsize=None)
+def _simpson3_closed(k: int, n: int) -> PoincarePoly:
+    value = _simpson3_quotient(k, n).poly
+    return PoincarePoly.from_poly(value, k * (n - k) + 3 * n - 3, f"S(Gr({k},{n}),3) closed")
 
 
 def _simpson3_steps(k: int, n: int) -> tuple[SurgeryStep, ...]:
-    x = grassmannian(k, n)
+    x = grassmannian_over(k, k + 1, n)
     f1 = (grassmannian(k + 1, n), grassmannian(k - 1, k + 1))  # the lines
     fx = lines_through_point(k, n)
     # Pairs of pointed lines with the diagonal blown up; codimension of
@@ -222,8 +229,8 @@ def _simpson3_steps(k: int, n: int) -> tuple[SurgeryStep, ...]:
         bl_diag.poly * projective(n - 2).poly
         + projective(1).poly * fx.poly * projective(n - 3).poly * (projective(n - 3).poly - ONE)
     )
-    # Each center leads with its large factor, x or the lines' Gr(k+1, n),
-    # the head it shares (in H, with Delta_A): the lines are never expanded.
+    # Each center leads with its large factor, the lines' Gr(k+1, n) or x
+    # over it: every head shares that anchor (in H, with Delta_A and B).
     return (
         SurgeryStep(
             kind="blowup",
@@ -289,15 +296,10 @@ def _delta_steps(k: int, n: int, planar_cubics: PoincarePoly) -> tuple[SurgerySt
 @functools.lru_cache(maxsize=None)
 def _hilbert3_closed(k: int, n: int) -> PoincarePoly:
     # Closed S plus the corrections of the same planar-locus blow-ups
-    # that the pipeline route applies.
-    total = _simpson3_closed(k, n).poly
-    for step in _delta_steps(k, n, _simpson3_closed(1, 3)):
-        total = total + step.correction()
-    return PoincarePoly.from_poly(
-        total,
-        claimed_dim=k * (n - k) + 3 * n - 3,
-        what=f"H(Gr({k},{n}),3) closed",
-    )
+    # that the pipeline route applies, in one ratio over the lines.
+    terms = [step.term() for step in _delta_steps(k, n, _simpson3_closed(1, 3))]
+    total = fold([_simpson3_quotient(k, n), *terms])
+    return PoincarePoly.from_poly(total, k * (n - k) + 3 * n - 3, f"H(Gr({k},{n}),3) closed")
 
 
 def _pipeline(key: ModuliKey) -> Pipeline:
@@ -310,12 +312,11 @@ def _pipeline(key: ModuliKey) -> Pipeline:
     k, n = key.k, key.n
     if key.d == 2:
         # In degree 2 the sheaf and Hilbert compactifications coincide.
-        steps = _simpson2_steps(k, n)
-    else:
-        steps = _simpson3_steps(k, n)
-        if key.compactification == "H":
-            steps += _delta_steps(k, n, _pipeline_poly(ModuliKey(1, 3, 3, "S")))
-    return Pipeline(base=stable_maps_gr(k, n, key.d), steps=steps)
+        return Pipeline(base=stable_maps_gr(k, n, 2), steps=_simpson2_steps(k, n))
+    steps = _simpson3_steps(k, n)
+    if key.compactification == "H":
+        steps += _delta_steps(k, n, _pipeline_poly(ModuliKey(1, 3, 3, "S")))
+    return Pipeline(base=degree3_quotient(k, n), steps=steps)
 
 
 @functools.lru_cache(maxsize=None)

@@ -44,7 +44,7 @@ B / 2^(l+1).  The coefficients of D have absolute sum at most 2^l, so
 then Q D - N has every coefficient below B in absolute value and
 vanishes at B: it is the zero polynomial, and Q = N / D exactly.
 Otherwise the list steps run on the decoded product, with the same
-quotient or the same NonExactDivision.
+quotient or the same NonExactDivision; with no down, x y is x * y.
 
 Before packing, IntPoly.__mul__ looks at the shape of the shorter
 operand only.  If that one, b, has at most two nonzero coefficients,
@@ -117,6 +117,8 @@ class IntPoly(Record):
 
     def __add__(self, other: int | IntPoly) -> IntPoly:
         a, b = self.coeffs, _as_poly(other).coeffs
+        if not (a and b):  # x + 0 is x itself: an IntPoly never changes
+            return self if a else _as_poly(other)
         return _termwise(operator.add, *((a, b) if len(a) >= len(b) else (b, a)))
 
     __radd__ = __add__
@@ -137,6 +139,8 @@ class IntPoly(Record):
         a, b = x.coeffs, y.coeffs
         if not b:
             return ZERO
+        if b == (1,):  # x times 1 is x itself
+            return x
         # b is the shorter operand; a factor of at most two terms, or a
         # single run c q^s (1 + ... + q^(m-1)), takes O(len) steps (see
         # the module docstring).
@@ -336,8 +340,9 @@ def ratio(p: IntPoly, up: Iterable[int] = (), down: Iterable[int] = (),
     1 - q^i takes the running sums q_m = p_m + q_(m-i) of the power
     series, one itertools.accumulate over each residue class of m mod i.
     That division is exact if and only if the last i of them are zero;
-    otherwise NonExactDivision is raised.  With by, the product and the
-    quotient are tried packed first, as the module docstring says.
+    otherwise NonExactDivision is raised.  With by, p is first multiplied
+    by it: packed, with the quotient, when there is a down (module
+    docstring), and as p * by when there is none.
 
     >>> ratio(IntPoly([1, 1]), up=(2,))
     IntPoly('1 + q - q^2 - q^3')
@@ -353,7 +358,7 @@ def ratio(p: IntPoly, up: Iterable[int] = (), down: Iterable[int] = (),
         )
     if down and min(down) < 1:
         raise DivisionByZero(f"division by 1 - q^{next(i for i in down if i < 1)}")
-    if p and by:
+    if p and by and down:
         x, y = p.coeffs, by.coeffs
         product, width, signed = _packed_product(x, y, len(up))
         size = len(x) + len(y) - 1
@@ -370,7 +375,7 @@ def ratio(p: IntPoly, up: Iterable[int] = (), down: Iterable[int] = (),
                 return IntPoly(unpack_slots(quot, count, width))
         p = IntPoly(unpack_slots(product, size, width, signed))
     elif by is not None:
-        p = ZERO
+        p = p * by
     cs = list(p.coeffs)
     for a in up:
         pad = [0] * a

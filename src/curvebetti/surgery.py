@@ -13,10 +13,10 @@ depends only on the step's own center and fiber, the total is a signed
 sum and the order affects only the trace, not the result.
 
 A center is a tuple of factors, a bare space a one-factor tuple.
-split() keeps the first, the head, apart and multiplies the others into
-the signed P(fiber) - 1.  Steps share large heads (the lines, the
-Grassmannian), so run_pipeline adds the small parts per head and makes
-one large product per head; run_pipeline_traced expands every step.
+term() keeps the first, the head, apart and multiplies the others into
+the signed P(fiber) - 1.  The base and a head may be catalog.Quotients
+over a large anchor: run_pipeline folds all terms into one ratio per
+anchor (fold), and run_pipeline_traced expands every step.
 
 A step's checks live on SurgeryStep alone: check_fit for a blow-up's
 center, from its factors, and __init__ for its kind, a connected fiber
@@ -26,24 +26,26 @@ build a step too, so they run the same checks.
 
 from __future__ import annotations
 
-from .catalog import PoincarePoly, projective
+from collections import Counter, defaultdict
+
+from .catalog import PoincarePoly, Quotient, projective
 from .errors import DimensionMismatch, InvalidParameters, NegativeBetti
-from .polyring import ONE, IntPoly
+from .polyring import ONE, ZERO, IntPoly, ratio
 from .record import Record, setfield
 
 
 class SurgeryStep(Record):
     """One blow-up or blow-down: a center, a fiber and a label.
 
-    center is a tuple of factors; a bare PoincarePoly is stored as a
-    one-factor tuple.  expected_codim, when set on a blow-up, enables
+    center is a tuple of factors, head first; a bare space is stored as
+    a one-factor tuple.  expected_codim, when set on a blow-up, enables
     the dimension check center dim + codim == space.dim.  Blow-downs and
     steps where only the fiber is pinned leave it unset.
     """
 
     __slots__ = ("kind", "center", "fiber", "label", "expected_codim")
 
-    def __init__(self, kind: str, center: PoincarePoly | tuple[PoincarePoly, ...],
+    def __init__(self, kind: str, center: PoincarePoly | Quotient | tuple,
                  fiber: PoincarePoly, label: str, expected_codim: int | None = None):
         if kind not in ("blowup", "blowdown"):
             raise InvalidParameters(f"step kind {kind!r}")
@@ -60,36 +62,36 @@ class SurgeryStep(Record):
 
     def check_fit(self, space_dim: int) -> None:
         """Check that a blow-up's center has codimension expected_codim
-        in a space of dimension space_dim."""
+        in a space of dimension space_dim; a center with an empty factor
+        fits anywhere (tested last: it expands a Quotient head)."""
         dim = sum(factor.dim for factor in self.center)
         if (
             self.kind == "blowup"
             and self.expected_codim is not None
-            and all(factor.poly for factor in self.center)
             and dim + self.expected_codim != space_dim
+            and all(factor.poly for factor in self.center)
         ):
             raise DimensionMismatch(
                 f"step {self.label}: center dimension {dim} + "
                 f"codimension {self.expected_codim} != {space_dim}"
             )
 
-    def split(self) -> tuple[PoincarePoly, IntPoly]:
-        """(head, small): the first factor of the center, and the others
-        times the signed P(fiber) - 1."""
+    def term(self) -> Quotient:
+        """The correction as a Quotient over the head's anchor: the other
+        factors times the signed P(fiber) - 1 join the head's small part."""
         head, *rest = self.center
         small = self.fiber.poly - ONE if self.kind == "blowup" else ONE - self.fiber.poly
         for factor in rest:
             small = factor.poly * small
-        return head, small
+        return Quotient(head.anchor, head.small * small, head.up, head.down)
 
     def correction(self) -> IntPoly:
         """Signed contribution of this step to the total."""
-        head, small = self.split()
-        return head.poly * small
+        return self.term().poly
 
 
 class Pipeline(Record):
-    __slots__ = ("base", "steps")  # a PoincarePoly, a tuple of SurgeryStep
+    __slots__ = ("base", "steps")  # a PoincarePoly or Quotient, a tuple of SurgeryStep
 
 
 class TraceRecord(Record):
@@ -165,15 +167,34 @@ def run_pipeline_traced(pipeline: Pipeline) -> PipelineRun:
     return PipelineRun(PoincarePoly(current), tuple(trace))
 
 
+def fold(terms: list[PoincarePoly | Quotient]) -> IntPoly:
+    """The sum of the terms, by one ratio per anchor.
+
+    Terms group by their anchor object, never by an equal polynomial.
+    The small parts of a group's terms with one (up, down) add up; each
+    sum is lifted to the group's common down D, the multiset maximum of
+    the downs, by its up and the factors of D its down lacks, O(len)
+    steps; one ratio multiplies the lifted sum by the anchor over D.
+    """
+    groups: dict[int, tuple[PoincarePoly, dict[tuple, IntPoly]]] = {}
+    for term in terms:
+        parts = groups.setdefault(id(term.anchor), (term.anchor, defaultdict(IntPoly)))[1]
+        parts[term.up, term.down] += term.small
+    total = ZERO
+    for anchor, parts in groups.values():
+        down = Counter({i: max(d.count(i) for _, d in parts) for _, d in parts for i in d})
+        lifted = (ratio(s, up + tuple((down - Counter(d)).elements()))
+                  for (up, d), s in parts.items())
+        total += ratio(sum(lifted, ZERO), down=tuple(down.elements()), by=anchor.poly)
+    return total
+
+
 def run_pipeline(pipeline: Pipeline) -> PoincarePoly:
-    """run_pipeline_traced's total by one large product per head.  A
-    negative total reruns traced, to name the first step that went bad."""
-    groups: dict[PoincarePoly, IntPoly] = {}
+    """run_pipeline_traced's total by fold.  A negative total reruns
+    traced, to name the first step that went bad."""
     for step in pipeline.steps:
         step.check_fit(pipeline.base.dim)
-        head, small = step.split()
-        groups[head] = groups[head] + small if head in groups else small
-    total = sum((head.poly * small for head, small in groups.items()), pipeline.base.poly)
+    total = fold([pipeline.base, *(step.term() for step in pipeline.steps)])
     if min(total.coeffs, default=0) < 0:
         return run_pipeline_traced(pipeline).result
     return PoincarePoly(total)

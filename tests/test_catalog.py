@@ -392,6 +392,49 @@ def test_stable_maps_gr_degree_three_never_expands_the_lines(monkeypatch):
     assert lines not in operands
 
 
+def euler_count(k: int, n: int, d: int) -> int:
+    """The number of torus-fixed stable maps of degree d <= 3 into
+    Gr(k, n), counted on the GKM graph: V = C(n, k) fixed points, each on
+    N = k(n-k) invariant lines.  Every such map is isolated, so the count
+    is the Euler number.  d = 2: one double edge, or two edges at a
+    vertex.  d = 3: one triple edge, a double and a single edge at a
+    vertex, a chain of three edges (reversal fixes none), or three
+    edges at a contracted vertex.  It shares no code with the formulas.
+    """
+    v, e = math.comb(n, k), k * (n - k)
+    if d == 2:
+        return v * e * (e + 2) // 2
+    return v * (e + 2 * e**2 + e**3 + 2 * math.comb(e + 2, 3)) // 2
+
+
+EULER_KEYS = [(k, n) for n in range(3, 31) for k in range(1, n)]
+
+
+def test_stable_maps_gr_euler_number_is_the_fixed_point_count():
+    assert len(EULER_KEYS) * 2 == 868
+    for k, n in EULER_KEYS:
+        for d in (2, 3):
+            assert stable_maps_gr(k, n, d).euler() == euler_count(k, n, d), (k, n, d)
+
+
+def test_euler_count_catches_a_kernel_fault_that_every_division_allows(monkeypatch):
+    # Adding q^n times the kernel's denominator keeps every division
+    # exact and changes M(Gr(k, n), 3) by q^n times the lines.
+    kernel = catalog.degree3_kernel
+    fault = ratio(ONE, DEGREE3_KERNEL_DEN)
+    monkeypatch.setattr(catalog, "degree3_kernel", lambda k, n: kernel(k, n) + monomial(n) * fault)
+    caches = (stable_maps_gr, catalog.degree3_quotient)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        caught = [(k, n) for k, n in EULER_KEYS if n <= 20
+                  if stable_maps_gr(k, n, 3).euler() != euler_count(k, n, 3)]
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert len(caught) == 189 == len([key for key in EULER_KEYS if key[1] <= 20])
+
+
 def test_stable_maps_gr_cubics_in_plane_properties():
     m = stable_maps_gr(2, 4, 3)
     assert m.dim == 13

@@ -210,6 +210,29 @@ def test_table_bad_range_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    ("n", "d", "comp", "fmt"),
+    [("1..2", "2", "M", "text"), ("1..2", "2", "M", "csv"), ("2..3", "3", "H", "json"),
+     ("1..100000000", "4", "S", "text")],
+)
+def test_table_range_with_no_valid_key_exit_2(tmp_path, capsys, n, d, comp, fmt):
+    # Refused up front, as verify refuses an empty grid: no note, no
+    # header-only table, and no --out file.
+    target = tmp_path / "table.out"
+    code, out, err = run(
+        capsys,
+        "table",
+        "--k", "1", "--n", n, "--d", d, "--compactification", comp,
+        "--format", fmt, "--out", str(target),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: range {n!r} selects no keys\n"
+    assert not target.exists()
+    assert run(capsys, "table", "--k", "1", "--n", n, "--d", d,
+               "--compactification", comp)[:2] == (2, "")
+
+
 def test_verify_small_grid_passes(capsys):
     code, out, _ = run(
         capsys, "verify", "--grid", "k=1..1,n=3..4", "--suite", "all",

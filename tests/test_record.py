@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from curvebetti import dsl
-from curvebetti.catalog import POINT, PoincarePoly, projective
+from curvebetti.catalog import POINT, PoincarePoly, Quotient, projective
 from curvebetti.pipelines import CheckResult, ModuliKey, SuiteReport
 from curvebetti.polyring import ONE, IntPoly
 from curvebetti.record import Record
@@ -28,6 +28,7 @@ FAILED = ("pipeline", "S(Gr(1,4),2)", False, "first difference at q^2: closed 3,
 EXAMPLES = [
     (IntPoly, ((1, 2),), {}),
     (PoincarePoly, (LINE.poly,), {}),
+    (Quotient, (LINE,), {"small": ONE, "up": (), "down": ()}),
     (SurgeryStep, ("blowup", POINT, LINE, "b"), {"expected_codim": None}),
     (Pipeline, (LINE, (STEP,)), {}),
     (TraceRecord, ("b", "blowup", ONE, ONE), {}),

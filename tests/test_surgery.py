@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from curvebetti import catalog, pipelines, polyring
 from curvebetti.catalog import (
     EMPTY,
     POINT,
@@ -11,6 +12,7 @@ from curvebetti.catalog import (
     InvalidParameters,
     NegativeBetti,
     PoincarePoly,
+    Quotient,
     grassmannian,
     projective,
 )
@@ -18,8 +20,10 @@ from curvebetti.pipelines import (
     ModuliKey,
     grid_keys,
     has_pipeline,
+    keys_for_pair,
     normalize_key,
     pipeline_for,
+    space_poly,
 )
 from curvebetti.polyring import IntPoly
 from curvebetti.surgery import (
@@ -202,7 +206,7 @@ def test_a_bare_center_is_a_one_factor_tuple():
     step = SurgeryStep("blowup", POINT, projective(1), "b")
     assert step.center == (POINT,)
     assert step == SurgeryStep("blowup", (POINT,), projective(1), "b")
-    assert step.split() == (POINT, IntPoly([0, 1]))
+    assert step.term() == Quotient(POINT, IntPoly([0, 1]))
 
 
 def test_factored_center_fits_and_corrects_as_its_product():
@@ -214,14 +218,20 @@ def test_factored_center_fits_and_corrects_as_its_product():
     with pytest.raises(DimensionMismatch, match="center dimension 7 "):
         step.check_fit(expanded.dim + 2)
     assert step.correction() == flat.correction()
-    head, small = step.split()
-    assert head == factors[0] and head.poly * small == flat.correction()
+    term = step.term()
+    assert term.anchor is factors[0] and term.anchor.poly * term.small == flat.correction()
     # An empty factor empties the center, which then fits anywhere.
     SurgeryStep("blowup", (projective(3), EMPTY), projective(1), "e", 2).check_fit(0)
 
 
+# With the grid, the keys whose heads Gr(k, n) and Gr(k+1, n) (n = 2k+1),
+# Gr(k+1, n) and Gr(k+2, n) (n = 2k+2) or Gr(k, n) and Gr(k+2, n)
+# (n = 2k+3) are equal polynomials, and the planar cubics.
 FOLD_KEYS = sorted(
     {normalize_key(key) for key in grid_keys(1, 19, None, 20) if has_pipeline(key)}
+    | {key for k, n in ((18, 37), (17, 37), (23, 48), (22, 47))
+       for key in keys_for_pair(k, n) if has_pipeline(key)}
+    | {ModuliKey(1, 3, 3, "S")}
 )
 
 
@@ -238,21 +248,39 @@ def test_grouped_fold_equals_the_per_step_fold(order):
         assert grouped == run_pipeline_traced(pipe).trace[-1].cumulative, str(key)
 
 
-def test_run_pipeline_makes_one_large_product_per_head(monkeypatch):
-    # The lines enter as grassmannian(k+1, n) times a small factor, so in
-    # H their head is also Delta_A's envelope; Delta_B's is Gr(k+2, n).
-    operands = []
-    mul = IntPoly.__mul__
-    for comp, head_ks in (("S", [13, 12]), ("H", [13, 12, 14])):
-        pipe = pipeline_for(ModuliKey(12, 40, 3, comp))
-        heads = [grassmannian(k, 40).poly for k in head_ks]
+def test_each_degree3_route_makes_one_large_packed_product(monkeypatch):
+    # Every term of a degree 3 route of S or H is a Quotient over the
+    # lines' Gr(13, 40), in H also Delta_A's envelope, and Gr(12, 40) and
+    # Delta_B's Gr(14, 40) enter as one recurrence step over it: each
+    # route makes one large packed product, by Gr(13, 40), and asks for
+    # neither of the other two Grassmannians.
+    expected = {
+        comp: run_pipeline_traced(pipeline_for(ModuliKey(12, 40, 3, comp))).result.poly
+        for comp in "SH"
+    }
+    lines = grassmannian(13, 40).poly.coeffs
+    large = len(grassmannian(12, 40).poly.coeffs)
+    operands, asked = [], []
+    packed_product, gr = polyring._packed_product, catalog.grassmannian
 
-        def counting_mul(a, b):
-            operands.extend(h for h in heads if h in (a, b))
-            return mul(a, b)
+    def recording_packed_product(a, b, spare=0):
+        operands.extend(x for x in (a, b) if len(x) >= large)
+        return packed_product(a, b, spare)
 
+    def recording_grassmannian(k, n):
+        asked.append((k, n))
+        return gr(k, n)
+
+    monkeypatch.setattr(polyring, "_packed_product", recording_packed_product)
+    for module in (catalog, pipelines):
+        monkeypatch.setattr(module, "grassmannian", recording_grassmannian)
+    for comp, mode in (("S", "pipeline"), ("H", "pipeline"), ("S", "closed"), ("H", "closed")):
+        for cache in (pipelines._pipeline_poly, pipelines._simpson3_closed,
+                      pipelines._hilbert3_closed, catalog.stable_maps_gr):
+            cache.cache_clear()
         operands.clear()
-        monkeypatch.setattr(IntPoly, "__mul__", counting_mul)
-        run_pipeline(pipe)
-        monkeypatch.undo()
-        assert operands == heads, comp
+        asked.clear()
+        key = ModuliKey(12, 40, 3, comp)
+        assert space_poly(key, mode).poly == expected[comp], (comp, mode)
+        assert operands == [lines], (comp, mode)
+        assert (13, 40) in asked and not {(12, 40), (14, 40)} & set(asked), (comp, mode)
