@@ -19,6 +19,9 @@ to n = 66 each row is one integer packed in slots of one machine word
 per (n, i) and shared by every k, and a Grassmannian unpacks its row
 once.  Above n = 66 the bound C(n, n//2) on a coefficient no longer
 fits below half a machine word, and the chain runs on coefficient lists.
+
+A Quotient keeps a space as small factors over a large anchor; fold sums
+Quotients by one packed sum, one decode and one ratio per anchor.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .polyring import (
     IntPoly,
     monomial,
     packed_ratio,
+    packed_sum,
     ratio,
     slot_tops,
     unpack_slots,
@@ -103,8 +107,8 @@ class PoincarePoly(Record):
     def __str__(self) -> str:
         return str(self.poly)
 
-    # A space is the Quotient over itself with small part 1 (see Quotient).
-    small, up, down, anchor = ONE, (), (), property(lambda self: self)
+    # A space is the Quotient over itself with no small factor (see Quotient).
+    small, up, down, anchor = (), (), (), property(lambda self: self)
 
 
 EMPTY = PoincarePoly(ZERO)
@@ -112,26 +116,53 @@ POINT = PoincarePoly(ONE)
 
 
 class Quotient(Record):
-    """anchor times small times the product of (1 - q^a) for a in up, over
-    the product of (1 - q^i) for i in down: a space kept as a small part
-    over a large anchor that surgery.fold shares.  dim needs no ratio."""
+    """anchor times the small factors, a tuple of IntPoly, times (1 - q^a)
+    for a in up, over (1 - q^i) for i in down: a space kept as factored
+    small parts over a large anchor that fold shares.  dim needs no ratio."""
 
     __slots__ = ("anchor", "small", "up", "down")
 
-    def __init__(self, anchor: PoincarePoly, small: IntPoly = ONE,
+    def __init__(self, anchor: PoincarePoly, small: tuple[IntPoly, ...] = (),
                  up: tuple[int, ...] = (), down: tuple[int, ...] = ()):
         setfield(self, "anchor", anchor)
         setfield(self, "small", small)
         setfield(self, "up", up)
         setfield(self, "down", down)
 
-    @property
-    def poly(self) -> IntPoly:
-        return ratio(self.small, self.up, self.down, by=self.anchor.poly)
+    poly = property(lambda self: fold([self]))
 
     @property
     def dim(self) -> int:
-        return self.anchor.dim + self.small.degree + sum(self.up) - sum(self.down)
+        return self.anchor.dim + sum(f.degree for f in self.small) + sum(self.up) - sum(self.down)
+
+
+def fold(terms: Iterable[PoincarePoly | Quotient]) -> IntPoly:
+    """The sum of the terms, one ratio(N, up, down, by=anchor) per anchor
+    object (never per equal polynomial), N the packed_sum of its terms'
+    small parts.  Terms that differ in (up, down) are each lifted, by the
+    up and what the down lacks, to up = () and the downs' multiset maximum."""
+    groups: dict[int, tuple[PoincarePoly, list]] = {}
+    for term in terms:
+        groups.setdefault(id(term.anchor), (term.anchor, []))[1].append(term)
+    total = ZERO
+    for anchor, group in groups.values():
+        shapes = {(t.up, t.down) for t in group}
+        (up, down), lifts = next(iter(shapes)), dict.fromkeys(shapes, ())
+        if len(shapes) > 1:  # down holds each i as often as the down with most of it
+            most = {i: max(d.count(i) for _, d in shapes) for _, d in shapes for i in d}
+            up, down = (), tuple(i for i, m in most.items() for _ in range(m))
+            lifts = {(u, d): tuple(sorted((*u, *_minus(down, d)))) for u, d in shapes}
+        parts = [(t.small, lifts[t.up, t.down]) for t in group]
+        total += ratio(packed_sum(parts), up, down, by=anchor.poly)
+    return total
+
+
+def _minus(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """The multiset a less b, which it contains."""
+    rest = list(a)
+    for i in b:
+        rest.remove(i)
+    return rest
 
 
 def projective(m: int) -> PoincarePoly:
@@ -195,13 +226,9 @@ def _q_binomial_row(n: int, i: int) -> int:
 def grassmannian(k: int, n: int) -> PoincarePoly:
     """Grassmannian of k-dimensional subspaces of an n-dimensional space.
 
-    Computed as the Gaussian binomial [n choose k]_q by the recurrence
-    [n choose i] = [n choose i-1] (1 - q^(n-i+1)) / (1 - q^i), so every
-    intermediate value is a polynomial.  Up to n = 66 the rows are
-    packed integers in machine-word slots, shared across k; above, the
-    recurrence runs on coefficient lists.  Out-of-range k yields the
-    empty space as a value, which downstream formulas rely on to drop
-    vacuous terms.
+    The Gaussian binomial [n choose k]_q, by the row chain of the module
+    docstring.  Out-of-range k yields the empty space as a value, which
+    downstream formulas rely on to drop vacuous terms.
 
     >>> str(grassmannian(2, 4))
     '1 + q + 2q^2 + q^3 + q^4'
@@ -228,7 +255,7 @@ def grassmannian_over(j: int, a: int, n: int) -> Quotient:
     grassmannian(a, n): the recurrence's steps from row a to row j."""
     rows = range(min(j, a) + 1, max(j, a) + 1)
     up, down = tuple(n - i + 1 for i in rows), tuple(rows)
-    return Quotient(grassmannian(a, n), ONE, *((up, down) if j > a else (down, up)))
+    return Quotient(grassmannian(a, n), (), *((up, down) if j > a else (down, up)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -378,7 +405,7 @@ def degree2_bracket(k: int, n: int) -> IntPoly:
 def degree3_quotient(k: int, n: int) -> Quotient:
     """M(Gr(k, n), 3) as a Quotient over the lines' grassmannian(k+1, n):
     degree3_kernel times grassmannian(k-1, k+1) over DEGREE3_KERNEL_DEN."""
-    small = degree3_kernel(k, n) * grassmannian(k - 1, k + 1).poly
+    small = (degree3_kernel(k, n), grassmannian(k - 1, k + 1).poly)
     return Quotient(grassmannian(k + 1, n), small, down=DEGREE3_KERNEL_DEN)
 
 
@@ -399,10 +426,9 @@ def stable_maps_gr(k: int, n: int, d: int) -> PoincarePoly:
 
     Closed form: a numerator over a fixed product of (1 - q^j).  For
     d = 2 it is a low-degree bracket times grassmannian(k-1, n)
-    (1 - q^(n-k)) (1 - q^(n-k+1)); for d = 3 degree3_quotient, the kernel
-    numerator times the lines, grassmannian(k+1, n) grassmannian(k-1,
-    k+1).  The large Grassmannian is ratio's by, multiplied packed.
-    The result has dimension k(n-k) + dn - 3 and the degree is checked.
+    (1 - q^(n-k)) (1 - q^(n-k+1)); for d = 3 degree3_quotient.  The large
+    Grassmannian is ratio's by, multiplied packed.  The result has
+    dimension k(n-k) + dn - 3 and the degree is checked.
     """
     check_curve_range(k, n, d, f"M(Gr({k},{n}),{d})")
     if d == 2:

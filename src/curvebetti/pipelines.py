@@ -15,7 +15,7 @@ This module computes S and H along both routes:
   surgery steps, with centers built out of catalog spaces.
 
 In degree 3 each route of S and H is one ratio by the lines' Gr(k+1, n):
-every term is a Quotient over it (surgery.fold).
+every term is a Quotient over it (catalog.fold).
 
 Both routes build on the catalog spaces and start from the same degree
 3 stable-map kernel, but combine them differently: the closed route
@@ -38,6 +38,7 @@ import functools
 from .catalog import (
     DEGREE2_DEN,
     DEGREE3_KERNEL_DEN,
+    POINT,
     PoincarePoly,
     Quotient,
     check_curve_range,
@@ -45,6 +46,7 @@ from .catalog import (
     degree3_kernel,
     degree3_quotient,
     fano_lines,
+    fold,
     grassmannian,
     grassmannian_over,
     lines_through_point,
@@ -63,7 +65,7 @@ from .polyring import (
     ratio,
 )
 from .record import Record, setfield
-from .surgery import Pipeline, SurgeryStep, blowup_apply, fold, run_pipeline
+from .surgery import Pipeline, SurgeryStep, blowup_apply, run_pipeline
 
 COMPACTIFICATIONS = ("M", "S", "H")
 SUITES = ("duality", "pipeline", "special", "symmetry")
@@ -163,52 +165,39 @@ def _simpson2_steps(k: int, n: int) -> tuple[SurgeryStep, ...]:
 # ---------------------------------------------------------------- degree 3
 
 
-def _mixed_ruling_poly() -> IntPoly:
-    # Fiber polynomial over the locus of reducible conics with a tail:
-    # (1+q) copies of the degree 3 fiber plus a shifted (1+q) copy of
-    # the degree 2 one.
-    return (ONE + monomial(1)) * stable_maps_p1(3).poly + monomial(1) * (
-        ONE + monomial(1)
-    ) * stable_maps_p1(2).poly
+# The fiber over the reducible conics with a tail, built once at import.
+MIXED_RULING = ((ONE + monomial(1)) * stable_maps_p1(3).poly
+                + monomial(1) * (ONE + monomial(1)) * stable_maps_p1(2).poly)
 
 
 @functools.lru_cache(maxsize=None)
 def _simpson3_quotient(k: int, n: int) -> Quotient:
+    """Closed S over the lines, Gr(k+1, n) x Gr(k-1, k+1), and the kernel's
+    denominator: one small factor, the printed terms, each times Gr(k-1,
+    k+1) and its (1 - q^j) factors, summed by fold over the point.  The
+    last carries the one truly rational factor (1 - q^(n-3)) / (1 - q^2)."""
     def geom(j: int) -> IntPoly:
         # (1 - q^j) / (1 - q), the projective space of dimension j - 1.
         return projective(j - 1).poly
 
-    fx = lines_through_point(k, n).poly
-    mb2 = stable_maps_p1(2).poly
-    mb3 = stable_maps_p1(3).poly
-    ruled = _mixed_ruling_poly()
-
-    # The braced sum of the printed formula, taken over the kernel's
-    # denominator.  Every term but the kernel and the last one is a
-    # polynomial; the last carries the one truly rational factor
-    # (1 - q^(n-3)) / (1 - q^2), which times the kernel's denominator
-    # is (1 - q^(n-3))(1 - q)(1 - q^2)(1 - q^3)^2.
-    pointed_pencils = fx + geom(n - 2) - ONE
+    core = grassmannian(k - 1, k + 1).poly
+    g2, gn1, gn2 = geom(2), geom(n - 1), geom(n - 2)
+    pointed_pencils = lines_through_point(k, n).poly + gn2 - ONE
+    minus_g3, gn2_raised = ONE - geom(3), gn2 - ONE
     polynomial_terms = (
-        mb3 * (geom(2 * n - 4) - ONE)
-        + geom(2) * pointed_pencils * mb2 * (geom(n - 1) - ONE)
-        + geom(n - 2) * ruled * (geom(n - 2) - ONE)
-        - geom(2)
-        * (
-            geom(n - 1) * pointed_pencils
-            + geom(2) * geom(n - 2) * (geom(n - 2) - ONE)
-        )
-        * (geom(3) - ONE)
-        - geom(2) * geom(n - 2) * geom(n - 2) * (geom(5) - ONE)
+        (stable_maps_p1(3).poly, geom(2 * n - 4) - ONE),
+        (g2, pointed_pencils, stable_maps_p1(2).poly, gn1 - ONE),
+        (gn2, MIXED_RULING, gn2_raised),
+        (g2, gn1, pointed_pencils, minus_g3),
+        (g2, g2, gn2, gn2_raised, minus_g3),
+        (g2, gn2, gn2, ONE - geom(5)),
     )
-    braced = (
-        degree3_kernel(k, n)
-        + ratio(polynomial_terms, DEGREE3_KERNEL_DEN)
-        - ratio(geom(n - 2) * (geom(8) - ONE), (n - 3, 1, 2, 3, 3))
-    )
-    # The lines are Gr(k+1, n) x Gr(k-1, k+1); the small factor goes in first.
-    small = braced * grassmannian(k - 1, k + 1).poly
-    return Quotient(grassmannian(k + 1, n), small, down=DEGREE3_KERNEL_DEN)
+    small = fold([
+        Quotient(POINT, (degree3_kernel(k, n), core)),
+        *(Quotient(POINT, (*factors, core), DEGREE3_KERNEL_DEN) for factors in polynomial_terms),
+        Quotient(POINT, (gn2, ONE - geom(8), core), (n - 3, 1, 2, 3, 3)),
+    ])
+    return Quotient(grassmannian(k + 1, n), (small,), down=DEGREE3_KERNEL_DEN)
 
 
 @functools.lru_cache(maxsize=None)
@@ -224,7 +213,6 @@ def _simpson3_steps(k: int, n: int) -> tuple[SurgeryStep, ...]:
     # Pairs of pointed lines with the diagonal blown up; codimension of
     # the diagonal is n - 2.
     bl_diag = blowup_apply(fx * fx, fx, n - 2)
-    ruled = PoincarePoly.from_poly(_mixed_ruling_poly())
     down4_core = PoincarePoly.from_poly(
         bl_diag.poly * projective(n - 2).poly
         + projective(1).poly * fx.poly * projective(n - 3).poly * (projective(n - 3).poly - ONE)
@@ -248,7 +236,7 @@ def _simpson3_steps(k: int, n: int) -> tuple[SurgeryStep, ...]:
         ),
         SurgeryStep(
             kind="blowup",
-            center=(*f1, projective(n - 3), ruled),
+            center=(*f1, projective(n - 3), PoincarePoly(MIXED_RULING)),
             fiber=projective(n - 3),
             label="Gamma^3_2",
             expected_codim=n - 2,

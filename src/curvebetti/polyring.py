@@ -6,29 +6,34 @@ q^j is a Betti number, so every operation here must be exact: no floats,
 no modular tricks, and division either succeeds with remainder zero or
 raises.
 
-Multiplication is Kronecker substitution (kronecker_product): both
-operands are evaluated at q = 2^w by packing their coefficients into
-one integer each, the two integers are multiplied once (CPython's
-Karatsuba multiply does the convolution), and the product's
-coefficients are read back out of w-bit slots.  The slot width is
-exact, not heuristic: a product coefficient sums at most
-min(len a, len b) terms, each below 2^(bits a + bits b) in absolute
-value, so w = bits a + bits b + bits(min(len a, len b)) + 1 bits,
-rounded up to whole bytes, hold it with its sign.
+Multiplication is Kronecker substitution (kronecker_product): each
+operand is packed into one integer, its value at q = 2^w, the two are
+multiplied once (CPython's Karatsuba multiply does the convolution), and
+the product's coefficients are read back out of w-bit slots.  A product
+coefficient sums at most min(len a, len b) terms, each below
+2^(bits a + bits b) in absolute value, so w = bits a + bits b +
+bits(min(len a, len b)) + 1 bits, in whole bytes, hold it with its sign.
 
 A slot of at most 8 bytes is widened to the next machine word of 1, 2,
 4 or 8 bytes that the platform's array module offers, so that packing
-and unpacking run in C (array, int.from_bytes, int.to_bytes); packed
-integers are little-endian, slot j holding coefficient j, on every
-platform.  With B = 2^(8w), a nonnegative operand packs as it is.  A
-signed one packs through the signed typecode, each negative c as
-c + B, and then subtracts its slots' sign bits moved up one bit: one
-borrow of B per negative slot, from the slot above.  A product with a
-signed factor is read as (P + biases) ^ biases through the signed
-typecode, biases holding B/2 in every slot: the sum has every slot in
-[0, B), and the xor turns each into its coefficient's two's
-complement.  Slots wider than 8 bytes, needed only above about 60 bits,
-are packed and read the same way, as byte slices.
+and unpacking run in C; packed integers are little-endian on every
+platform, slot j holding coefficient j.  With B = 2^(8w), a nonnegative
+operand packs as it is, a signed one through the signed typecode, each
+negative c as c + B, less its slots' sign bits moved up one bit: one
+borrow of B per negative slot.  A signed product P is read as
+(P + biases) ^ biases through the signed typecode, biases holding B/2 in
+every slot (each slot of the sum lies in [0, B), and the xor gives its
+two's complement), only given a bound below B/2 on the coefficients'
+absolute values.  Slots wider than 8 bytes, needed only above about 60
+bits, are packed and read the same way, as byte slices.
+
+packed_sum adds products of small factors, each times its lifts
+(1 - q^a), at one such point, a ring homomorphism: the products, lifts
+v -= v << 8w a and sum are integer arithmetic, decoded once.  The bound
+is the sum of ||a||_inf prod ||b||_1 2^(lifts), a the factor of largest
+||.||_1 / ||.||_inf and b the others (||x y||_inf <= ||x||_inf ||y||_1,
+and 1 - q^a at most doubles it).  The slot is the smallest, of 1, 2, 4
+or 8 bytes or byte slices above, whose half-range B/2 exceeds the bound.
 
 Products and quotients of factors (1 - q^j) have one function, ratio,
 which takes one O(len) step per factor: a shift and subtraction per
@@ -53,8 +58,7 @@ scaled by c and d where they are not 1, and added.  If b is a single
 run c q^s (1 + q + ... + q^(m-1)), the product is c q^s times a times
 (1 - q^m) / (1 - q): one ratio, whose remainder check still runs.
 Both are sums of exact integers, so they give the Kronecker product
-coefficient for coefficient.  Blow-up corrections
-are such products: the centre times P(fiber) - 1 = q + ... + q^(c-1).
+coefficient for coefficient.
 
 packed_ratio runs one step V (1 - q^a) / (1 - q^i) on packed integers
 with slots of w bytes holding nonnegative coefficients: x = V(B) -
@@ -72,6 +76,7 @@ of the q-binomial recurrence, wherever w fits a machine word (n <= 66).
 
 from __future__ import annotations
 
+import math
 import operator
 import sys
 from array import array
@@ -260,14 +265,16 @@ def slot_tops(width: int, bits: int, count: int) -> int:
     return int.from_bytes(top.to_bytes(width, "little") * count, "little")
 
 
-def unpack_slots(value: int, count: int, width: int, signed: bool = False) -> list[int]:
+def unpack_slots(value: int, count: int, width: int, bound: int | None = None) -> list[int]:
     """The count slots of width bytes of a packed integer, lowest first:
-    the base-2^(8 width) digits of a nonnegative value or, with signed,
-    the coefficients of a packed polynomial (module docstring).  Each
-    slot is copied into the low bytes of the smallest array item that
-    holds it, and array(...).tolist() reads the items; a width with no
-    such item is read as byte slices."""
+    base-2^(8 width) digits or, given a bound on their absolute values,
+    signed coefficients (module docstring), refused with InvalidParameters
+    unless bound < 2^(8 width - 1).  Each slot is read through the
+    smallest array item that holds it, or as a byte slice if none does."""
+    signed = bound is not None
     if signed:
+        if bound >> 8 * width - 1:
+            raise InvalidParameters(f"bound {bound} is not below half a {width}-byte slot")
         biases = slot_tops(width, 1, count)
         value = (value + biases) ^ biases
     data = value.to_bytes(count * width, "little")
@@ -288,39 +295,72 @@ def unpack_slots(value: int, count: int, width: int, signed: bool = False) -> li
     return words.tolist()
 
 
+def _pack(cs: tuple[int, ...], width: int, signed: bool) -> int:
+    """cs(B), B = 2^(8 width), each |c| < B/2 if signed (module docstring)."""
+    code = _SLOTS.get(width, (width, ""))[1]
+    if code:
+        words = array(code.lower() if signed else code, cs)
+        if _BIG_ENDIAN:
+            words.byteswap()
+        data = words.tobytes()
+    else:
+        data = b"".join([c.to_bytes(width, "little", signed=True) for c in cs])
+    u = int.from_bytes(data, "little")
+    return u - ((u & slot_tops(width, 1, len(cs))) << 1) if signed else u
+
+
+def packed_sum(parts: Iterable[tuple[tuple[IntPoly, ...], tuple[int, ...]]]) -> IntPoly:
+    """The sum over parts (factors, lifts) of the factors' product times
+    (1 - q^a) for a in lifts, at one packed point (module docstring): each
+    factor object is packed once, and parts with equal lifts lifted once."""
+    parts = [(fs, lifts) for fs, lifts in parts if all(fs)]  # a zero factor adds 0
+    if len(parts) == 1 and len(parts[0][0]) < 2 and not parts[0][1]:
+        return parts[0][0][0] if parts[0][0] else ONE  # nothing to multiply
+    norms, bound, count = {}, 0, 0  # norms: id -> (||f||_1, ||f||_inf, signed, coeffs)
+    for fs, lifts in parts:
+        l1, a1, a_top, size = 1, 1, 1, sum(lifts) + 1  # a: the factor of largest l1 / top
+        for f in fs:
+            if id(f) not in norms:
+                cs, lo, hi = f.coeffs, min(f.coeffs), max(f.coeffs)
+                norms[id(f)] = (sum(map(abs, cs)) if lo < 0 else sum(cs), max(hi, -lo), lo < 0, cs)
+            n1, top, _, cs = norms[id(f)]
+            l1, size = l1 * n1, size + len(cs) - 1
+            if top * a1 < a_top * n1:
+                a1, a_top = n1, top
+        bound += l1 // a1 * a_top << len(lifts)
+        count = max(count, size)
+    width = bound.bit_length() // 8 + 1  # the smallest slot with bound < B/2
+    width = _SLOTS.get(width, (width, ""))[0]
+    packed = {i: _pack(cs, width, signed) for i, (_, _, signed, cs) in norms.items()}
+    sums: dict[tuple[int, ...], int] = {}
+    for fs, lifts in parts:
+        sums[lifts] = sums.get(lifts, 0) + math.prod(packed[id(f)] for f in fs)
+    total, shift = 0, 8 * width
+    for lifts, v in sums.items():
+        for a in lifts:
+            v -= v << shift * a
+        total += v
+    return IntPoly(unpack_slots(total, count, width, bound))
+
+
 def _packed_product(a: tuple[int, ...], b: tuple[int, ...], spare: int = 0) -> tuple:
-    """(a(B) b(B), width, signed), B = 2^(8 width), in the slots that
-    hold every product coefficient, its sign and spare bits more; signed
-    if a or b has a negative coefficient.  See the module docstring."""
+    """(a(B) b(B), width, bound), B = 2^(8 width), in slots that hold every
+    product coefficient, its sign and spare bits more (module docstring);
+    bound, on the coefficients, is None if a and b are nonnegative."""
     lo_a, lo_b = min(a), min(b)
-    width = (
-        max(max(a), -lo_a).bit_length()
-        + max(max(b), -lo_b).bit_length()
-        + min(len(a), len(b)).bit_length()
-        + spare
-        + 8  # one sign bit, and 7 to round up to whole bytes
-    ) // 8
-    width, code = _SLOTS.get(width, (width, ""))
-
-    def pack(cs: tuple[int, ...], lo: int) -> int:
-        if code:
-            words = array(code if lo >= 0 else code.lower(), cs)
-            if _BIG_ENDIAN:
-                words.byteswap()
-            data = words.tobytes()
-        else:
-            data = b"".join([c.to_bytes(width, "little", signed=True) for c in cs])
-        u = int.from_bytes(data, "little")
-        return u if lo >= 0 else u - ((u & slot_tops(width, 1, len(cs))) << 1)
-
-    return pack(a, lo_a) * pack(b, lo_b), width, lo_a < 0 or lo_b < 0
+    top_a, top_b, terms = max(max(a), -lo_a), max(max(b), -lo_b), min(len(a), len(b))
+    # One sign bit more, and 7 to round up to whole bytes.
+    width = (top_a.bit_length() + top_b.bit_length() + terms.bit_length() + spare + 8) // 8
+    width = _SLOTS.get(width, (width, ""))[0]
+    bound = top_a * top_b * terms if lo_a < 0 or lo_b < 0 else None
+    return _pack(a, width, lo_a < 0) * _pack(b, width, lo_b < 0), width, bound
 
 
 def kronecker_product(a: tuple[int, ...], b: tuple[int, ...]) -> IntPoly:
     """The product of two nonempty coefficient tuples, packed and
     multiplied as one integer each, whatever their shape."""
-    product, width, signed = _packed_product(a, b)
-    return IntPoly(unpack_slots(product, len(a) + len(b) - 1, width, signed))
+    product, width, bound = _packed_product(a, b)
+    return IntPoly(unpack_slots(product, len(a) + len(b) - 1, width, bound))
 
 
 def monomial(j: int, c: int = 1) -> IntPoly:
@@ -360,7 +400,7 @@ def ratio(p: IntPoly, up: Iterable[int] = (), down: Iterable[int] = (),
         raise DivisionByZero(f"division by 1 - q^{next(i for i in down if i < 1)}")
     if p and by and down:
         x, y = p.coeffs, by.coeffs
-        product, width, signed = _packed_product(x, y, len(up))
+        product, width, bound = _packed_product(x, y, len(up))
         size = len(x) + len(y) - 1
         count = size + sum(up) - sum(down)
         if count > 0:
@@ -373,7 +413,7 @@ def ratio(p: IntPoly, up: Iterable[int] = (), down: Iterable[int] = (),
             tops = slot_tops(width, len(down) + 1, count)
             if not rem and 0 <= quot < 1 << shift * count and not quot & tops:
                 return IntPoly(unpack_slots(quot, count, width))
-        p = IntPoly(unpack_slots(product, size, width, signed))
+        p = IntPoly(unpack_slots(product, size, width, bound))
     elif by is not None:
         p = p * by
     cs = list(p.coeffs)

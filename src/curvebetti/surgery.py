@@ -13,10 +13,11 @@ depends only on the step's own center and fiber, the total is a signed
 sum and the order affects only the trace, not the result.
 
 A center is a tuple of factors, a bare space a one-factor tuple.
-term() keeps the first, the head, apart and multiplies the others into
-the signed P(fiber) - 1.  The base and a head may be catalog.Quotients
-over a large anchor: run_pipeline folds all terms into one ratio per
-anchor (fold), and run_pipeline_traced expands every step.
+term() keeps the first, the head, apart and appends the others and the
+signed P(fiber) - 1, unmultiplied, to its small factors.  The base and a
+head may be catalog.Quotients over a large anchor: run_pipeline sums all
+terms with one packed evaluation, one decode and one ratio per anchor
+(catalog.fold), and run_pipeline_traced expands every step.
 
 A step's checks live on SurgeryStep alone: check_fit for a blow-up's
 center, from its factors, and __init__ for its kind, a connected fiber
@@ -26,11 +27,9 @@ build a step too, so they run the same checks.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-
-from .catalog import PoincarePoly, Quotient, projective
+from .catalog import PoincarePoly, Quotient, fold, projective
 from .errors import DimensionMismatch, InvalidParameters, NegativeBetti
-from .polyring import ONE, ZERO, IntPoly, ratio
+from .polyring import ONE, IntPoly
 from .record import Record, setfield
 
 
@@ -78,12 +77,11 @@ class SurgeryStep(Record):
 
     def term(self) -> Quotient:
         """The correction as a Quotient over the head's anchor: the other
-        factors times the signed P(fiber) - 1 join the head's small part."""
+        factors and the signed P(fiber) - 1 join the head's small factors."""
         head, *rest = self.center
-        small = self.fiber.poly - ONE if self.kind == "blowup" else ONE - self.fiber.poly
-        for factor in rest:
-            small = factor.poly * small
-        return Quotient(head.anchor, head.small * small, head.up, head.down)
+        sign = self.fiber.poly - ONE if self.kind == "blowup" else ONE - self.fiber.poly
+        small = (*head.small, *(factor.poly for factor in rest), sign)
+        return Quotient(head.anchor, small, head.up, head.down)
 
     def correction(self) -> IntPoly:
         """Signed contribution of this step to the total."""
@@ -165,28 +163,6 @@ def run_pipeline_traced(pipeline: Pipeline) -> PipelineRun:
             f"at step {label})"
         )
     return PipelineRun(PoincarePoly(current), tuple(trace))
-
-
-def fold(terms: list[PoincarePoly | Quotient]) -> IntPoly:
-    """The sum of the terms, by one ratio per anchor.
-
-    Terms group by their anchor object, never by an equal polynomial.
-    The small parts of a group's terms with one (up, down) add up; each
-    sum is lifted to the group's common down D, the multiset maximum of
-    the downs, by its up and the factors of D its down lacks, O(len)
-    steps; one ratio multiplies the lifted sum by the anchor over D.
-    """
-    groups: dict[int, tuple[PoincarePoly, dict[tuple, IntPoly]]] = {}
-    for term in terms:
-        parts = groups.setdefault(id(term.anchor), (term.anchor, defaultdict(IntPoly)))[1]
-        parts[term.up, term.down] += term.small
-    total = ZERO
-    for anchor, parts in groups.values():
-        down = Counter({i: max(d.count(i) for _, d in parts) for _, d in parts for i in d})
-        lifted = (ratio(s, up + tuple((down - Counter(d)).elements()))
-                  for (up, d), s in parts.items())
-        total += ratio(sum(lifted, ZERO), down=tuple(down.elements()), by=anchor.poly)
-    return total
 
 
 def run_pipeline(pipeline: Pipeline) -> PoincarePoly:

@@ -505,3 +505,8 @@ def test_outputs_match_the_recorded_digest(empty_caches):
     for line in _output_lines():
         digest.update(line.encode() + b"\n")
     assert digest.hexdigest() == OUTPUT_DIGEST
+
+
+def test_mixed_ruling_is_a_module_constant():
+    # (1 + q) MbarP1(3) + q (1 + q) MbarP1(2), built once at import.
+    assert pipelines.MIXED_RULING == IntPoly([1, 3, 5, 5, 3, 1])

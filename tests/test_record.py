@@ -28,7 +28,7 @@ FAILED = ("pipeline", "S(Gr(1,4),2)", False, "first difference at q^2: closed 3,
 EXAMPLES = [
     (IntPoly, ((1, 2),), {}),
     (PoincarePoly, (LINE.poly,), {}),
-    (Quotient, (LINE,), {"small": ONE, "up": (), "down": ()}),
+    (Quotient, (LINE,), {"small": (), "up": (), "down": ()}),
     (SurgeryStep, ("blowup", POINT, LINE, "b"), {"expected_codim": None}),
     (Pipeline, (LINE, (STEP,)), {}),
     (TraceRecord, ("b", "blowup", ONE, ONE), {}),

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvebetti import catalog, pipelines, polyring
@@ -13,6 +13,7 @@ from curvebetti.catalog import (
     NegativeBetti,
     PoincarePoly,
     Quotient,
+    fold,
     grassmannian,
     projective,
 )
@@ -25,7 +26,7 @@ from curvebetti.pipelines import (
     pipeline_for,
     space_poly,
 )
-from curvebetti.polyring import IntPoly
+from curvebetti.polyring import ONE, IntPoly, ratio, unpack_slots
 from curvebetti.surgery import (
     Pipeline,
     SurgeryStep,
@@ -206,7 +207,7 @@ def test_a_bare_center_is_a_one_factor_tuple():
     step = SurgeryStep("blowup", POINT, projective(1), "b")
     assert step.center == (POINT,)
     assert step == SurgeryStep("blowup", (POINT,), projective(1), "b")
-    assert step.term() == Quotient(POINT, IntPoly([0, 1]))
+    assert step.term() == Quotient(POINT, (IntPoly([0, 1]),))
 
 
 def test_factored_center_fits_and_corrects_as_its_product():
@@ -219,7 +220,10 @@ def test_factored_center_fits_and_corrects_as_its_product():
         step.check_fit(expanded.dim + 2)
     assert step.correction() == flat.correction()
     term = step.term()
-    assert term.anchor is factors[0] and term.anchor.poly * term.small == flat.correction()
+    # The head is the anchor; the other factors and P(fiber) - 1 stay factored.
+    assert term.anchor is factors[0]
+    assert term.small == (factors[1].poly, factors[2].poly, IntPoly([0, 1, 1]))
+    assert term.poly == flat.correction()
     # An empty factor empties the center, which then fits anywhere.
     SurgeryStep("blowup", (projective(3), EMPTY), projective(1), "e", 2).check_fit(0)
 
@@ -284,3 +288,73 @@ def test_each_degree3_route_makes_one_large_packed_product(monkeypatch):
         assert space_poly(key, mode).poly == expected[comp], (comp, mode)
         assert operands == [lines], (comp, mode)
         assert (13, 40) in asked and not {(12, 40), (14, 40)} & set(asked), (comp, mode)
+
+
+# --------------------------------------------------------------- packed fold
+
+# Two anchors, and a third object with the first one's polynomial: fold
+# groups by object, so it is a group of its own with the same value.
+ANCHORS = (grassmannian(2, 5), projective(3), PoincarePoly(grassmannian(2, 5).poly))
+signed_polys = st.lists(st.integers(-(2**40), 2**40), max_size=6).map(IntPoly)
+exponents = st.lists(st.integers(1, 4), max_size=3).map(tuple)
+
+
+@st.composite
+def factored_terms(draw):
+    """Quotients with signed, zero and empty factor tuples over shared
+    and distinct anchors.  Each term's down either is in its up or
+    divides a factor, ∏(1 - q^i) multiplied out, so every term and the
+    total is exact; the downs still differ, so fold lifts them."""
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        anchor = ANCHORS[draw(st.integers(0, len(ANCHORS) - 1))]
+        factors = draw(st.lists(signed_polys, max_size=3))
+        up, down = draw(exponents), draw(exponents)
+        if draw(st.booleans()):
+            up += down
+        else:
+            factors.append(ratio(ONE, down))
+        terms.append(Quotient(anchor, tuple(factors), up, down))
+    return terms
+
+
+def expanded(term: Quotient) -> IntPoly:
+    """A term's polynomial by IntPoly products and list ratio steps."""
+    product = term.anchor.poly
+    for factor in term.small:
+        product = product * factor
+    return ratio(product, term.up, term.down)
+
+
+@settings(deadline=None, max_examples=200)
+@given(factored_terms())
+def test_packed_fold_equals_the_intpoly_expansion(terms):
+    assert fold(terms) == sum((expanded(t) for t in terms), IntPoly())
+    assert [t.poly for t in terms] == [expanded(t) for t in terms]
+
+
+@pytest.mark.parametrize("width, wider", [(1, 2), (2, 4), (4, 8), (8, 9), (9, 10)])
+def test_a_bound_below_half_a_slot_keeps_the_width(monkeypatch, width, wider):
+    # The product f * 1 reaches its bound ||f||_inf at q^0 and q^2.
+    decoded = []
+
+    def recording_unpack(value, count, w, bound=None):
+        decoded.append(w)
+        return unpack_slots(value, count, w, bound)
+
+    monkeypatch.setattr(polyring, "unpack_slots", recording_unpack)
+    half = 2 ** (8 * width - 1)
+    for c, w in ((half - 1, width), (half, wider)):
+        for f in (IntPoly([c, -c, c]), IntPoly([-c, c, -c])):
+            assert fold([Quotient(POINT, (f, ONE))]) == f
+            assert decoded.pop() == w
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8, 9])
+def test_the_decode_refuses_a_bound_at_half_a_slot(width):
+    half = 2 ** (8 * width - 1)
+    value = half - 1 - ((half - 1) << 8 * width)  # the slots half - 1, -(half - 1)
+    assert unpack_slots(value, 2, width, half - 1) == [half - 1, -(half - 1)]
+    for bound in (half, 2 * half):
+        with pytest.raises(InvalidParameters, match="not below half"):
+            unpack_slots(value, 2, width, bound)
