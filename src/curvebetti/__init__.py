@@ -41,9 +41,7 @@ from .pipelines import (
 from .polyring import IntPoly, exact_div, monomial
 from .surgery import (
     Pipeline,
-    PipelineRun,
     SurgeryStep,
-    TraceRecord,
     blowdown_apply,
     blowup_apply,
     run_pipeline,

@@ -125,11 +125,6 @@ def _record(
     }
 
 
-def _trace_for(key: ModuliKey) -> list[dict]:
-    run = run_pipeline_traced(pipeline_for(key))
-    return [record.to_json() for record in run.trace]
-
-
 def _render_text_record(record: dict) -> str:
     lines = [f"space: {record['space']}"]
     lines.append(
@@ -193,7 +188,7 @@ def _cmd_betti(args) -> int:
         result = space_poly(key)
         space_text = str(key)
     if args.trace and key is not None and has_pipeline(key):
-        trace = _trace_for(key)
+        trace = run_pipeline_traced(pipeline_for(key))
     elif args.trace:
         print("note: no pipeline trace for this space", file=sys.stderr)
 
@@ -256,7 +251,7 @@ def _table_text(args, lo: int, hi: int) -> str:
             continue
         trace = None
         if args.trace and args.format == "json" and has_pipeline(key):
-            trace = _trace_for(key)
+            trace = run_pipeline_traced(pipeline_for(key))
         records.append(_record(space_poly(key), str(key), key, trace))
     if args.trace and args.format != "json":
         print("note: --trace output is available with --format json only",

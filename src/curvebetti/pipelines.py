@@ -128,17 +128,19 @@ def dim_expected(key: ModuliKey) -> int:
     return key.k * (key.n - key.k) + key.d * key.n - 3
 
 
+def _closed(key: ModuliKey, poly: IntPoly) -> PoincarePoly:
+    """A closed route's polynomial, checked against the key's dimension."""
+    return PoincarePoly.from_poly(poly, dim_expected(key), f"{key} closed")
+
+
 # ---------------------------------------------------------------- degree 2
 
 
 @functools.lru_cache(maxsize=None)
 def _simpson2_closed(k: int, n: int) -> PoincarePoly:
     bracket = degree2_bracket(k, n) + ratio(monomial(3) - monomial(n - 2), (2,))
-    return PoincarePoly.from_poly(
-        ratio(bracket, (k, k + 1), DEGREE2_DEN, by=grassmannian(k + 1, n).poly),
-        claimed_dim=k * (n - k) + 2 * n - 3,
-        what=f"S(Gr({k},{n}),2) closed",
-    )
+    return _closed(ModuliKey(k, n, 2, "S"),
+                   ratio(bracket, (k, k + 1), DEGREE2_DEN, by=grassmannian(k + 1, n).poly))
 
 
 def _simpson2_steps(k: int, n: int) -> tuple[SurgeryStep, ...]:
@@ -151,7 +153,6 @@ def _simpson2_steps(k: int, n: int) -> tuple[SurgeryStep, ...]:
             center=(f1, stable_maps_p1(2)),
             fiber=projective(n - 3),
             label="Gamma^1",
-            expected_codim=n - 2,
         ),
         SurgeryStep(
             kind="blowdown",
@@ -202,8 +203,7 @@ def _simpson3_quotient(k: int, n: int) -> Quotient:
 
 @functools.lru_cache(maxsize=None)
 def _simpson3_closed(k: int, n: int) -> PoincarePoly:
-    value = _simpson3_quotient(k, n).poly
-    return PoincarePoly.from_poly(value, k * (n - k) + 3 * n - 3, f"S(Gr({k},{n}),3) closed")
+    return _closed(ModuliKey(k, n, 3, "S"), _simpson3_quotient(k, n).poly)
 
 
 def _simpson3_steps(k: int, n: int) -> tuple[SurgeryStep, ...]:
@@ -225,21 +225,18 @@ def _simpson3_steps(k: int, n: int) -> tuple[SurgeryStep, ...]:
             center=(*f1, stable_maps_p1(3)),
             fiber=projective(2 * n - 5),
             label="Gamma^1_0",
-            expected_codim=2 * n - 4,
         ),
         SurgeryStep(
             kind="blowup",
             center=(x, bl_diag, stable_maps_p1(2)),
             fiber=projective(n - 2),
             label="Gamma^2_1",
-            expected_codim=n - 1,
         ),
         SurgeryStep(
             kind="blowup",
             center=(*f1, projective(n - 3), PoincarePoly(MIXED_RULING)),
             fiber=projective(n - 3),
             label="Gamma^3_2",
-            expected_codim=n - 2,
         ),
         SurgeryStep(
             kind="blowdown",
@@ -275,7 +272,6 @@ def _delta_steps(k: int, n: int, planar_cubics: PoincarePoly) -> tuple[SurgerySt
             center=(envelope, core, planar_cubics),
             fiber=projective(codim - 1),
             label=label,
-            expected_codim=codim,
         )
         for core, envelope, codim, label in plane_families(k, n)
     )
@@ -286,8 +282,7 @@ def _hilbert3_closed(k: int, n: int) -> PoincarePoly:
     # Closed S plus the corrections of the same planar-locus blow-ups
     # that the pipeline route applies, in one ratio over the lines.
     terms = [step.term() for step in _delta_steps(k, n, _simpson3_closed(1, 3))]
-    total = fold([_simpson3_quotient(k, n), *terms])
-    return PoincarePoly.from_poly(total, k * (n - k) + 3 * n - 3, f"H(Gr({k},{n}),3) closed")
+    return _closed(ModuliKey(k, n, 3, "H"), fold([_simpson3_quotient(k, n), *terms]))
 
 
 def _pipeline(key: ModuliKey) -> Pipeline:

@@ -19,17 +19,20 @@ head may be catalog.Quotients over a large anchor: run_pipeline sums all
 terms with one packed evaluation, one decode and one ratio per anchor
 (catalog.fold), and run_pipeline_traced expands every step.
 
-A step's checks live on SurgeryStep alone: check_fit for a blow-up's
-center, from its factors, and __init__ for its kind, a connected fiber
-and a center of at least one factor.  blowup_apply and blowdown_apply
-build a step too, so they run the same checks.
+A step's checks live on SurgeryStep alone: __init__ checks its kind, a
+connected fiber and a center of at least one factor; check_fit checks
+that the exceptional divisor, center times fiber, is a divisor of the
+space, whatever the kind.  Pipeline.__init__ runs check_fit on every
+step against the base, so a pipeline that exists fits.  blowup_apply
+runs it too; blowdown_apply does not, so the DSL's blowdown() keeps its
+results and errors.
 """
 
 from __future__ import annotations
 
 from .catalog import PoincarePoly, Quotient, fold, projective
 from .errors import DimensionMismatch, InvalidParameters, NegativeBetti
-from .polyring import ONE, IntPoly
+from .polyring import ONE
 from .record import Record, setfield
 
 
@@ -37,15 +40,14 @@ class SurgeryStep(Record):
     """One blow-up or blow-down: a center, a fiber and a label.
 
     center is a tuple of factors, head first; a bare space is stored as
-    a one-factor tuple.  expected_codim, when set on a blow-up, enables
-    the dimension check center dim + codim == space.dim.  Blow-downs and
-    steps where only the fiber is pinned leave it unset.
+    a one-factor tuple.  The fiber fixes the center's codimension: it is
+    fiber.dim + 1, for a blow-up and a blow-down alike.
     """
 
-    __slots__ = ("kind", "center", "fiber", "label", "expected_codim")
+    __slots__ = ("kind", "center", "fiber", "label")
 
     def __init__(self, kind: str, center: PoincarePoly | Quotient | tuple,
-                 fiber: PoincarePoly, label: str, expected_codim: int | None = None):
+                 fiber: PoincarePoly, label: str):
         if kind not in ("blowup", "blowdown"):
             raise InvalidParameters(f"step kind {kind!r}")
         if fiber.components != 1:
@@ -57,22 +59,16 @@ class SurgeryStep(Record):
         setfield(self, "center", center)
         setfield(self, "fiber", fiber)
         setfield(self, "label", label)
-        setfield(self, "expected_codim", expected_codim)
 
     def check_fit(self, space_dim: int) -> None:
-        """Check that a blow-up's center has codimension expected_codim
-        in a space of dimension space_dim; a center with an empty factor
-        fits anywhere (tested last: it expands a Quotient head)."""
-        dim = sum(factor.dim for factor in self.center)
-        if (
-            self.kind == "blowup"
-            and self.expected_codim is not None
-            and dim + self.expected_codim != space_dim
-            and all(factor.poly for factor in self.center)
-        ):
+        """Check that center dim + fiber dim + 1 == space_dim: the
+        exceptional divisor has codimension one.  A center with an empty
+        factor fits anywhere (tested last: it expands a Quotient head)."""
+        dim, codim = sum(factor.dim for factor in self.center), self.fiber.dim + 1
+        if dim + codim != space_dim and all(factor.poly for factor in self.center):
             raise DimensionMismatch(
                 f"step {self.label}: center dimension {dim} + "
-                f"codimension {self.expected_codim} != {space_dim}"
+                f"codimension {codim} != {space_dim}"
             )
 
     def term(self) -> Quotient:
@@ -83,35 +79,18 @@ class SurgeryStep(Record):
         small = (*head.small, *(factor.poly for factor in rest), sign)
         return Quotient(head.anchor, small, head.up, head.down)
 
-    def correction(self) -> IntPoly:
-        """Signed contribution of this step to the total."""
-        return self.term().poly
-
 
 class Pipeline(Record):
-    __slots__ = ("base", "steps")  # a PoincarePoly or Quotient, a tuple of SurgeryStep
+    """A base space, a PoincarePoly or Quotient, and a tuple of
+    SurgerySteps, each checked to fit the base when the pipeline is built."""
 
+    __slots__ = ("base", "steps")
 
-class TraceRecord(Record):
-    __slots__ = ("label", "kind", "correction", "cumulative")
-
-    def __init__(self, label: str, kind: str, correction: IntPoly, cumulative: IntPoly):
-        setfield(self, "label", label)
-        setfield(self, "kind", kind)
-        setfield(self, "correction", correction)
-        setfield(self, "cumulative", cumulative)
-
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "kind": self.kind,
-            "correction": list(self.correction.coeffs),
-            "cumulative": list(self.cumulative.coeffs),
-        }
-
-
-class PipelineRun(Record):
-    __slots__ = ("result", "trace")  # a PoincarePoly, a tuple of TraceRecord
+    def __init__(self, base: PoincarePoly | Quotient, steps: tuple[SurgeryStep, ...]):
+        for step in steps:
+            step.check_fit(base.dim)
+        setfield(self, "base", base)
+        setfield(self, "steps", steps)
 
 
 def blowup_apply(space: PoincarePoly, center: PoincarePoly, codim: int) -> PoincarePoly:
@@ -122,11 +101,9 @@ def blowup_apply(space: PoincarePoly, center: PoincarePoly, codim: int) -> Poinc
     """
     if codim < 1:
         raise InvalidParameters(f"blow-up codimension {codim} must be >= 1")
-    step = SurgeryStep(
-        "blowup", center, projective(codim - 1), "blow-up", expected_codim=codim
-    )
+    step = SurgeryStep("blowup", center, projective(codim - 1), "blow-up")
     step.check_fit(space.dim)
-    return PoincarePoly.from_poly(space.poly + step.correction(), what=step.label)
+    return PoincarePoly.from_poly(space.poly + step.term().poly, what=step.label)
 
 
 def blowdown_apply(
@@ -135,42 +112,43 @@ def blowdown_apply(
     """Undo a blow-up whose exceptional fibers over the downstairs center
     are the given (possibly weighted projective) fiber."""
     step = SurgeryStep("blowdown", center_downstairs, fiber, "blow-down")
-    return PoincarePoly.from_poly(space.poly + step.correction(), what=step.label)
+    return PoincarePoly.from_poly(space.poly + step.term().poly, what=step.label)
 
 
-def run_pipeline_traced(pipeline: Pipeline) -> PipelineRun:
-    """Fold the steps over the base, recording each partial total.
+def run_pipeline_traced(pipeline: Pipeline) -> list[dict]:
+    """The --trace rows: each step's label, kind, correction and the
+    cumulative total after it, the last two as coefficient lists.
 
-    Corrections commute, so the final polynomial is independent of the
-    step order; a transiently negative partial total under a permuted
-    order is tolerated, but a negative final result raises NegativeBetti
-    with the first step at which the running total went bad.
+    Corrections commute, so the final total is independent of the step
+    order; a transiently negative partial total under a permuted order
+    is tolerated, but a negative final total raises NegativeBetti with
+    the first step at which the running total went bad.
     """
     current = pipeline.base.poly
-    trace: list[TraceRecord] = []
-    first_bad: SurgeryStep | None = None
+    rows: list[dict] = []
+    first_bad: str | None = None
     for step in pipeline.steps:
-        step.check_fit(pipeline.base.dim)
-        correction = step.correction()
+        correction = step.term().poly
         current = current + correction
         if first_bad is None and min(current.coeffs, default=0) < 0:
-            first_bad = step
-        trace.append(TraceRecord(step.label, step.kind, correction, current))
+            first_bad = step.label
+        rows.append({"label": step.label, "kind": step.kind,
+                     "correction": list(correction.coeffs),
+                     "cumulative": list(current.coeffs)})
     if min(current.coeffs, default=0) < 0:
-        label = first_bad.label if first_bad is not None else "?"
         raise NegativeBetti(
             f"pipeline total has a negative coefficient (first went negative "
-            f"at step {label})"
+            f"at step {'?' if first_bad is None else first_bad})"
         )
-    return PipelineRun(PoincarePoly(current), tuple(trace))
+    return rows
 
 
 def run_pipeline(pipeline: Pipeline) -> PoincarePoly:
     """run_pipeline_traced's total by fold.  A negative total reruns
     traced, to name the first step that went bad."""
-    for step in pipeline.steps:
-        step.check_fit(pipeline.base.dim)
     total = fold([pipeline.base, *(step.term() for step in pipeline.steps)])
-    if min(total.coeffs, default=0) < 0:
-        return run_pipeline_traced(pipeline).result
-    return PoincarePoly(total)
+    try:
+        return PoincarePoly.from_poly(total, what="pipeline total")
+    except NegativeBetti:
+        run_pipeline_traced(pipeline)  # raises with the first bad step: its total is this one
+        raise

@@ -131,6 +131,9 @@ def test_betti_trace(capsys):
         "Gamma^2_3", "Gamma^3_4", "Gamma^1_5",
     ]
     assert all("correction" in step and "cumulative" in step for step in record["trace"])
+    # The traced total is the result, which run_pipeline's negative-total
+    # fallback relies on to name the first bad step.
+    assert record["trace"][-1]["cumulative"] == record["q_coefficients"]
 
 
 def test_betti_trace_unavailable_for_kontsevich(capsys):

@@ -13,13 +13,13 @@ import pytest
 from curvebetti import dsl
 from curvebetti.catalog import POINT, PoincarePoly, Quotient, projective
 from curvebetti.pipelines import CheckResult, ModuliKey, SuiteReport
-from curvebetti.polyring import ONE, IntPoly
+from curvebetti.polyring import IntPoly
 from curvebetti.record import Record
-from curvebetti.surgery import Pipeline, PipelineRun, SurgeryStep, TraceRecord
+from curvebetti.surgery import Pipeline, SurgeryStep
 
 LINE = projective(1)
-STEP = SurgeryStep("blowup", POINT, LINE, "b")
-TRACE = TraceRecord("b", "blowup", ONE, ONE)
+PLANE = projective(2)
+STEP = SurgeryStep("blowup", POINT, LINE, "b")  # a point in the plane, with a line over it
 CHECK = CheckResult("duality", "S(Gr(1,3),3)", True)
 # A failed check as verify_pair builds it, every field given.
 FAILED = ("pipeline", "S(Gr(1,4),2)", False, "first difference at q^2: closed 3, pipeline 4")
@@ -29,10 +29,8 @@ EXAMPLES = [
     (IntPoly, ((1, 2),), {}),
     (PoincarePoly, (LINE.poly,), {}),
     (Quotient, (LINE,), {"small": (), "up": (), "down": ()}),
-    (SurgeryStep, ("blowup", POINT, LINE, "b"), {"expected_codim": None}),
-    (Pipeline, (LINE, (STEP,)), {}),
-    (TraceRecord, ("b", "blowup", ONE, ONE), {}),
-    (PipelineRun, (LINE, (TRACE,)), {}),
+    (SurgeryStep, ("blowup", POINT, LINE, "b"), {}),
+    (Pipeline, (PLANE, (STEP,)), {}),
     (ModuliKey, (1, 3, 3, "S"), {}),
     (CheckResult, ("duality", "S(Gr(1,3),3)", True), {"detail": ""}),
     (CheckResult, FAILED, {}),
@@ -139,7 +137,8 @@ def test_surgery_step_checks_its_fields_when_built():
         SurgeryStep("flip", POINT, LINE, "b")
     with pytest.raises(ValueError, match="step b: fiber must be connected"):
         SurgeryStep(kind="blowup", center=POINT, fiber=LINE + LINE, label="b")
-    assert SurgeryStep("blowup", POINT, LINE, "b", expected_codim=2).expected_codim == 2
+    with pytest.raises(ValueError, match=r"step b: center dimension 0 \+ codimension 2 != 1"):
+        Pipeline(LINE, (STEP,))
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

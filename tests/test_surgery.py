@@ -126,15 +126,16 @@ def test_run_pipeline_matches_step_application():
     pipe = Pipeline(
         base=base,
         steps=(
-            SurgeryStep("blowup", center, projective(2), "up", expected_codim=3),
+            SurgeryStep("blowup", center, projective(2), "up"),
             SurgeryStep("blowdown", center, projective(2), "down"),
         ),
     )
-    run = run_pipeline_traced(pipe)
-    assert run.result.poly == base.poly
-    assert [t.label for t in run.trace] == ["up", "down"]
-    assert run.trace[0].cumulative == blowup_apply(base, center, 3).poly
-    assert run.trace[1].correction == -run.trace[0].correction
+    up, down = run_pipeline_traced(pipe)
+    assert [up["label"], down["label"]] == ["up", "down"]
+    assert [up["kind"], down["kind"]] == ["blowup", "blowdown"]
+    assert up["cumulative"] == list(blowup_apply(base, center, 3).poly.coeffs)
+    assert down["cumulative"] == list(base.poly.coeffs)
+    assert down["correction"] == [-c for c in up["correction"]]
 
 
 def test_run_pipeline_is_permutation_invariant():
@@ -147,27 +148,47 @@ def test_run_pipeline_is_permutation_invariant():
 
 def test_run_pipeline_trace_stays_nonnegative_in_canonical_order():
     pipe = pipeline_for(ModuliKey(1, 5, 3, "S"))
-    run = run_pipeline_traced(pipe)
-    for record in run.trace:
-        assert all(c >= 0 for c in record.cumulative.coeffs), record.label
+    for row in run_pipeline_traced(pipe):
+        assert all(c >= 0 for c in row["cumulative"]), row["label"]
 
 
-def test_run_pipeline_dimension_check_failure_names_step():
-    bad = Pipeline(
-        base=projective(4),
-        steps=(
-            SurgeryStep(
-                "blowup", projective(1), projective(1), "bad-step", expected_codim=2
-            ),
-        ),
-    )
-    with pytest.raises(DimensionMismatch, match="bad-step"):
-        run_pipeline(bad)
+def test_a_pipeline_whose_step_does_not_fit_is_refused_when_built():
+    # A line blown up in P^4 with P^1 fibers leaves a divisor of dimension 2.
+    step = SurgeryStep("blowup", projective(1), projective(1), "bad-step")
+    with pytest.raises(DimensionMismatch) as excinfo:
+        Pipeline(base=projective(4), steps=(step,))
+    assert str(excinfo.value) == "step bad-step: center dimension 1 + codimension 2 != 4"
+    for kind in ("blowup", "blowdown"):
+        step = SurgeryStep(kind, projective(1), projective(2), "fits")
+        assert Pipeline(base=projective(4), steps=(step,)).steps == (step,)
+
+
+@pytest.mark.parametrize("d, steps", [(2, "_simpson2_steps"), (3, "_simpson3_steps")])
+def test_a_blowdown_fiber_one_dimension_short_is_caught_when_built(monkeypatch, d, steps):
+    build = getattr(pipelines, steps)
+    blowdowns = [step.label for step in build(2, 6) if step.kind == "blowdown"]
+    assert blowdowns == (["Gamma^1_2"] if d == 2 else ["Gamma^2_3", "Gamma^3_4", "Gamma^1_5"])
+    for label in blowdowns:
+        def faulty(k, n, label=label):
+            return tuple(
+                SurgeryStep(step.kind, step.center, projective(step.fiber.dim - 1), label)
+                if step.label == label else step
+                for step in build(k, n)
+            )
+
+        monkeypatch.setattr(pipelines, steps, faulty)
+        key = ModuliKey(2, 6, d, "S")
+        with pytest.raises(DimensionMismatch) as excinfo:
+            pipeline_for(key)
+        message = str(excinfo.value)
+        assert message.startswith(f"step {label}: center dimension "), message
+        assert message.endswith(f" != {pipelines.dim_expected(key)}"), message
 
 
 def test_run_pipeline_negative_total_names_step():
+    # 1 + q^3 less q + q^2.
     bad = Pipeline(
-        base=projective(1),
+        base=space([1, 0, 0, 1]),
         steps=(SurgeryStep("blowdown", projective(0), projective(2), "too-much"),),
     )
     with pytest.raises(NegativeBetti, match="too-much"):
@@ -175,20 +196,22 @@ def test_run_pipeline_negative_total_names_step():
 
 
 def test_negative_total_names_the_first_step_even_after_a_recovery():
-    # 1 + q, then 1 - q^2 (negative), 1 + q again, then 1 - q^2 - q^3.
+    # 1 + q^4, then 1 - q - q^2 - q^3 + q^4 (negative), 1 + q^4 again,
+    # then 1 - q - 2q^2 - q^3 + q^4.
     bad = Pipeline(
-        base=projective(1),
+        base=space([1, 0, 0, 0, 1]),
         steps=(
-            SurgeryStep("blowdown", projective(0), projective(2), "dip"),
-            SurgeryStep("blowup", projective(0), projective(2), "recover"),
-            SurgeryStep("blowdown", projective(0), projective(3), "dip-again"),
+            SurgeryStep("blowdown", projective(0), projective(3), "dip"),
+            SurgeryStep("blowup", projective(0), projective(3), "recover"),
+            SurgeryStep("blowdown", projective(1), projective(2), "dip-again"),
         ),
     )
-    with pytest.raises(NegativeBetti) as excinfo:
-        run_pipeline_traced(bad)
-    assert str(excinfo.value) == (
-        "pipeline total has a negative coefficient (first went negative at step dip)"
-    )
+    for run in (run_pipeline, run_pipeline_traced):
+        with pytest.raises(NegativeBetti) as excinfo:
+            run(bad)
+        assert str(excinfo.value) == (
+            "pipeline total has a negative coefficient (first went negative at step dip)"
+        )
 
 
 def test_step_kind_validation():
@@ -213,19 +236,18 @@ def test_a_bare_center_is_a_one_factor_tuple():
 def test_factored_center_fits_and_corrects_as_its_product():
     factors = (projective(2), projective(1), grassmannian(2, 4))
     expanded = factors[0] * factors[1] * factors[2]
-    step = SurgeryStep("blowup", factors, projective(2), "f", expected_codim=3)
-    flat = SurgeryStep("blowup", expanded, projective(2), "f", expected_codim=3)
+    step = SurgeryStep("blowup", factors, projective(2), "f")
+    flat = SurgeryStep("blowup", expanded, projective(2), "f")
     step.check_fit(expanded.dim + 3)
     with pytest.raises(DimensionMismatch, match="center dimension 7 "):
         step.check_fit(expanded.dim + 2)
-    assert step.correction() == flat.correction()
     term = step.term()
     # The head is the anchor; the other factors and P(fiber) - 1 stay factored.
     assert term.anchor is factors[0]
     assert term.small == (factors[1].poly, factors[2].poly, IntPoly([0, 1, 1]))
-    assert term.poly == flat.correction()
+    assert term.poly == flat.term().poly
     # An empty factor empties the center, which then fits anywhere.
-    SurgeryStep("blowup", (projective(3), EMPTY), projective(1), "e", 2).check_fit(0)
+    SurgeryStep("blowup", (projective(3), EMPTY), projective(1), "e").check_fit(0)
 
 
 # With the grid, the keys whose heads Gr(k, n) and Gr(k+1, n) (n = 2k+1),
@@ -249,7 +271,7 @@ def test_grouped_fold_equals_the_per_step_fold(order):
         if order == "reversed":
             pipe = Pipeline(base=pipe.base, steps=pipe.steps[::-1])
         grouped = run_pipeline(pipe).poly
-        assert grouped == run_pipeline_traced(pipe).trace[-1].cumulative, str(key)
+        assert list(grouped.coeffs) == run_pipeline_traced(pipe)[-1]["cumulative"], str(key)
 
 
 def test_each_degree3_route_makes_one_large_packed_product(monkeypatch):
@@ -259,7 +281,7 @@ def test_each_degree3_route_makes_one_large_packed_product(monkeypatch):
     # route makes one large packed product, by Gr(13, 40), and asks for
     # neither of the other two Grassmannians.
     expected = {
-        comp: run_pipeline_traced(pipeline_for(ModuliKey(12, 40, 3, comp))).result.poly
+        comp: IntPoly(run_pipeline_traced(pipeline_for(ModuliKey(12, 40, 3, comp)))[-1]["cumulative"])
         for comp in "SH"
     }
     lines = grassmannian(13, 40).poly.coeffs
