@@ -12,16 +12,20 @@ lines in a Grassmannian and of lines through a fixed point, the
 two-component space of planes, and the stable-map spaces of degree 2 and
 3 rational curves.
 
-The Gaussian binomial [n choose k]_q is the end of a row chain
-[n choose i] = [n choose i-1] (1 - q^(n-i+1)) / (1 - q^i), i = 1..k.  Up
-to n = 66 each row is one integer packed in slots of one machine word
-(polyring.packed_ratio, every step certified exact), the rows are cached
-per (n, i) and shared by every k, and a Grassmannian unpacks its row
-once.  Above n = 66 the bound C(n, n//2) on a coefficient no longer
-fits below half a machine word, and the chain runs on coefficient lists.
+The Gaussian binomial [n choose k]_q, m = min(k, n-k) and d = n - m, is
+the end of the diagonal chain [d+i choose i] = [d+i-1 choose i-1]
+(1 - q^(d+i)) / (1 - q^i), i = 1..m, on i d + 1 slots where row n
+would take i (n-i) + 1.  Up to n = 66 each step is one certified
+polyring.packed_ratio on an integer packed in _row_width(n)-byte slots,
+one machine word (every coefficient is at most C(d+i, i) <= C(n, n//2)),
+with one slot_tops mask per Grassmannian, which unpacks once; only the
+Grassmannian itself is cached.  Above n = 66 C(n, n//2) no longer fits
+below half a machine word, and the same diagonal runs on coefficient
+lists.
 
 A Quotient keeps a space as small factors over a large anchor; fold sums
-Quotients by one packed sum, one decode and one ratio per anchor.
+Quotients by one packed sum, one decode and one ratio per anchor.  Both
+stable-map spaces are Quotients over the lines' grassmannian(k+1, n).
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from .polyring import (
     ONE,
     ZERO,
     IntPoly,
-    monomial,
     packed_ratio,
     packed_sum,
     ratio,
@@ -194,41 +197,19 @@ _PACKED_ROWS_MAX_N = 66
 
 
 def _row_width(n: int) -> int:
-    """Bytes per slot of the packed rows of n.
-
-    Every coefficient of [n choose i]_q is nonnegative and at most
-    C(n, i) <= C(n, n//2), so it stays below half a slot.
-    """
+    """Bytes per slot of the diagonal chain to [n choose m]: C(n, n//2)
+    stays below half a slot."""
     return (math.comb(n, n // 2).bit_length() + 8) // 8
-
-
-@functools.lru_cache(maxsize=None)
-def _row_tops(n: int) -> int:
-    """The top bit of each slot of the middle, longest, row of n."""
-    return slot_tops(_row_width(n), 1, (n // 2) * (n - n // 2) + 1)
-
-
-@functools.lru_cache(maxsize=None)
-def _q_binomial_row(n: int, i: int) -> int:
-    """[n choose i]_q packed in _row_width(n)-byte slots, 0 <= i <= n/2.
-
-    Row i is row i-1 times (1 - q^(n-i+1)) over (1 - q^i), one certified
-    packed_ratio step, so the rows of one n share a single chain.
-    """
-    if i == 0:
-        return 1
-    return packed_ratio(
-        _q_binomial_row(n, i - 1), n - i + 1, i, i * (n - i) + 1, _row_width(n), _row_tops(n)
-    )
 
 
 @functools.lru_cache(maxsize=None)
 def grassmannian(k: int, n: int) -> PoincarePoly:
     """Grassmannian of k-dimensional subspaces of an n-dimensional space.
 
-    The Gaussian binomial [n choose k]_q, by the row chain of the module
-    docstring.  Out-of-range k yields the empty space as a value, which
-    downstream formulas rely on to drop vacuous terms.
+    The Gaussian binomial [n choose k]_q, by the diagonal chain of the
+    module docstring; no row is kept between calls.  Out-of-range k
+    yields the empty space as a value, which downstream formulas rely on
+    to drop vacuous terms.
 
     >>> str(grassmannian(2, 4))
     '1 + q + 2q^2 + q^3 + q^4'
@@ -237,14 +218,17 @@ def grassmannian(k: int, n: int) -> PoincarePoly:
         raise InvalidParameters(f"grassmannian({k}, {n})")
     if k < 0 or k > n:
         return EMPTY
-    m = min(k, n - k)
+    m, d = min(k, n - k), max(k, n - k)
     if n <= _PACKED_ROWS_MAX_N:
-        slots = unpack_slots(_q_binomial_row(n, m), m * (n - m) + 1, _row_width(n))
-        value = IntPoly(slots)
+        width, v = _row_width(n), 1
+        tops = slot_tops(width, 1, m * d + 1)
+        for i in range(1, m + 1):
+            v = packed_ratio(v, d + i, i, i * d + 1, width, tops)
+        value = IntPoly(unpack_slots(v, m * d + 1, width))
     else:
         value = ONE
         for i in range(1, m + 1):
-            value = ratio(value, (n - i + 1,), (i,))
+            value = ratio(value, (d + i,), (i,))
     return PoincarePoly.from_poly(
         value, claimed_dim=k * (n - k), what=f"grassmannian({k},{n})"
     )
@@ -396,9 +380,22 @@ def degree3_kernel(k: int, n: int) -> IntPoly:
 
 def degree2_bracket(k: int, n: int) -> IntPoly:
     """(1 + q^n)(1 + q^3) - q(1 + q)(q^k + q^(n-k)), the bracket of the
-    degree 2 stable-map numerator; the d = 2 sheaf space adds a term."""
-    shifted = monomial(1) * (ONE + monomial(1)) * (monomial(k) + monomial(n - k))
-    return (ONE + monomial(n)) * (ONE + monomial(3)) - shifted
+    degree 2 stable-map numerator; the d = 2 sheaf space adds a term.
+    Its eight terms are added into one list, 0 <= k <= n."""
+    if not 0 <= k <= n:
+        raise InvalidParameters(f"degree2_bracket({k}, {n})")
+    out = [0] * (n + 4)
+    for e in (0, 3, n, n + 3):
+        out[e] += 1
+    for e in (k + 1, k + 2, n - k + 1, n - k + 2):
+        out[e] -= 1
+    return IntPoly(out)
+
+
+def degree2_quotient(k: int, n: int) -> Quotient:
+    """M(Gr(k, n), 2) as a Quotient over the lines' grassmannian(k+1, n):
+    degree2_bracket times (1 - q^k) (1 - q^(k+1)) over DEGREE2_DEN."""
+    return Quotient(grassmannian(k + 1, n), (degree2_bracket(k, n),), (k, k + 1), DEGREE2_DEN)
 
 
 @functools.lru_cache(maxsize=None)
@@ -424,20 +421,15 @@ def check_curve_range(k: int, n: int, d: int, what: str) -> None:
 def stable_maps_gr(k: int, n: int, d: int) -> PoincarePoly:
     """Stable-map space of degree d rational curves in grassmannian(k, n).
 
-    Closed form: a numerator over a fixed product of (1 - q^j).  For
-    d = 2 it is a low-degree bracket times grassmannian(k-1, n)
-    (1 - q^(n-k)) (1 - q^(n-k+1)); for d = 3 degree3_quotient.  The large
-    Grassmannian is ratio's by, multiplied packed.  The result has
-    dimension k(n-k) + dn - 3 and the degree is checked.
+    Closed form: a numerator over a fixed product of (1 - q^j), times
+    the lines' grassmannian(k+1, n), which ratio multiplies in packed:
+    degree2_quotient or degree3_quotient.  The result has dimension
+    k(n-k) + dn - 3 and the degree is checked.
     """
     check_curve_range(k, n, d, f"M(Gr({k},{n}),{d})")
-    if d == 2:
-        small, big = degree2_bracket(k, n), grassmannian(k - 1, n)
-        value = ratio(small, (n - k, n - k + 1), DEGREE2_DEN, by=big.poly)
-    else:
-        value = degree3_quotient(k, n).poly
+    quotient = degree2_quotient(k, n) if d == 2 else degree3_quotient(k, n)
     return PoincarePoly.from_poly(
-        value,
+        quotient.poly,
         claimed_dim=k * (n - k) + d * n - 3,
         what=f"stable_maps_gr({k},{n},{d})",
     )

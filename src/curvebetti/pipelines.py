@@ -14,8 +14,11 @@ This module computes S and H along both routes:
 * pipeline mode starts from the stable-map polynomial and folds the
   surgery steps, with centers built out of catalog spaces.
 
-In degree 3 each route of S and H is one ratio by the lines' Gr(k+1, n):
-every term is a Quotient over it (catalog.fold).
+Each pipeline route, and each degree 3 closed route, is one ratio by
+the lines' Gr(k+1, n): every term is a Quotient over it (catalog.fold).
+In degree 2 the base is catalog.degree2_quotient and the lines are the
+factor tuple (Gr(k+1, n), Gr(k-1, k+1)), as in degree 3, so the fold's
+only denominator is DEGREE2_DEN.
 
 Both routes build on the catalog spaces and start from the same degree
 3 stable-map kernel, but combine them differently: the closed route
@@ -43,9 +46,9 @@ from .catalog import (
     Quotient,
     check_curve_range,
     degree2_bracket,
+    degree2_quotient,
     degree3_kernel,
     degree3_quotient,
-    fano_lines,
     fold,
     grassmannian,
     grassmannian_over,
@@ -144,19 +147,17 @@ def _simpson2_closed(k: int, n: int) -> PoincarePoly:
 
 
 def _simpson2_steps(k: int, n: int) -> tuple[SurgeryStep, ...]:
-    # The small parts add up to P(n-3) - MbarP1(2), from n = 6 the run
-    # q^3 + ... + q^(n-3): the expanded lines take one O(len) product.
-    f1 = fano_lines(k, n)
+    f1 = (grassmannian(k + 1, n), grassmannian(k - 1, k + 1))  # the lines
     return (
         SurgeryStep(
             kind="blowup",
-            center=(f1, stable_maps_p1(2)),
+            center=(*f1, stable_maps_p1(2)),
             fiber=projective(n - 3),
             label="Gamma^1",
         ),
         SurgeryStep(
             kind="blowdown",
-            center=(f1, projective(n - 3)),
+            center=(*f1, projective(n - 3)),
             fiber=stable_maps_p1(2),
             label="Gamma^1_2",
         ),
@@ -295,7 +296,7 @@ def _pipeline(key: ModuliKey) -> Pipeline:
     k, n = key.k, key.n
     if key.d == 2:
         # In degree 2 the sheaf and Hilbert compactifications coincide.
-        return Pipeline(base=stable_maps_gr(k, n, 2), steps=_simpson2_steps(k, n))
+        return Pipeline(base=degree2_quotient(k, n), steps=_simpson2_steps(k, n))
     steps = _simpson3_steps(k, n)
     if key.compactification == "H":
         steps += _delta_steps(k, n, _pipeline_poly(ModuliKey(1, 3, 3, "S")))

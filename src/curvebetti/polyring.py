@@ -41,13 +41,18 @@ factor multiplied, and per factor divided one running sum per residue
 class mod j, with a check that the remainder is zero.  exact_div stays
 the general divider.  ratio(x, up, down, by=y) keeps the large product
 packed: x y is packed with one more bit of slot per factor of up, so
-that N = x y prod(1 - q^a) has every |N_j| < B/2; each a is applied
-as v -= v << 8w a, and one divmod by D(B), D = prod(1 - q^i) over the
-l factors of down, gives Q(B).  Q is accepted only if the remainder is
-0, Q(B) >= 0 fits the quotient's slots and every slot of Q is below
-B / 2^(l+1).  The coefficients of D have absolute sum at most 2^l, so
-then Q D - N has every coefficient below B in absolute value and
-vanishes at B: it is the zero polynomial, and Q = N / D exactly.
+that N = x y prod(1 - q^a) has every |N_j| <= nb < B/2, nb = max|x|
+max|y| min(len) 2^len(up), and each a is applied as v -= v << 8w a.
+D = prod(1 - q^i), over the l factors of down, is divided out by one
+divmod by its factors with i <= 3, then by running sums by doubling per
+larger factor, read mod B^s as a balanced residue r and kept only if
+r - r B^i is the dividend: Q(B) D(B) = N(B) exactly.  Q is accepted
+if Q(B) >= 0 fits the quotient's slots and every slot of Q is below
+B / 2^(l+1) or, if that mask rejects, below 2^t with (U/2)(2^t - 1) +
+nb < B, U = ||D_small||_1 2^(factors above 3) >= ||D||_1.
+As D(1) = 0, its positive and negative coefficients each sum to
+||D||_1 / 2 <= 2^(l-1), so either test gives |(Q D - N)_j| < B: Q D - N
+vanishes at B and is the zero polynomial, and Q = N / D exactly.
 Otherwise the list steps run on the decoded product, with the same
 quotient or the same NonExactDivision; with no down, x y is x * y.
 
@@ -70,8 +75,9 @@ of V(B) and of Q(B) is below B/2 and Q(B) - Q(B) B^i == x.  Then both
 sides of Q + V q^a = V + Q q^i, evaluated at B, are sums of two
 polynomials with every coefficient in [0, B/2): no slot carries, and
 equal integers have equal base-B digits, so Q (1 - q^i) = V (1 - q^a)
-as polynomials.  catalog.grassmannian chains these steps, one per row
-of the q-binomial recurrence, wherever w fits a machine word (n <= 66).
+as polynomials.  catalog.grassmannian chains these steps along the
+diagonal [d+i choose i], i = 1..m, to [n choose m], wherever w fits a
+machine word (n <= 66).
 """
 
 from __future__ import annotations
@@ -381,8 +387,9 @@ def ratio(p: IntPoly, up: Iterable[int] = (), down: Iterable[int] = (),
     series, one itertools.accumulate over each residue class of m mod i.
     That division is exact if and only if the last i of them are zero;
     otherwise NonExactDivision is raised.  With by, p is first multiplied
-    by it: packed, with the quotient, when there is a down (module
-    docstring), and as p * by when there is none.
+    by it: packed, with the quotient split into one divmod and running
+    sums and certified, when there is a down (module docstring), and as
+    p * by when there is none.
 
     >>> ratio(IntPoly([1, 1]), up=(2,))
     IntPoly('1 + q - q^2 - q^3')
@@ -403,16 +410,9 @@ def ratio(p: IntPoly, up: Iterable[int] = (), down: Iterable[int] = (),
         product, width, bound = _packed_product(x, y, len(up))
         size = len(x) + len(y) - 1
         count = size + sum(up) - sum(down)
-        if count > 0:
-            shift, v, d = 8 * width, product, 1
-            for j in up:
-                v -= v << shift * j
-            for i in down:
-                d -= d << shift * i
-            quot, rem = divmod(v, d)
-            tops = slot_tops(width, len(down) + 1, count)
-            if not rem and 0 <= quot < 1 << shift * count and not quot & tops:
-                return IntPoly(unpack_slots(quot, count, width))
+        quot = _packed_quotient(product, x, y, bound, up, down, count, width)
+        if quot is not None:
+            return IntPoly(unpack_slots(quot, count, width))
         p = IntPoly(unpack_slots(product, size, width, bound))
     elif by is not None:
         p = p * by
@@ -435,6 +435,65 @@ def ratio(p: IntPoly, up: Iterable[int] = (), down: Iterable[int] = (),
     return IntPoly(cs)
 
 
+# Down factors 1 - q^i with i up to this share _packed_quotient's one
+# divmod; each larger one is divided by running sums.  At 8-byte slots
+# over about 600 slots, divmod by 1 - B^i took 26/32/35 us for i = 1/2/3
+# (running sums 37/34/31 us) and by 1 - B^27 156 us (running sums 23 us);
+# all of (1, 2, 2, 3, 3) took 76 us in one divmod, 172 us by running sums.
+_DIVMOD_MAX_I = 3
+
+
+def _packed_quotient(v: int, x: tuple, y: tuple, bound: int | None, up: tuple,
+                     down: tuple, count: int, width: int) -> int | None:
+    """Q(B), Q = N / D in count slots, for v = x(B) y(B) from
+    _packed_product(x, y, len(up)); None unless certified (module docstring)."""
+    if count <= 0:
+        return None
+    shift, d = 8 * width, 1
+    for a in up:
+        v -= v << shift * a
+    small = [i for i in down if i <= _DIVMOD_MAX_I]
+    large = [i for i in down if i > _DIVMOD_MAX_I]
+    for i in small:
+        d -= d << shift * i
+    quot, rem = divmod(v, d)
+    if rem:
+        return None
+    rest = sum(large)
+    for i in large:
+        rest -= i
+        # A certified Q has |quot / (1 - B^i)| < B^(count + rest).
+        r = _running_sums(quot, i, count + rest + 1, shift)
+        if r - (r << shift * i) != quot:
+            return None
+        quot = r
+    if not 0 <= quot < 1 << shift * count:
+        return None
+    if not quot & slot_tops(width, len(down) + 1, count):
+        return quot
+    # The sharper bound: u >= ||D||_1, and nb = bound << len(up) < B/2.
+    cs = [1]
+    for i in small:
+        cs = list(map(operator.sub, cs + [0] * i, [0] * i + cs))
+    u = sum(map(abs, cs)) << len(large)
+    if bound is None:
+        bound = max(x) * max(y) * min(len(x), len(y))
+    room = 2 * ((1 << shift) - (bound << len(up))) - 1
+    t = (room // u + 1).bit_length() - 1
+    return None if quot & slot_tops(width, shift - t, count) else quot
+
+
+def _running_sums(x: int, i: int, slots: int, shift: int) -> int:
+    """x / (1 - B^i) as a power series mod B^slots, B = 2^shift, by
+    running sums that double a span from i; a balanced residue."""
+    mask = (1 << shift * slots) - 1
+    quot, span = x & mask, i
+    while span < slots:
+        quot = (quot + (quot << shift * span)) & mask
+        span *= 2
+    return quot - ((quot >> shift * slots - 1) << shift * slots)
+
+
 def packed_ratio(v: int, a: int, i: int, count: int, width: int, tops: int = 0) -> int:
     """V (1 - q^a) / (1 - q^i), a >= 0 and i >= 1, on integers packed
     in width-byte slots: v packs V, whose coefficients are nonnegative,
@@ -452,12 +511,7 @@ def packed_ratio(v: int, a: int, i: int, count: int, width: int, tops: int = 0) 
         raise DivisionByZero(f"division by 1 - q^{i}")
     shift = 8 * width
     x = v - (v << shift * a)
-    mask = (1 << shift * count) - 1
-    quot = x & mask
-    span = i
-    while span < count:
-        quot = (quot + (quot << shift * span)) & mask
-        span *= 2
+    quot = _running_sums(x, i, count, shift)
     slots = max(count, -(-v.bit_length() // shift))
     if tops.bit_length() < shift * slots:
         tops = slot_tops(width, 1, slots)

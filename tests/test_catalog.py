@@ -11,6 +11,7 @@ from sympy.polys.rings import ring
 
 from curvebetti import catalog, polyring
 from curvebetti.catalog import (
+    DEGREE2_DEN,
     DEGREE3_KERNEL,
     DEGREE3_KERNEL_DEN,
     EMPTY,
@@ -19,6 +20,7 @@ from curvebetti.catalog import (
     InvalidParameters,
     NegativeBetti,
     PoincarePoly,
+    degree2_bracket,
     degree3_kernel,
     fano_lines,
     fano_planes,
@@ -125,7 +127,6 @@ def q_pascal_coeffs(k: int, n: int) -> tuple[int, ...]:
 
 def clear_grassmannian_caches() -> None:
     catalog.grassmannian.cache_clear()
-    catalog._q_binomial_row.cache_clear()
 
 
 @pytest.mark.parametrize("n", range(60, 73))
@@ -135,20 +136,23 @@ def test_grassmannian_against_q_pascal_across_the_packed_boundary(n):
         assert grassmannian(k, n).poly.coeffs == q_pascal_coeffs(k, n), (k, n)
 
 
-def test_packed_rows_stop_at_the_machine_word():
+def test_packed_rows_stop_at_the_machine_word(monkeypatch):
+    # One certified packed_ratio step per diagonal entry [d+i choose i],
+    # i = 1..min(k, n-k), up to n = 66; none above.
     assert [catalog._row_width(n) for n in (9, 10, 66, 67)] == [1, 2, 8, 9]
     assert catalog._PACKED_ROWS_MAX_N == 66
     clear_grassmannian_caches()
-    grassmannian(3, 67)
-    assert catalog._q_binomial_row.cache_info().currsize == 0
-    grassmannian(3, 66)
-    grassmannian(64, 66)  # the row of k = 2 is already there
-    assert catalog._q_binomial_row.cache_info().currsize == 4
+    steps = mock.Mock(wraps=polyring.packed_ratio)
+    monkeypatch.setattr(catalog, "packed_ratio", steps)
+    for (k, n), calls in (((3, 67), 0), ((3, 66), 3), ((64, 66), 2)):
+        steps.reset_mock()
+        grassmannian(k, n)
+        assert steps.call_count == calls, (k, n)
     clear_grassmannian_caches()
 
 
 def test_grassmannian_independent_of_request_order():
-    pairs = [(k, n) for n in (20, 47, 66) for k in range(n + 1)]
+    pairs = [(k, n) for n in (20, 47, 66, 67, 68) for k in range(n + 1)]
     shuffled = pairs[:]
     random.Random(7).shuffle(shuffled)
     results = []
@@ -251,6 +255,9 @@ def test_degree2_bracket_is_palindromic_and_dual(k, n):
     assert bracket.is_palindromic()
     assert bracket.evaluate(1) == 0
     assert bracket == catalog.degree2_bracket(n - k, n)
+    for bad in (-1, n + 1):
+        with pytest.raises(InvalidParameters):
+            catalog.degree2_bracket(bad, n)
 
 
 def test_lines_through_point():
@@ -390,6 +397,26 @@ def test_stable_maps_gr_degree_three_never_expands_the_lines(monkeypatch):
     assert stable_maps_gr(12, 40, 3).poly == space_poly(ModuliKey(12, 40, 3, "M")).poly
     assert grassmannian(13, 40).poly.coeffs in operands
     assert lines not in operands
+
+
+DEGREE2_ANCHOR_KEYS = [(k, n) for n in range(3, 31) for k in range(1, n)] + [
+    (k, n) for n in (66, 67) for k in (1, 2, 32, 33, n - 1)
+]
+
+
+def test_degree2_over_the_lines_is_the_formula_over_gr_k_minus_1():
+    # Gr(k-1, n) (1 - q^(n-k)) (1 - q^(n-k+1)) = Gr(k+1, n) (1 - q^k)
+    # (1 - q^(k+1)): the printed formula, anchored on Gr(k-1, n), gives
+    # the same polynomial, on both sides of the packed-row boundary.  The
+    # bracket is the printed product, expanded.
+    q = monomial(1)
+    for k, n in DEGREE2_ANCHOR_KEYS:
+        assert degree2_bracket(k, n) == (ONE + monomial(n)) * (ONE + monomial(3)) - (
+            q * (ONE + q) * (monomial(k) + monomial(n - k))
+        ), (k, n)
+        printed = ratio(degree2_bracket(k, n), (n - k, n - k + 1), DEGREE2_DEN,
+                        by=grassmannian(k - 1, n).poly)
+        assert stable_maps_gr(k, n, 2).poly == printed, (k, n)
 
 
 def euler_count(k: int, n: int, d: int) -> int:

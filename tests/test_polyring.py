@@ -496,13 +496,68 @@ def test_ratio_by_is_ratio_of_the_product(x, y, up, down, divisible):
     )
 
 
-@pytest.mark.parametrize("m, packed", [(31, True), (32, False)])
+@settings(deadline=None, max_examples=200)
+@given(
+    ratio_operands,
+    ratio_operands,
+    st.lists(st.integers(0, 6), max_size=3),
+    st.lists(st.integers(4, 60), min_size=1, max_size=2),
+    st.booleans(),
+)
+def test_ratio_by_splits_the_division(x, y, up, large, divisible):
+    # The kernel's small factors go into one divmod, each larger one is
+    # divided by running sums: the same quotient, or the same error and
+    # text, as ratio of the product.
+    down = (1, 2, 2, 3, 3, *large)
+    px, py = IntPoly(x), IntPoly(y)
+    if divisible:
+        px = ratio(px, up=down)
+    assert outcome(lambda: ratio(px, up, down, by=py)) == outcome(
+        lambda: ratio(px * py, up, down)
+    )
+
+
+def test_ratio_by_refuses_a_perturbed_numerator_at_size():
+    # The size of the H pipeline's one large ratio at (17, 44), by the
+    # lines' Gr(18, 44).  Exact, it is certified packed; with one
+    # coefficient changed, or a multiple of the small factors added, so
+    # that only a running-sum division is inexact, it raises the list
+    # path's NonExactDivision.
+    down = (1, 2, 2, 3, 3, 27, 19)
+    lines = grassmannian(18, 44).poly
+    small = IntPoly(range(1, 90))
+    num = ratio(small, up=down)
+    with mock.patch.object(polyring, "accumulate", wraps=polyring.accumulate) as sums:
+        assert ratio(num, down=down, by=lines) == small * lines
+    assert not sums.called
+    kernel_multiple = ratio(monomial(40), up=(1, 2, 2, 3, 3))
+    for bad in (num + monomial(57), num + kernel_multiple):
+        expected = outcome(lambda: ratio(bad * lines, down=down))
+        assert expected[0] == "NonExactDivision"
+        assert outcome(lambda: ratio(bad, down=down, by=lines)) == expected
+
+
+def test_ratio_by_checks_each_running_sum_division():
+    # Running sums mod B^s never read the top i - 1 coefficients of their
+    # dividend: an error there is caught only by the check that r - r B^i
+    # is the dividend, and then the list path raises.
+    down = (1, 2, 2, 3, 3, 27)
+    num = ratio(IntPoly(range(1, 90)), up=down)
+    bad = num + ratio(monomial(num.degree - 11), up=(1, 2, 2, 3, 3))
+    expected = outcome(lambda: ratio(bad, down=down))
+    assert expected[0] == "NonExactDivision"
+    assert outcome(lambda: ratio(bad, down=down, by=ONE)) == expected
+
+
+@pytest.mark.parametrize("m, packed", [(31, True), (32, True), (63, True), (64, False)])
 def test_ratio_by_certifies_or_falls_back(m, packed):
     # (1 - q^m)^2 / (1 - q)^2 = (1 + ... + q^(m-1))^2 peaks at m.  The
-    # product (1 - q^m)^2 * 1 fits one-byte slots, and the certificate
-    # takes quotient slots below 2^8 / 2^(2 + 1) = 32: m = 31 is
-    # certified packed, m = 32 falls back to the list steps, whose
-    # running sums are itertools.accumulate calls.
+    # product (1 - q^m)^2 * 1 fits one-byte slots.  The first mask takes
+    # quotient slots below 2^8 / 2^(2 + 1) = 32; the sharper bound, with
+    # ||(1 - q)^2||_1 = 4 and every |N_j| <= 2, takes slots below 2^t
+    # where 2 (2^t - 1) + 2 < 2^8, so below 64: m = 63 is certified
+    # packed, m = 64 falls back to the list steps, whose running sums
+    # are itertools.accumulate calls.
     run = IntPoly([1] * m)
     with mock.patch.object(polyring, "accumulate", wraps=polyring.accumulate) as sums:
         got = ratio(ratio(ONE, (m, m)), down=(1, 1), by=ONE)
