@@ -12,7 +12,8 @@ This module computes S and H along both routes:
   divides the assembled numerator by a fixed product of (1 - q^j), one
   factor at a time;
 * pipeline mode starts from the stable-map polynomial and folds the
-  surgery steps, with centers built out of catalog spaces.
+  surgery steps, with centers kept as unexpanded products of catalog
+  spaces (H's planar cubics S(Gr(1,3),3) as Gr(2,3) x P^6).
 
 Each pipeline route, and each degree 3 closed route, is one ratio by
 the lines' Gr(k+1, n): every term is a Quotient over it (catalog.fold).
@@ -68,7 +69,7 @@ from .polyring import (
     ratio,
 )
 from .record import Record, setfield
-from .surgery import Pipeline, SurgeryStep, blowup_apply, run_pipeline
+from .surgery import Pipeline, SurgeryStep, run_pipeline
 
 COMPACTIFICATIONS = ("M", "S", "H")
 SUITES = ("duality", "pipeline", "special", "symmetry")
@@ -208,18 +209,17 @@ def _simpson3_closed(k: int, n: int) -> PoincarePoly:
 
 
 def _simpson3_steps(k: int, n: int) -> tuple[SurgeryStep, ...]:
+    """The steps from M to S, each center led by its large factor, the
+    lines' Gr(k+1, n) or x over it: every head shares that anchor (in H,
+    with Delta_A and B).  Pairs of pointed lines blown up along the
+    diagonal (codimension n - 2) stay factored: Fx (Fx + P^(n-3) - 1)."""
     x = grassmannian_over(k, k + 1, n)
     f1 = (grassmannian(k + 1, n), grassmannian(k - 1, k + 1))  # the lines
     fx = lines_through_point(k, n)
-    # Pairs of pointed lines with the diagonal blown up; codimension of
-    # the diagonal is n - 2.
-    bl_diag = blowup_apply(fx * fx, fx, n - 2)
-    down4_core = PoincarePoly.from_poly(
-        bl_diag.poly * projective(n - 2).poly
-        + projective(1).poly * fx.poly * projective(n - 3).poly * (projective(n - 3).poly - ONE)
-    )
-    # Each center leads with its large factor, the lines' Gr(k+1, n) or x
-    # over it: every head shares that anchor (in H, with Delta_A and B).
+    pn3 = projective(n - 3).poly
+    bl_rest = PoincarePoly(fx.poly + pn3 - ONE)  # Bl(Fx x Fx) over Fx
+    down4_rest = PoincarePoly(bl_rest.poly * projective(n - 2).poly
+                              + projective(1).poly * pn3 * (pn3 - ONE))
     return (
         SurgeryStep(
             kind="blowup",
@@ -229,7 +229,7 @@ def _simpson3_steps(k: int, n: int) -> tuple[SurgeryStep, ...]:
         ),
         SurgeryStep(
             kind="blowup",
-            center=(x, bl_diag, stable_maps_p1(2)),
+            center=(x, fx, bl_rest, stable_maps_p1(2)),
             fiber=projective(n - 2),
             label="Gamma^2_1",
         ),
@@ -241,7 +241,7 @@ def _simpson3_steps(k: int, n: int) -> tuple[SurgeryStep, ...]:
         ),
         SurgeryStep(
             kind="blowdown",
-            center=(x, down4_core),
+            center=(x, fx, down4_rest),
             fiber=weighted_projective((1, 2, 2)),
             label="Gamma^2_3",
         ),
@@ -260,17 +260,17 @@ def _simpson3_steps(k: int, n: int) -> tuple[SurgeryStep, ...]:
     )
 
 
-def _delta_steps(k: int, n: int, planar_cubics: PoincarePoly) -> tuple[SurgeryStep, ...]:
+def _delta_steps(k: int, n: int) -> tuple[SurgeryStep, ...]:
     """Blow-ups along the planar-curve locus, one per plane family.
 
-    The locus fibers over the space of planes with fibers the space of
-    planar cubics, and the plane space has up to two pieces with
-    different codimensions in the ambient Hilbert scheme.
+    The locus fibers over the space of planes, in up to two pieces of
+    different codimensions in the Hilbert scheme, with fibers the planar
+    cubics S(Gr(1,3),3), kept as the closed formula's Gr(2,3) x P^6.
     """
     return tuple(
         SurgeryStep(
             kind="blowup",
-            center=(envelope, core, planar_cubics),
+            center=(envelope, core, grassmannian(2, 3), projective(6)),
             fiber=projective(codim - 1),
             label=label,
         )
@@ -282,7 +282,7 @@ def _delta_steps(k: int, n: int, planar_cubics: PoincarePoly) -> tuple[SurgerySt
 def _hilbert3_closed(k: int, n: int) -> PoincarePoly:
     # Closed S plus the corrections of the same planar-locus blow-ups
     # that the pipeline route applies, in one ratio over the lines.
-    terms = [step.term() for step in _delta_steps(k, n, _simpson3_closed(1, 3))]
+    terms = [step.term() for step in _delta_steps(k, n)]
     return _closed(ModuliKey(k, n, 3, "H"), fold([_simpson3_quotient(k, n), *terms]))
 
 
@@ -299,7 +299,7 @@ def _pipeline(key: ModuliKey) -> Pipeline:
         return Pipeline(base=degree2_quotient(k, n), steps=_simpson2_steps(k, n))
     steps = _simpson3_steps(k, n)
     if key.compactification == "H":
-        steps += _delta_steps(k, n, _pipeline_poly(ModuliKey(1, 3, 3, "S")))
+        steps += _delta_steps(k, n)
     return Pipeline(base=degree3_quotient(k, n), steps=steps)
 
 

@@ -11,6 +11,7 @@ from curvebetti.catalog import (
     InvalidParameters,
     PoincarePoly,
     grassmannian,
+    lines_through_point,
     projective,
     stable_maps_gr,
 )
@@ -32,8 +33,8 @@ from curvebetti.pipelines import (
     verify_pair,
     verify_suite,
 )
-from curvebetti.polyring import IntPoly, NonExactDivision, monomial
-from curvebetti.surgery import run_pipeline
+from curvebetti.polyring import ONE, IntPoly, NonExactDivision, monomial, ratio
+from curvebetti.surgery import blowup_apply, run_pipeline
 
 S13 = IntPoly([1, 2, 3, 3, 3, 3, 3, 2, 1])
 
@@ -84,6 +85,28 @@ def test_simpson_d2_reference_value():
 def test_simpson_d3_plane_cubics_reference():
     assert simpson_d3(1, 3).poly == S13
     assert simpson_d3(1, 3, "pipeline").poly == S13
+
+
+def test_planar_cubics_are_the_closed_formulas_factors_at_13():
+    # H's planar-locus centers take S(Gr(1,3),3) as Gr(2,3) x P^6, which
+    # is S13, the value of both routes (test above): the closed quotient
+    # at (1, 3) is its small part P^6 over Gr(2,3).
+    assert (grassmannian(2, 3) * projective(6)).poly == S13
+    quotient = pipelines._simpson3_quotient(1, 3)
+    assert quotient.anchor.poly == grassmannian(2, 3).poly and not quotient.up
+    (small,) = quotient.small
+    assert ratio(small, (), quotient.down) == projective(6).poly
+
+
+def test_blown_up_diagonal_of_pointed_line_pairs_stays_factored():
+    # Bl(Fx x Fx) along the diagonal, of codimension n - 2, is
+    # Fx (Fx + P^(n-3) - 1), as S's pipeline keeps it; blowup_apply is
+    # the oracle.
+    for n in range(3, 31):
+        for k in range(1, n // 2 + 1):
+            fx = lines_through_point(k, n)
+            factored = fx.poly * (fx.poly + projective(n - 3).poly - ONE)
+            assert factored == blowup_apply(fx * fx, fx, n - 2).poly, (k, n)
 
 
 def test_simpson_d3_modes_agree_at_14():

@@ -4,7 +4,7 @@ from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from curvebetti import polyring
@@ -547,6 +547,30 @@ def test_ratio_by_checks_each_running_sum_division():
     expected = outcome(lambda: ratio(bad, down=down))
     assert expected[0] == "NonExactDivision"
     assert outcome(lambda: ratio(bad, down=down, by=ONE)) == expected
+
+
+def test_ratio_by_checks_the_divmod_remainder():
+    # One divmod by (1 - B)(1 - B^3) leaves a remainder here; a quotient
+    # that ignored it would pass every later check as
+    # 281 + 47q + 63q^2 + 117q^3.
+    with pytest.raises(NonExactDivision):
+        ratio(IntPoly([-1, -2, 3, 3, 0, -2, 3]), (), (1, 3), by=IntPoly([8, 39]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(st.integers(-3, 3), min_size=1, max_size=8),
+    st.lists(st.integers(0, 3), min_size=1, max_size=3),
+    st.sets(st.sampled_from((1, 2, 3)), min_size=1),
+)
+def test_ratio_by_refuses_inexact_small_numerators(x, y, down):
+    # Operands this small pack in 1-byte slots, every product coefficient
+    # at most 27, and every down goes into the one divmod: an inexact
+    # numerator is refused there, with the list path's error and text.
+    px, py, down = IntPoly(x), IntPoly(y), tuple(sorted(down))
+    expected = outcome(lambda: ratio(px * py, (), down))
+    assume(isinstance(expected, tuple))
+    assert outcome(lambda: ratio(px, (), down, by=py)) == expected
 
 
 @pytest.mark.parametrize("m, packed", [(31, True), (32, True), (63, True), (64, False)])

@@ -312,6 +312,39 @@ def test_each_degree3_route_makes_one_large_packed_product(monkeypatch):
         assert (13, 40) in asked and not {(12, 40), (14, 40)} & set(asked), (comp, mode)
 
 
+def test_each_degree3_route_packs_once_and_evaluates_no_nested_route(monkeypatch):
+    # Every catalog and pipelines cache cleared, each route at (12, 40)
+    # multiplies out no center: a pipeline route makes one packed_sum,
+    # its fold's, and a closed route two, closed S's small part over the
+    # point and the fold over the lines.  H takes the planar cubics as
+    # Gr(2,3) x P^6, so no route evaluates S(Gr(1,3),3).
+    caches = [obj for module in (catalog, pipelines) for obj in vars(module).values()
+              if callable(getattr(obj, "cache_clear", None))]
+    calls = []
+
+    def record(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append((name, args))
+            return original(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((catalog, "packed_sum"), (polyring, "kronecker_product"),
+                         (pipelines, "_pipeline_poly"), (pipelines, "_simpson3_closed")):
+        record(module, name)
+    planar_cubics = ((ModuliKey(1, 3, 3, "S"),), (1, 3))
+    for comp, mode in (("S", "pipeline"), ("H", "pipeline"), ("S", "closed"), ("H", "closed")):
+        for cache in caches:
+            cache.cache_clear()
+        calls.clear()
+        space_poly(ModuliKey(12, 40, 3, comp), mode)
+        names = [name for name, _ in calls]
+        assert names.count("packed_sum") == (1 if mode == "pipeline" else 2), (comp, mode)
+        assert "kronecker_product" not in names, (comp, mode)
+        assert not [args for _, args in calls if args in planar_cubics], (comp, mode)
+
+
 # --------------------------------------------------------------- packed fold
 
 # Two anchors, and a third object with the first one's polynomial: fold
