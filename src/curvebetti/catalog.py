@@ -13,15 +13,15 @@ two-component space of planes, and the stable-map spaces of degree 2 and
 3 rational curves.
 
 The Gaussian binomial [n choose k]_q, m = min(k, n-k) and d = n - m, is
-the end of the diagonal chain [d+i choose i] = [d+i-1 choose i-1]
-(1 - q^(d+i)) / (1 - q^i), i = 1..m, on i d + 1 slots where row n
-would take i (n-i) + 1.  Up to n = 66 each step is one certified
-polyring.packed_ratio on an integer packed in _row_width(n)-byte slots,
-one machine word (every coefficient is at most C(d+i, i) <= C(n, n//2)),
-with one slot_tops mask per Grassmannian, which unpacks once; only the
-Grassmannian itself is cached.  Above n = 66 C(n, n//2) no longer fits
-below half a machine word, and the same diagonal runs on coefficient
-lists.
+the product of (1 - q^a) / (1 - q^i) over pairs of a in d+1..n and i in
+1..m.  Up to n = 66 it is one integer in _row_width(n)-byte slots, one
+machine word.  Each i, from m down, takes the largest free multiple a
+of i, and polyring.packed_geometric multiplies in 1 + q^i + ... +
+q^(a-i) unchecked: no coefficient is negative, so the product of these
+a / i bounds them all, checked once below half a slot.  The i left over
+run last, smallest first, each against the first free a of largest
+gcd(a, i), as certified polyring.packed_ratio steps.  Above n = 66 the
+diagonal chain [d+i choose i], i = 1..m, runs on coefficient lists.
 
 A Quotient keeps a space as small factors over a large anchor; fold sums
 Quotients by one packed sum, one decode and one ratio per anchor.  Both
@@ -34,11 +34,12 @@ import functools
 import math
 from collections.abc import Iterable, Iterator
 
-from .errors import DimensionMismatch, InvalidParameters, NegativeBetti
+from .errors import DimensionMismatch, InvalidParameters, NegativeBetti, NonExactDivision
 from .polyring import (
     ONE,
     ZERO,
     IntPoly,
+    packed_geometric,
     packed_ratio,
     packed_sum,
     ratio,
@@ -197,19 +198,36 @@ _PACKED_ROWS_MAX_N = 66
 
 
 def _row_width(n: int) -> int:
-    """Bytes per slot of the diagonal chain to [n choose m]: C(n, n//2)
-    stays below half a slot."""
+    """Bytes per slot of a packed [n choose m]: C(n, n//2) is below half a slot."""
     return (math.comb(n, n // 2).bit_length() + 8) // 8
+
+
+def _gaussian_pairs(m: int, d: int) -> list[tuple[int, int]]:
+    """The pairs (a, i) of [d+m choose m] in the module docstring's order."""
+    pairs, left, free = [], [], set(range(d + 1, d + m + 1))
+    for i in range(m, 0, -1):
+        for a in range(d + m - (d + m) % i, d, -i):
+            if a in free:
+                free.remove(a)
+                pairs.append((a, i))
+                break
+        else:
+            left.append(i)
+    pairs, rest = pairs[::-1], sorted(free)
+    for i in reversed(left):
+        pairs.append((max(rest, key=functools.partial(math.gcd, i)), i))
+        rest.remove(pairs[-1][0])
+    return pairs
 
 
 @functools.lru_cache(maxsize=None)
 def grassmannian(k: int, n: int) -> PoincarePoly:
     """Grassmannian of k-dimensional subspaces of an n-dimensional space.
 
-    The Gaussian binomial [n choose k]_q, by the diagonal chain of the
-    module docstring; no row is kept between calls.  Out-of-range k
-    yields the empty space as a value, which downstream formulas rely on
-    to drop vacuous terms.
+    The Gaussian binomial [n choose k]_q, by the steps of the module
+    docstring; no step is kept between calls.  Out-of-range k yields the
+    empty space as a value, which downstream formulas rely on to drop
+    vacuous terms.
 
     >>> str(grassmannian(2, 4))
     '1 + q + 2q^2 + q^3 + q^4'
@@ -220,18 +238,17 @@ def grassmannian(k: int, n: int) -> PoincarePoly:
         return EMPTY
     m, d = min(k, n - k), max(k, n - k)
     if n <= _PACKED_ROWS_MAX_N:
-        width, v = _row_width(n), 1
-        tops = slot_tops(width, 1, m * d + 1)
-        for i in range(1, m + 1):
-            v = packed_ratio(v, d + i, i, i * d + 1, width, tops)
-        value = IntPoly(unpack_slots(v, m * d + 1, width))
-    else:
-        value = ONE
-        for i in range(1, m + 1):
-            value = ratio(value, (d + i,), (i,))
-    return PoincarePoly.from_poly(
-        value, claimed_dim=k * (n - k), what=f"grassmannian({k},{n})"
-    )
+        w, v, count, pairs = _row_width(n), 1, 1, _gaussian_pairs(m, d)
+        bound, tops = math.prod(a // i for a, i in pairs if a % i == 0), slot_tops(w, 1, m * d + 1)
+        if bound >> 8 * w - 1:
+            raise NonExactDivision(f"grassmannian({k},{n}): sum {bound} over half a {w}-byte slot")
+        for a, i in pairs:
+            count += a - i
+            v = packed_ratio(v, a, i, count, w, tops) if a % i else packed_geometric(v, a, i, w)
+        value = IntPoly(unpack_slots(v, m * d + 1, w))
+    else:  # [d+i choose i] = [d+i-1 choose i-1] (1 - q^(d+i)) / (1 - q^i)
+        value = functools.reduce(lambda v, i: ratio(v, (d + i,), (i,)), range(1, m + 1), ONE)
+    return PoincarePoly.from_poly(value, claimed_dim=k * (n - k), what=f"grassmannian({k},{n})")
 
 
 def grassmannian_over(j: int, a: int, n: int) -> Quotient:

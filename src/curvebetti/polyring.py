@@ -67,17 +67,15 @@ coefficient for coefficient.
 
 packed_ratio runs one step V (1 - q^a) / (1 - q^i) on packed integers
 with slots of w bytes holding nonnegative coefficients: x = V(B) -
-V(B) B^a is one shift and subtraction, and the quotient Q(B) is the
-power series x / (1 - B^i) modulo B^L, for L quotient slots, as
-running sums by doubling (about log2(L / i) masked shift-adds).  It is
-certified, not trusted: NonExactDivision is raised unless every slot
-of V(B) and of Q(B) is below B/2 and Q(B) - Q(B) B^i == x.  Then both
-sides of Q + V q^a = V + Q q^i, evaluated at B, are sums of two
-polynomials with every coefficient in [0, B/2): no slot carries, and
-equal integers have equal base-B digits, so Q (1 - q^i) = V (1 - q^a)
-as polynomials.  catalog.grassmannian chains these steps along the
-diagonal [d+i choose i], i = 1..m, to [n choose m], wherever w fits a
-machine word (n <= 66).
+V(B) B^a, and Q(B) = x / (1 - B^i) mod B^L, for L quotient slots, by
+running sums that double.  NonExactDivision is raised unless every
+slot of V(B) and Q(B) is below B/2 and Q(B) - Q(B) B^i == x; then both
+sides of Q + V q^a = V + Q q^i at B sum two polynomials with
+coefficients in [0, B/2), no slot carries, and equal integers have
+equal base-B digits.  Where i divides a, packed_geometric multiplies V
+by 1 + q^i + ... + q^(a-i) instead, unchecked: its caller bounds the
+coefficients, none negative, by their sum.  catalog.grassmannian uses
+both wherever w fits a machine word (n <= 66).
 """
 
 from __future__ import annotations
@@ -521,6 +519,21 @@ def packed_ratio(v: int, a: int, i: int, count: int, width: int, tops: int = 0) 
             "not exact, or a slot at or above half its range"
         )
     return quot
+
+
+def packed_geometric(v: int, a: int, i: int, width: int) -> int:
+    """V (1 - q^a) / (1 - q^i) = V (1 + q^i + ... + q^(a-i)), i dividing
+    a >= i >= 1, V packed in width-byte slots as v, by doubling; unchecked.
+
+    >>> packed_geometric(3, 4, 2, 1)  # 3 (1 + q^2)
+    196611
+    """
+    step, run, terms = 8 * width * i, v, 1
+    for bit in bin(a // i)[3:]:
+        run, terms = run + (run << step * terms), 2 * terms
+        if bit == "1":
+            run, terms = v + (run << step), terms + 1
+    return run
 
 
 def exact_div(num: IntPoly, den: IntPoly) -> IntPoly:

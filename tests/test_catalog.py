@@ -9,7 +9,7 @@ import pytest
 import sympy
 from sympy.polys.rings import ring
 
-from curvebetti import catalog, polyring
+from curvebetti import catalog, pipelines, polyring
 from curvebetti.catalog import (
     DEGREE2_DEN,
     DEGREE3_KERNEL,
@@ -19,6 +19,7 @@ from curvebetti.catalog import (
     DimensionMismatch,
     InvalidParameters,
     NegativeBetti,
+    NonExactDivision,
     PoincarePoly,
     degree2_bracket,
     degree3_kernel,
@@ -125,30 +126,88 @@ def q_pascal_coeffs(k: int, n: int) -> tuple[int, ...]:
     return tuple(int(terms.get((e,), 0)) for e in range(max(terms)[0] + 1))
 
 
-def clear_grassmannian_caches() -> None:
-    catalog.grassmannian.cache_clear()
+def clear_caches() -> None:
+    """Clear every cache of catalog and pipelines, as the benchmark does:
+    a cache cleared alone leaves others holding the old anchor objects."""
+    for module in (catalog, pipelines):
+        for obj in vars(module).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
 
 
-@pytest.mark.parametrize("n", range(60, 73))
+@pytest.mark.parametrize("n", range(1, 73))
 def test_grassmannian_against_q_pascal_across_the_packed_boundary(n):
-    # Packed rows up to n = 66, coefficient lists from n = 67.
+    # Every pairing of geometric and leftover steps up to n = 66,
+    # coefficient lists from n = 67.
     for k in range(n + 1):
         assert grassmannian(k, n).poly.coeffs == q_pascal_coeffs(k, n), (k, n)
 
 
 def test_packed_rows_stop_at_the_machine_word(monkeypatch):
-    # One certified packed_ratio step per diagonal entry [d+i choose i],
-    # i = 1..min(k, n-k), up to n = 66; none above.
+    # m = min(k, n-k) steps up to n = 66: geometric ones wherever i
+    # divides a free a, one certified packed_ratio per leftover pair;
+    # none above.
     assert [catalog._row_width(n) for n in (9, 10, 66, 67)] == [1, 2, 8, 9]
     assert catalog._PACKED_ROWS_MAX_N == 66
-    clear_grassmannian_caches()
-    steps = mock.Mock(wraps=polyring.packed_ratio)
-    monkeypatch.setattr(catalog, "packed_ratio", steps)
-    for (k, n), calls in (((3, 67), 0), ((3, 66), 3), ((64, 66), 2)):
-        steps.reset_mock()
+    clear_caches()
+    geometric = mock.Mock(wraps=polyring.packed_geometric)
+    leftover = mock.Mock(wraps=polyring.packed_ratio)
+    monkeypatch.setattr(catalog, "packed_geometric", geometric)
+    monkeypatch.setattr(catalog, "packed_ratio", leftover)
+    for (k, n), calls in (((3, 67), (0, 0)), ((3, 66), (3, 0)), ((64, 66), (2, 0)),
+                          ((24, 48), (19, 5)), ((28, 61), (20, 8))):
+        geometric.reset_mock()
+        leftover.reset_mock()
         grassmannian(k, n)
-        assert steps.call_count == calls, (k, n)
-    clear_grassmannian_caches()
+        assert (geometric.call_count, leftover.call_count) == calls, (k, n)
+    clear_caches()
+
+
+def test_leftover_pairs_smallest_with_smallest_are_refused(monkeypatch):
+    # At (12, 41) the leftover i are 4, 5, 9 and the free a 31, 34, 37.
+    # Paired smallest with smallest, the first step (1 - q^31) / (1 - q^4)
+    # has no polynomial quotient, and packed_ratio refuses it.
+    pairs = catalog._gaussian_pairs
+    assert [(a, i) for a, i in pairs(12, 29) if a % i] == [(34, 4), (31, 5), (37, 9)]
+
+    def smallest_with_smallest(m, d):
+        leftover = [(a, i) for a, i in pairs(m, d) if a % i]
+        return [(a, i) for a, i in pairs(m, d) if a % i == 0] + list(
+            zip(sorted(a for a, _ in leftover), sorted(i for _, i in leftover))
+        )
+
+    monkeypatch.setattr(catalog, "_gaussian_pairs", smallest_with_smallest)
+    clear_caches()
+    try:
+        with pytest.raises(NonExactDivision, match=r"\(1 - q\^31\) / \(1 - q\^4\)"):
+            grassmannian(12, 41)
+    finally:
+        clear_caches()
+
+
+def test_slots_too_narrow_for_the_geometric_steps_are_refused(monkeypatch):
+    # In 1-byte slots a Grassmannian is the oracle's polynomial, every
+    # coefficient below 128, or refused: where no leftover step follows,
+    # by the bound on the geometric steps' sum, before any step runs.
+    monkeypatch.setattr(catalog, "_row_width", lambda n: 1)
+    clear_caches()
+    by_bound = []
+    try:
+        for n in range(1, 21):
+            for k in range(n + 1):
+                expected = q_pascal_coeffs(k, n)
+                try:
+                    assert grassmannian(k, n).poly.coeffs == expected, (k, n)
+                except NonExactDivision as error:
+                    pairs = catalog._gaussian_pairs(min(k, n - k), max(k, n - k))
+                    if not any(a % i for a, i in pairs):
+                        assert "over half a 1-byte slot" in str(error), (k, n)
+                        by_bound.append((k, n))
+                else:
+                    assert max(expected) < 128, (k, n)
+    finally:
+        clear_caches()
+    assert (4, 10) in by_bound and len(by_bound) > 10
 
 
 def test_grassmannian_independent_of_request_order():
@@ -157,9 +216,9 @@ def test_grassmannian_independent_of_request_order():
     random.Random(7).shuffle(shuffled)
     results = []
     for order in (pairs, pairs[::-1], shuffled):
-        clear_grassmannian_caches()
+        clear_caches()
         results.append({p: grassmannian(*p).poly.coeffs for p in order})
-    clear_grassmannian_caches()
+    clear_caches()
     assert results[0] == results[1] == results[2]
     for k, n in pairs:
         assert results[0][k, n] == q_pascal_coeffs(k, n)
@@ -171,24 +230,24 @@ def test_packed_rows_without_one_typecode_size(monkeypatch, dropped):
     # without 8-byte items, 5- to 8-byte slots are read as byte slices.
     codes = [c for c in "BHILQ" if array(c).itemsize != dropped]
     monkeypatch.setattr(polyring, "_SLOTS", polyring._slot_types(codes))
-    clear_grassmannian_caches()
+    clear_caches()
     try:
         # One n for each slot width from 1 to 8 bytes.
         for n in (9, 17, 25, 33, 42, 50, 58, 66):
             for k in range(n + 1):
                 assert grassmannian(k, n).poly.coeffs == q_pascal_coeffs(k, n)
     finally:
-        clear_grassmannian_caches()
+        clear_caches()
 
 
 def test_grassmannian_at_size():
     # Budget 2 s of CPU time, about ten times what the q-binomial
     # recurrence takes.
-    catalog.grassmannian.cache_clear()
+    clear_caches()
     start = time.process_time()
     gr = grassmannian(100, 200)
     elapsed = time.process_time() - start
-    catalog.grassmannian.cache_clear()
+    clear_caches()
     assert gr.poly.degree == 10_000
     assert gr.is_palindromic()
     assert gr.euler() == math.comb(200, 100)

@@ -19,6 +19,7 @@ from curvebetti.polyring import (
     exact_div,
     kronecker_product,
     monomial,
+    packed_geometric,
     packed_ratio,
     ratio,
     slot_tops,
@@ -684,13 +685,15 @@ def test_unpack_slots_without_one_typecode_size(monkeypatch, dropped):
 )
 def test_packed_ratio_multiplies_by_a_geometric_sum(v, i, m):
     # (1 - q^(im)) / (1 - q^i) = 1 + q^i + ... + q^(i(m-1)), so the
-    # quotient is a product with nonnegative coefficients below 128.
+    # quotient is a product with nonnegative coefficients below 128, and
+    # packed_geometric gives it by shift-adds alone.
     geometric = IntPoly([1 if j % i == 0 else 0 for j in range(i * (m - 1) + 1)])
     expected = IntPoly(v) * geometric
     count = len(v) + i * (m - 1)
     for width in (1, 3, 8):
         quot = packed_ratio(pack(v, width), i * m, i, count, width)
         assert IntPoly(unpack_slots(quot, count, width)) == expected
+        assert packed_geometric(pack(v, width), i * m, i, width) == quot
 
 
 def test_packed_ratio_divides_down_to_one():
