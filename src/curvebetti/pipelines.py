@@ -6,26 +6,28 @@ sheaves (S), or as a Hilbert scheme of curves (H).  For d = 2 and 3 all
 three have closed-form Poincare polynomials, and S and H are also
 reachable from M by an explicit chain of blow-ups and blow-downs.
 
-This module computes S and H along both routes:
+This module computes S and H along both routes, each a
+surgery.Pipeline that surgery.run_pipeline evaluates:
 
-* closed mode evaluates the printed formulas; each quotient among them
-  divides the assembled numerator by a fixed product of (1 - q^j), one
-  factor at a time;
+* closed mode starts from the printed formula for S, a Quotient whose
+  numerator is divided by a fixed product of (1 - q^j); S takes no
+  step, and H is S blown up along the locus of planar cubics;
 * pipeline mode starts from the stable-map polynomial and folds the
   surgery steps, with centers kept as unexpanded products of catalog
   spaces (H's planar cubics S(Gr(1,3),3) as Gr(2,3) x P^6).
 
-Each pipeline route, and each degree 3 closed route, is one ratio by
-the lines' Gr(k+1, n): every term is a Quotient over it (catalog.fold).
-In degree 2 the base is catalog.degree2_quotient and the lines are the
-factor tuple (Gr(k+1, n), Gr(k-1, k+1)), as in degree 3, so the fold's
-only denominator is DEGREE2_DEN.
+Every route is one ratio by the lines' Gr(k+1, n): every term is a
+Quotient over it (catalog.fold).  In degree 2 both bases are Quotients
+over the lines, as catalog.degree2_quotient is, and the steps' lines
+are the factor tuple (Gr(k+1, n), Gr(k-1, k+1)), as in degree 3, so
+the fold's only denominator is DEGREE2_DEN.
 
 Both routes build on the catalog spaces and start from the same degree
 3 stable-map kernel, but combine them differently: the closed route
 term by term as printed, the pipeline route as blow-up and blow-down
 corrections.  Exact agreement on a whole grid of (k, n) is therefore a
-strong check of the surgery steps, though not of the kernel itself.
+strong check of the surgery steps, though not of the kernel itself;
+H's two routes share the planar-locus steps, so theirs checks S's.
 verify_pair turns one key's two routes into CheckResults (that check,
 and palindromicity with the expected dimension); verify_suite adds
 duality under k -> n-k and collects a grid's checks in one report.
@@ -89,6 +91,9 @@ class ModuliKey(Record):
         setfield(self, "d", d)
         setfield(self, "compactification", compactification)
 
+    def astuple(self) -> tuple:  # written out: == and hash serve the route cache
+        return (self.k, self.n, self.d, self.compactification)
+
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return self.astuple() < other.astuple()
@@ -119,8 +124,8 @@ def has_pipeline(key: ModuliKey) -> bool:
 
 
 def normalize_key(key: ModuliKey) -> ModuliKey:
-    """Fold k -> n-k duality so k <= n-k."""
-    return ModuliKey(min(key.k, key.n - key.k), key.n, key.d, key.compactification)
+    """Fold k -> n-k duality so k <= n-k, returning such a key itself."""
+    return key if 2 * key.k <= key.n else mirror_key(key)
 
 
 def mirror_key(key: ModuliKey) -> ModuliKey:
@@ -132,19 +137,7 @@ def dim_expected(key: ModuliKey) -> int:
     return key.k * (key.n - key.k) + key.d * key.n - 3
 
 
-def _closed(key: ModuliKey, poly: IntPoly) -> PoincarePoly:
-    """A closed route's polynomial, checked against the key's dimension."""
-    return PoincarePoly.from_poly(poly, dim_expected(key), f"{key} closed")
-
-
 # ---------------------------------------------------------------- degree 2
-
-
-@functools.lru_cache(maxsize=None)
-def _simpson2_closed(k: int, n: int) -> PoincarePoly:
-    bracket = degree2_bracket(k, n) + ratio(monomial(3) - monomial(n - 2), (2,))
-    return _closed(ModuliKey(k, n, 2, "S"),
-                   ratio(bracket, (k, k + 1), DEGREE2_DEN, by=grassmannian(k + 1, n).poly))
 
 
 def _simpson2_steps(k: int, n: int) -> tuple[SurgeryStep, ...]:
@@ -174,7 +167,7 @@ MIXED_RULING = ((ONE + monomial(1)) * stable_maps_p1(3).poly
 
 
 @functools.lru_cache(maxsize=None)
-def _simpson3_quotient(k: int, n: int) -> Quotient:
+def _simpson3_closed(k: int, n: int) -> Quotient:
     """Closed S over the lines, Gr(k+1, n) x Gr(k-1, k+1), and the kernel's
     denominator: one small factor, the printed terms, each times Gr(k-1,
     k+1) and its (1 - q^j) factors, summed by fold over the point.  The
@@ -201,11 +194,6 @@ def _simpson3_quotient(k: int, n: int) -> Quotient:
         Quotient(POINT, (gn2, ONE - geom(8), core), (n - 3, 1, 2, 3, 3)),
     ])
     return Quotient(grassmannian(k + 1, n), (small,), down=DEGREE3_KERNEL_DEN)
-
-
-@functools.lru_cache(maxsize=None)
-def _simpson3_closed(k: int, n: int) -> PoincarePoly:
-    return _closed(ModuliKey(k, n, 3, "S"), _simpson3_quotient(k, n).poly)
 
 
 def _simpson3_steps(k: int, n: int) -> tuple[SurgeryStep, ...]:
@@ -278,16 +266,12 @@ def _delta_steps(k: int, n: int) -> tuple[SurgeryStep, ...]:
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _hilbert3_closed(k: int, n: int) -> PoincarePoly:
-    # Closed S plus the corrections of the same planar-locus blow-ups
-    # that the pipeline route applies, in one ratio over the lines.
-    terms = [step.term() for step in _delta_steps(k, n)]
-    return _closed(ModuliKey(k, n, 3, "H"), fold([_simpson3_quotient(k, n), *terms]))
-
-
-def _pipeline(key: ModuliKey) -> Pipeline:
-    """The surgery pipeline of a valid, normalized key."""
+def _pipeline(key: ModuliKey, mode: str) -> Pipeline:
+    """A valid S or H key's route as a pipeline.  Closed mode starts from
+    the closed S formula, with no step in S and the planar-locus blow-ups
+    in H; pipeline mode starts from the stable-map space."""
+    if mode not in ("closed", "pipeline"):
+        raise InvalidParameters(f"mode {mode!r} not one of closed, pipeline")
     if not has_pipeline(key):
         raise InvalidParameters(
             f"{key}: the stable-map space is the pipeline base and has no "
@@ -296,33 +280,29 @@ def _pipeline(key: ModuliKey) -> Pipeline:
     k, n = key.k, key.n
     if key.d == 2:
         # In degree 2 the sheaf and Hilbert compactifications coincide.
-        return Pipeline(base=degree2_quotient(k, n), steps=_simpson2_steps(k, n))
-    steps = _simpson3_steps(k, n)
-    if key.compactification == "H":
-        steps += _delta_steps(k, n)
-    return Pipeline(base=degree3_quotient(k, n), steps=steps)
-
-
-@functools.lru_cache(maxsize=None)
-def _pipeline_poly(key: ModuliKey) -> PoincarePoly:
-    return run_pipeline(_pipeline(key))
+        if mode == "pipeline":
+            return Pipeline(base=degree2_quotient(k, n), steps=_simpson2_steps(k, n))
+        # Closed S over the lines as degree2_quotient is M, with the sheaf term.
+        bracket = degree2_bracket(k, n) + ratio(monomial(3) - monomial(n - 2), (2,))
+        base = Quotient(grassmannian(k + 1, n), (bracket,), (k, k + 1), DEGREE2_DEN)
+        return Pipeline(base=base, steps=())
+    delta = _delta_steps(k, n) if key.compactification == "H" else ()
+    if mode == "closed":
+        return Pipeline(base=_simpson3_closed(k, n), steps=delta)
+    return Pipeline(base=degree3_quotient(k, n), steps=_simpson3_steps(k, n) + delta)
 
 
 # ------------------------------------------------------------- public API
 
 
+@functools.lru_cache(maxsize=None)
 def _raw_space_poly(key: ModuliKey, mode: str) -> PoincarePoly:
-    if mode == "pipeline":
-        return _pipeline_poly(key)
-    if mode != "closed":
-        raise InvalidParameters(f"mode {mode!r} not one of closed, pipeline")
-    if not has_pipeline(key):
+    """A valid key's route, unnormalized: closed M is stable_maps_gr,
+    every other route a pipeline, checked against the key's dimension."""
+    if mode == "closed" and not has_pipeline(key):
         return stable_maps_gr(key.k, key.n, key.d)
-    if key.d == 2:
-        return _simpson2_closed(key.k, key.n)
-    if key.compactification == "S":
-        return _simpson3_closed(key.k, key.n)
-    return _hilbert3_closed(key.k, key.n)
+    total = run_pipeline(_pipeline(key, mode)).poly
+    return PoincarePoly.from_poly(total, dim_expected(key), f"{key} {mode}")
 
 
 def space_poly(key: ModuliKey, mode: str = "closed") -> PoincarePoly:
@@ -346,7 +326,7 @@ def hilbert_d3(k: int, n: int, mode: str = "closed") -> PoincarePoly:
 def pipeline_for(key: ModuliKey) -> Pipeline:
     """The surgery pipeline behind a key's pipeline mode."""
     validate_key(key)
-    return _pipeline(normalize_key(key))
+    return _pipeline(normalize_key(key), "pipeline")
 
 
 # ------------------------------------------------------------ verification

@@ -15,8 +15,9 @@ sum and the order affects only the trace, not the result.
 A center is a tuple of factors, a bare space a one-factor tuple.
 term() keeps the first, the head, apart and appends the others and the
 signed P(fiber) - 1, unmultiplied, to its small factors.  The base and a
-head may be catalog.Quotients over a large anchor: run_pipeline sums all
-terms with one packed evaluation, one decode and one ratio per anchor
+head may be catalog.Quotients over a large anchor: run_pipeline, which
+evaluates every route of pipelines, closed or not, sums all terms with
+one packed evaluation, one decode and one ratio per anchor
 (catalog.fold), and run_pipeline_traced expands every step.
 
 A step's checks live on SurgeryStep alone: __init__ checks its kind, a
@@ -121,24 +122,23 @@ def run_pipeline_traced(pipeline: Pipeline) -> list[dict]:
 
     Corrections commute, so the final total is independent of the step
     order; a transiently negative partial total under a permuted order
-    is tolerated, but a negative final total raises NegativeBetti with
-    the first step at which the running total went bad.
+    is tolerated, but a negative final total raises NegativeBetti naming
+    a negative base, or else the first step where the total went bad.
     """
     current = pipeline.base.poly
     rows: list[dict] = []
-    first_bad: str | None = None
+    first_bad = "in the base" if min(current.coeffs, default=0) < 0 else None
     for step in pipeline.steps:
         correction = step.term().poly
         current = current + correction
         if first_bad is None and min(current.coeffs, default=0) < 0:
-            first_bad = step.label
+            first_bad = f"at step {step.label}"
         rows.append({"label": step.label, "kind": step.kind,
                      "correction": list(correction.coeffs),
                      "cumulative": list(current.coeffs)})
     if min(current.coeffs, default=0) < 0:
         raise NegativeBetti(
-            f"pipeline total has a negative coefficient (first went negative "
-            f"at step {'?' if first_bad is None else first_bad})"
+            f"pipeline total has a negative coefficient (first went negative {first_bad})"
         )
     return rows
 

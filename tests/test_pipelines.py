@@ -8,6 +8,7 @@ import pytest
 from curvebetti import catalog, pipelines
 from curvebetti.catalog import (
     POINT,
+    DimensionMismatch,
     InvalidParameters,
     PoincarePoly,
     grassmannian,
@@ -33,8 +34,8 @@ from curvebetti.pipelines import (
     verify_pair,
     verify_suite,
 )
-from curvebetti.polyring import ONE, IntPoly, NonExactDivision, monomial, ratio
-from curvebetti.surgery import blowup_apply, run_pipeline
+from curvebetti.polyring import ONE, ZERO, IntPoly, NonExactDivision, monomial, ratio
+from curvebetti.surgery import SurgeryStep, blowup_apply, run_pipeline, run_pipeline_traced
 
 S13 = IntPoly([1, 2, 3, 3, 3, 3, 3, 2, 1])
 
@@ -92,7 +93,7 @@ def test_planar_cubics_are_the_closed_formulas_factors_at_13():
     # is S13, the value of both routes (test above): the closed quotient
     # at (1, 3) is its small part P^6 over Gr(2,3).
     assert (grassmannian(2, 3) * projective(6)).poly == S13
-    quotient = pipelines._simpson3_quotient(1, 3)
+    quotient = pipelines._simpson3_closed(1, 3)
     assert quotient.anchor.poly == grassmannian(2, 3).poly and not quotient.up
     (small,) = quotient.small
     assert ratio(small, (), quotient.down) == projective(6).poly
@@ -133,6 +134,36 @@ def test_hilbert_d3_correction_at_24():
     # one blow-ups of codimension 2 loci.
     correction = 2 * grassmannian(3, 4).poly * S13 * monomial(1)
     assert hilbert_d3(2, 4).poly == simpson_d3(2, 4).poly + correction
+
+
+@pytest.mark.parametrize("k, n", [(k, n) for n in range(4, 11) for k in range(1, n // 2 + 1)])
+def test_closed_hilbert_is_closed_simpson_plus_the_delta_rows(k, n):
+    # H's closed route is S's blown up along the planar locus: the same
+    # corrections that the pipeline route's Delta rows trace.
+    rows = run_pipeline_traced(pipeline_for(ModuliKey(k, n, 3, "H")))
+    delta = [IntPoly(row["correction"]) for row in rows if row["label"].startswith("Delta")]
+    assert len(delta) == (k >= 2) + 1
+    assert hilbert_d3(k, n).poly == simpson_d3(k, n).poly + sum(delta, ZERO)
+
+
+@pytest.mark.parametrize("label", ["Delta_A", "Delta_B"])
+def test_a_short_delta_fiber_is_caught_by_the_closed_hilbert_route(monkeypatch, empty_caches, label):
+    delta_steps = pipelines._delta_steps
+
+    def faulty(k, n):
+        return tuple(
+            SurgeryStep(step.kind, step.center, projective(step.fiber.dim - 1), step.label)
+            if step.label == label else step
+            for step in delta_steps(k, n)
+        )
+
+    monkeypatch.setattr(pipelines, "_delta_steps", faulty)
+    key = ModuliKey(2, 6, 3, "H")
+    with pytest.raises(DimensionMismatch) as excinfo:
+        space_poly(key, "closed")
+    message = str(excinfo.value)
+    assert message.startswith(f"step {label}: center dimension "), message
+    assert message.endswith(f" != {dim_expected(key)}"), message
 
 
 def test_duality_normalization_in_public_api():
@@ -288,7 +319,7 @@ def _failed_report(keys, suites, expected):
     }
 
 
-def test_duality_failure_detail(monkeypatch):
+def test_duality_failure_detail(monkeypatch, empty_caches):
     # M's closed route is stable_maps_gr itself: a one-sided polynomial of
     # degree 1 fails both halves of the duality check.
     monkeypatch.setattr(pipelines, "stable_maps_gr", lambda k, n, d: projective(1) + POINT)
@@ -301,10 +332,13 @@ def test_duality_failure_detail(monkeypatch):
 
 def test_pipeline_failure_detail(monkeypatch):
     key = ModuliKey(1, 4, 2, "S")  # closed: 1 2 3 4 4 4 3 2 1
-    closed = space_poly(key).poly
-    monkeypatch.setattr(
-        pipelines, "_pipeline_poly", lambda key: PoincarePoly.from_poly(closed + monomial(2))
-    )
+    raw = pipelines._raw_space_poly
+
+    def skewed(key, mode):
+        value = raw(key, mode)
+        return PoincarePoly.from_poly(value.poly + monomial(2)) if mode == "pipeline" else value
+
+    monkeypatch.setattr(pipelines, "_raw_space_poly", skewed)
     _failed_report(
         [key],
         ("duality", "pipeline"),
@@ -318,13 +352,14 @@ def test_pipeline_failure_detail(monkeypatch):
 
 
 def test_symmetry_failure_detail(monkeypatch):
-    closed = pipelines._simpson2_closed
+    raw = pipelines._raw_space_poly
 
-    def skewed(k, n):
-        value = closed(k, n)
-        return PoincarePoly.from_poly(value.poly + monomial(1)) if 2 * k > n else value
+    def skewed(key, mode):
+        value = raw(key, mode)
+        skew = key.d == 2 and 2 * key.k > key.n
+        return PoincarePoly.from_poly(value.poly + monomial(1)) if skew else value
 
-    monkeypatch.setattr(pipelines, "_simpson2_closed", skewed)
+    monkeypatch.setattr(pipelines, "_raw_space_poly", skewed)
     _failed_report(
         [ModuliKey(1, 4, 2, "S"), ModuliKey(1, 4, 3, "S")],
         ("symmetry",),

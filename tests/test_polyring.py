@@ -1,4 +1,5 @@
 import functools
+import operator
 from array import array
 from unittest import mock
 
@@ -21,6 +22,7 @@ from curvebetti.polyring import (
     monomial,
     packed_geometric,
     packed_ratio,
+    packed_sum,
     ratio,
     slot_tops,
     unpack_slots,
@@ -572,6 +574,38 @@ def test_ratio_by_refuses_inexact_small_numerators(x, y, down):
     expected = outcome(lambda: ratio(px * py, (), down))
     assume(isinstance(expected, tuple))
     assert outcome(lambda: ratio(px, (), down, by=py)) == expected
+
+
+def test_packed_sum_bounds_the_lifted_coefficients():
+    # -100 + 100q has norms 200 and 100, so 1-byte slots hold it, but
+    # not its lift by 1 - q, -100 + 200q - 100q^2: the bound doubles per
+    # lift, or the middle slot overflows and decodes as -56.
+    assert packed_sum([((IntPoly([-100, 100]),), (1,))]) == IntPoly([-100, 200, -100])
+
+
+# Slot edges are where a bound without its lifts picks too narrow a slot.
+lifted_coeffs = st.one_of(st.integers(-300, 300), st.sampled_from((-128, -65, -64, 63, 64, 127)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.lists(st.lists(lifted_coeffs, max_size=4), min_size=1, max_size=3),
+    st.lists(
+        st.tuples(
+            st.lists(st.integers(0, 2), max_size=3),
+            st.lists(st.sampled_from((1, 2, 3)), min_size=1, max_size=3).map(tuple),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_packed_sum_is_the_sum_of_the_lifted_products(pool, picks):
+    # Parts share factor objects, as fold's do, and each factor is packed
+    # once: the sum equals the plain sum of each product times its lifts.
+    factors = [IntPoly(cs) for cs in pool]
+    parts = [(tuple(factors[i % len(factors)] for i in which), lifts) for which, lifts in picks]
+    plain = sum((ratio(functools.reduce(operator.mul, fs, ONE), lifts) for fs, lifts in parts), ZERO)
+    assert packed_sum(parts) == plain
 
 
 @pytest.mark.parametrize("m, packed", [(31, True), (32, True), (63, True), (64, False)])

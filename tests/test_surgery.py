@@ -214,6 +214,20 @@ def test_negative_total_names_the_first_step_even_after_a_recovery():
         )
 
 
+def test_a_negative_base_is_named_not_its_first_step():
+    # 1 - 2q + q^3, alone (as a closed S route is) and with a blow-up of
+    # a point that leaves it negative: the base went negative, not a step.
+    base = PoincarePoly(IntPoly([1, -2, 0, 1]))
+    bump = SurgeryStep("blowup", POINT, projective(2), "bump")
+    for steps in ((), (bump,)):
+        for run in (run_pipeline, run_pipeline_traced):
+            with pytest.raises(NegativeBetti) as excinfo:
+                run(Pipeline(base=base, steps=steps))
+            assert str(excinfo.value) == (
+                "pipeline total has a negative coefficient (first went negative in the base)"
+            )
+
+
 def test_step_kind_validation():
     with pytest.raises(InvalidParameters):
         SurgeryStep("fold", projective(1), projective(1), "x")
@@ -301,8 +315,8 @@ def test_each_degree3_route_makes_one_large_packed_product(monkeypatch):
     for module in (catalog, pipelines):
         monkeypatch.setattr(module, "grassmannian", recording_grassmannian)
     for comp, mode in (("S", "pipeline"), ("H", "pipeline"), ("S", "closed"), ("H", "closed")):
-        for cache in (pipelines._pipeline_poly, pipelines._simpson3_closed,
-                      pipelines._hilbert3_closed, catalog.stable_maps_gr):
+        for cache in (pipelines._raw_space_poly, pipelines._simpson3_closed,
+                      catalog.stable_maps_gr):
             cache.cache_clear()
         operands.clear()
         asked.clear()
@@ -331,7 +345,7 @@ def test_each_degree3_route_packs_once_and_evaluates_no_nested_route(monkeypatch
         monkeypatch.setattr(module, name, wrapper)
 
     for module, name in ((catalog, "packed_sum"), (polyring, "kronecker_product"),
-                         (pipelines, "_pipeline_poly"), (pipelines, "_simpson3_closed")):
+                         (pipelines, "_raw_space_poly"), (pipelines, "_simpson3_closed")):
         record(module, name)
     planar_cubics = ((ModuliKey(1, 3, 3, "S"),), (1, 3))
     for comp, mode in (("S", "pipeline"), ("H", "pipeline"), ("S", "closed"), ("H", "closed")):
@@ -342,7 +356,9 @@ def test_each_degree3_route_packs_once_and_evaluates_no_nested_route(monkeypatch
         names = [name for name, _ in calls]
         assert names.count("packed_sum") == (1 if mode == "pipeline" else 2), (comp, mode)
         assert "kronecker_product" not in names, (comp, mode)
-        assert not [args for _, args in calls if args in planar_cubics], (comp, mode)
+        # _raw_space_poly takes (key, mode): its key alone is compared.
+        assert not [args for _, args in calls
+                    if args in planar_cubics or args[:1] in planar_cubics], (comp, mode)
 
 
 # --------------------------------------------------------------- packed fold
