@@ -24,8 +24,13 @@ gcd(a, i), as certified polyring.packed_ratio steps.  Above n = 66 the
 diagonal chain [d+i choose i], i = 1..m, runs on coefficient lists.
 
 A Quotient keeps a space as small factors over a large anchor; fold sums
-Quotients by one packed sum, one decode and one ratio per anchor.  Both
-stable-map spaces are Quotients over the lines' grassmannian(k+1, n).
+Quotients by one packed sum, one decode and one ratio per anchor.  An
+anchor is a space, whose polynomial ratio multiplies in, or a
+GaussianAnchor(k, n), grassmannian(k, n) never expanded: up to n = 66,
+from dimension _THROUGH_MIN_DIM, fold runs the numerator through its
+pairs, the geometric ones packed and the leftover ones joining up and
+down, in one certified ratio.  Both stable-map spaces are Quotients
+over the lines' gaussian_anchor(k+1, n), and so is every route.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ class PoincarePoly(Record):
 
     @property
     def dim(self) -> int:
-        return max(self.poly.degree, 0)
+        return max(len(self.poly.coeffs) - 1, 0)
 
     @property
     def components(self) -> int:
@@ -114,9 +119,51 @@ class PoincarePoly(Record):
     # A space is the Quotient over itself with no small factor (see Quotient).
     small, up, down, anchor = (), (), (), property(lambda self: self)
 
+    def ratio(self, x: IntPoly, up: tuple, down: tuple) -> IntPoly:
+        """x times this space, times up over down: fold's one step per anchor."""
+        return ratio(x, up, down, by=self.poly)
+
 
 EMPTY = PoincarePoly(ZERO)
 POINT = PoincarePoly(ONE)
+
+
+# From this dimension k(n - k) on, fold runs a numerator through a
+# Gaussian binomial's pairs: below it, with the Grassmannian cached as in
+# verify, multiplying by its polynomial was quicker, by 3-7% per route.
+_THROUGH_MIN_DIM = 128
+
+
+class GaussianAnchor(PoincarePoly):
+    """grassmannian(k, n), 0 <= k <= n, as an anchor that fold never
+    expands: dim comes from k and n, and poly, if asked for, is the
+    cached grassmannian's."""
+
+    __slots__ = ("k", "n")
+
+    def __init__(self, k: int, n: int):
+        setfield(self, "k", k)
+        setfield(self, "n", n)
+
+    poly = property(lambda self: grassmannian(self.k, self.n).poly)
+    dim = property(lambda self: self.k * (self.n - self.k))
+
+    def ratio(self, x: IntPoly, up: tuple, down: tuple) -> IntPoly:
+        """x times [n choose k]_q, times up over down: through the pairs
+        of _gaussian_pairs where the module docstring says, else by the
+        polynomial."""
+        k, n = self.k, self.n
+        if n > _PACKED_ROWS_MAX_N or k * (n - k) < _THROUGH_MIN_DIM:
+            return ratio(x, up, down, by=grassmannian(k, n).poly)
+        pairs = _gaussian_pairs(min(k, n - k), max(k, n - k))
+        left = [(a, i) for a, i in pairs if a % i]
+        return ratio(x, up + tuple(a for a, _ in left), down + tuple(i for _, i in left),
+                     geometric=[(a, i) for a, i in pairs if not a % i])
+
+
+# One GaussianAnchor per (k, n), shared by every term of a route, as
+# fold groups terms by anchor object.
+gaussian_anchor = functools.lru_cache(maxsize=None)(GaussianAnchor)
 
 
 class Quotient(Record):
@@ -141,7 +188,7 @@ class Quotient(Record):
 
 
 def fold(terms: Iterable[PoincarePoly | Quotient]) -> IntPoly:
-    """The sum of the terms, one ratio(N, up, down, by=anchor) per anchor
+    """The sum of the terms, one anchor.ratio(N, up, down) per anchor
     object (never per equal polynomial), N the packed_sum of its terms'
     small parts.  Terms that differ in (up, down) are each lifted, by the
     up and what the down lacks, to up = () and the downs' multiset maximum."""
@@ -157,7 +204,7 @@ def fold(terms: Iterable[PoincarePoly | Quotient]) -> IntPoly:
             up, down = (), tuple(i for i, m in most.items() for _ in range(m))
             lifts = {(u, d): tuple(sorted((*u, *_minus(down, d)))) for u, d in shapes}
         parts = [(t.small, lifts[t.up, t.down]) for t in group]
-        total += ratio(packed_sum(parts), up, down, by=anchor.poly)
+        total += anchor.ratio(packed_sum(parts), up, down)
     return total
 
 
@@ -256,7 +303,7 @@ def grassmannian_over(j: int, a: int, n: int) -> Quotient:
     grassmannian(a, n): the recurrence's steps from row a to row j."""
     rows = range(min(j, a) + 1, max(j, a) + 1)
     up, down = tuple(n - i + 1 for i in rows), tuple(rows)
-    return Quotient(grassmannian(a, n), (), *((up, down) if j > a else (down, up)))
+    return Quotient(gaussian_anchor(a, n), (), *((up, down) if j > a else (down, up)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -299,7 +346,7 @@ def plane_families(k: int, n: int) -> Iterator[tuple]:
     codimension of the planar cubics over it in the Hilbert scheme of
     twisted cubics.  Both envelopes have the lines' Gr(k+1, n) as anchor."""
     if k >= 2:
-        yield grassmannian(k - 2, k + 1), grassmannian(k + 1, n), 2 * n - k - 4, "Delta_A"
+        yield grassmannian(k - 2, k + 1), gaussian_anchor(k + 1, n), 2 * n - k - 4, "Delta_A"
     if n >= k + 2:
         yield grassmannian(k - 1, k + 2), grassmannian_over(k + 2, k + 1, n), n + k - 4, "Delta_B"
 
@@ -412,7 +459,7 @@ def degree2_bracket(k: int, n: int) -> IntPoly:
 def degree2_quotient(k: int, n: int) -> Quotient:
     """M(Gr(k, n), 2) as a Quotient over the lines' grassmannian(k+1, n):
     degree2_bracket times (1 - q^k) (1 - q^(k+1)) over DEGREE2_DEN."""
-    return Quotient(grassmannian(k + 1, n), (degree2_bracket(k, n),), (k, k + 1), DEGREE2_DEN)
+    return Quotient(gaussian_anchor(k + 1, n), (degree2_bracket(k, n),), (k, k + 1), DEGREE2_DEN)
 
 
 @functools.lru_cache(maxsize=None)
@@ -420,7 +467,7 @@ def degree3_quotient(k: int, n: int) -> Quotient:
     """M(Gr(k, n), 3) as a Quotient over the lines' grassmannian(k+1, n):
     degree3_kernel times grassmannian(k-1, k+1) over DEGREE3_KERNEL_DEN."""
     small = (degree3_kernel(k, n), grassmannian(k - 1, k + 1).poly)
-    return Quotient(grassmannian(k + 1, n), small, down=DEGREE3_KERNEL_DEN)
+    return Quotient(gaussian_anchor(k + 1, n), small, down=DEGREE3_KERNEL_DEN)
 
 
 def check_curve_range(k: int, n: int, d: int, what: str) -> None:

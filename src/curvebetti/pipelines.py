@@ -16,8 +16,8 @@ surgery.Pipeline that surgery.run_pipeline evaluates:
   surgery steps, with centers kept as unexpanded products of catalog
   spaces (H's planar cubics S(Gr(1,3),3) as Gr(2,3) x P^6).
 
-Every route is one ratio by the lines' Gr(k+1, n): every term is a
-Quotient over it (catalog.fold).  In degree 2 both bases are Quotients
+Every route is one ratio through the lines' Gr(k+1, n), never expanded:
+every term is a Quotient over its gaussian_anchor (catalog.fold).  In degree 2 both bases are Quotients
 over the lines, as catalog.degree2_quotient is, and the steps' lines
 are the factor tuple (Gr(k+1, n), Gr(k-1, k+1)), as in degree 3, so
 the fold's only denominator is DEGREE2_DEN.
@@ -53,6 +53,7 @@ from .catalog import (
     degree3_kernel,
     degree3_quotient,
     fold,
+    gaussian_anchor,
     grassmannian,
     grassmannian_over,
     lines_through_point,
@@ -141,7 +142,7 @@ def dim_expected(key: ModuliKey) -> int:
 
 
 def _simpson2_steps(k: int, n: int) -> tuple[SurgeryStep, ...]:
-    f1 = (grassmannian(k + 1, n), grassmannian(k - 1, k + 1))  # the lines
+    f1 = (gaussian_anchor(k + 1, n), grassmannian(k - 1, k + 1))  # the lines
     return (
         SurgeryStep(
             kind="blowup",
@@ -193,7 +194,7 @@ def _simpson3_closed(k: int, n: int) -> Quotient:
         *(Quotient(POINT, (*factors, core), DEGREE3_KERNEL_DEN) for factors in polynomial_terms),
         Quotient(POINT, (gn2, ONE - geom(8), core), (n - 3, 1, 2, 3, 3)),
     ])
-    return Quotient(grassmannian(k + 1, n), (small,), down=DEGREE3_KERNEL_DEN)
+    return Quotient(gaussian_anchor(k + 1, n), (small,), down=DEGREE3_KERNEL_DEN)
 
 
 def _simpson3_steps(k: int, n: int) -> tuple[SurgeryStep, ...]:
@@ -202,7 +203,7 @@ def _simpson3_steps(k: int, n: int) -> tuple[SurgeryStep, ...]:
     with Delta_A and B).  Pairs of pointed lines blown up along the
     diagonal (codimension n - 2) stay factored: Fx (Fx + P^(n-3) - 1)."""
     x = grassmannian_over(k, k + 1, n)
-    f1 = (grassmannian(k + 1, n), grassmannian(k - 1, k + 1))  # the lines
+    f1 = (gaussian_anchor(k + 1, n), grassmannian(k - 1, k + 1))  # the lines
     fx = lines_through_point(k, n)
     pn3 = projective(n - 3).poly
     bl_rest = PoincarePoly(fx.poly + pn3 - ONE)  # Bl(Fx x Fx) over Fx
@@ -270,8 +271,6 @@ def _pipeline(key: ModuliKey, mode: str) -> Pipeline:
     """A valid S or H key's route as a pipeline.  Closed mode starts from
     the closed S formula, with no step in S and the planar-locus blow-ups
     in H; pipeline mode starts from the stable-map space."""
-    if mode not in ("closed", "pipeline"):
-        raise InvalidParameters(f"mode {mode!r} not one of closed, pipeline")
     if not has_pipeline(key):
         raise InvalidParameters(
             f"{key}: the stable-map space is the pipeline base and has no "
@@ -284,7 +283,7 @@ def _pipeline(key: ModuliKey, mode: str) -> Pipeline:
             return Pipeline(base=degree2_quotient(k, n), steps=_simpson2_steps(k, n))
         # Closed S over the lines as degree2_quotient is M, with the sheaf term.
         bracket = degree2_bracket(k, n) + ratio(monomial(3) - monomial(n - 2), (2,))
-        base = Quotient(grassmannian(k + 1, n), (bracket,), (k, k + 1), DEGREE2_DEN)
+        base = Quotient(gaussian_anchor(k + 1, n), (bracket,), (k, k + 1), DEGREE2_DEN)
         return Pipeline(base=base, steps=())
     delta = _delta_steps(k, n) if key.compactification == "H" else ()
     if mode == "closed":
@@ -306,8 +305,11 @@ def _raw_space_poly(key: ModuliKey, mode: str) -> PoincarePoly:
 
 
 def space_poly(key: ModuliKey, mode: str = "closed") -> PoincarePoly:
-    """Poincare polynomial of the space a key names."""
+    """Poincare polynomial of the space a key names, by the route mode
+    names, checked before the route cache sees it."""
     validate_key(key)
+    if mode not in ("closed", "pipeline"):
+        raise InvalidParameters(f"mode {mode!r} not one of closed, pipeline")
     return _raw_space_poly(normalize_key(key), mode)
 
 

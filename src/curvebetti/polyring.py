@@ -24,8 +24,10 @@ borrow of B per negative slot.  A signed product P is read as
 (P + biases) ^ biases through the signed typecode, biases holding B/2 in
 every slot (each slot of the sum lies in [0, B), and the xor gives its
 two's complement), only given a bound below B/2 on the coefficients'
-absolute values.  Slots wider than 8 bytes, needed only above about 60
-bits, are packed and read the same way, as byte slices.
+absolute values.  Slots wider than 8 bytes pack as byte slices.  A
+nonnegative decode from 9 to 16 bytes reads an 8-byte lane and a lane
+of the rest, the second dropped when all zero; wider or signed ones
+read byte slices.
 
 packed_sum adds products of small factors, each times its lifts
 (1 - q^a), at one such point, a ring homomorphism: the products, lifts
@@ -39,22 +41,27 @@ Products and quotients of factors (1 - q^j) have one function, ratio,
 which takes one O(len) step per factor: a shift and subtraction per
 factor multiplied, and per factor divided one running sum per residue
 class mod j, with a check that the remainder is zero.  exact_div stays
-the general divider.  ratio(x, up, down, by=y) keeps the large product
-packed: x y is packed with one more bit of slot per factor of up, so
-that N = x y prod(1 - q^a) has every |N_j| <= nb < B/2, nb = max|x|
-max|y| min(len) 2^len(up), and each a is applied as v -= v << 8w a.
-D = prod(1 - q^i), over the l factors of down, is divided out by one
-divmod by its factors with i <= 3, then by running sums by doubling per
-larger factor, read mod B^s as a balanced residue r and kept only if
-r - r B^i is the dividend: Q(B) D(B) = N(B) exactly.  Q is accepted
-if Q(B) >= 0 fits the quotient's slots and every slot of Q is below
-B / 2^(l+1) or, if that mask rejects, below 2^t with (U/2)(2^t - 1) +
-nb < B, U = ||D_small||_1 2^(factors above 3) >= ||D||_1.
-As D(1) = 0, its positive and negative coefficients each sum to
-||D||_1 / 2 <= 2^(l-1), so either test gives |(Q D - N)_j| < B: Q D - N
-vanishes at B and is the zero polynomial, and Q = N / D exactly.
-Otherwise the list steps run on the decoded product, with the same
-quotient or the same NonExactDivision; with no down, x y is x * y.
+the general divider.  ratio(x, up, down, by=y, geometric=pairs) keeps
+the large product packed: x(B) y(B), times 1 + q^i + ... + q^(a-i) by
+packed_geometric for each pair (a, i), i dividing a, times each
+1 - q^a of up as v -= v << 8w a, is N(B), every |N_j| <= nb = max|x|
+max|y| min(len) prod(a / i) 2^len(up).  D = prod(1 - q^i), over the l
+factors of down, is divided out by one divmod by its factors with
+i <= 3, then by running sums by doubling per larger factor, read mod
+B^s as a balanced residue r and kept only if r - r B^i is the dividend:
+Q(B) D(B) = N(B) exactly.  Given nb < B/2, Q is accepted if Q(B) >= 0
+fits the quotient's slots and every slot of Q is below B / 2^(l+1) or,
+if that mask rejects, below 2^t with (U/2)(2^t - 1) + nb < B, U =
+||D_small||_1 2^(factors above 3) >= ||D||_1.  As D(1) = 0, its
+positive and negative coefficients each sum to ||D||_1 / 2 <= 2^(l-1),
+so either test gives |(Q D - N)_j| < B: Q D - N vanishes at B and is
+the zero polynomial, and Q = N / D exactly.  Otherwise x * y and the
+list steps run, with the same quotient or the same NonExactDivision.
+The width is fixed before, and decides only whether the attempt
+certifies: a Q >= 0 has no coefficient above Q(1) = y(1) prod(a / i)
+x_r(1) prod a / prod i over up and down, x_r = x / (q - 1)^r for r =
+len(down) - len(up), x_r(1) = sum C(m, r) x_m, so the narrowest slot
+with 2^l (2^bits(Q(1)) - 1) + 2 nb < 2B and nb < B/2 passes a test.
 
 Before packing, IntPoly.__mul__ looks at the shape of the shorter
 operand only.  If that one, b, has at most two nonzero coefficients,
@@ -85,7 +92,7 @@ import operator
 import sys
 from array import array
 from collections.abc import Iterable
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 
 from .errors import DivisionByZero, InvalidParameters, NonExactDivision
 from .record import Record, setfield
@@ -274,7 +281,8 @@ def unpack_slots(value: int, count: int, width: int, bound: int | None = None) -
     base-2^(8 width) digits or, given a bound on their absolute values,
     signed coefficients (module docstring), refused with InvalidParameters
     unless bound < 2^(8 width - 1).  Each slot is read through the
-    smallest array item that holds it, or as a byte slice if none does."""
+    smallest array item that holds it, unsigned ones of 9 to 16 bytes
+    through two, or as a byte slice."""
     signed = bound is not None
     if signed:
         if bound >> 8 * width - 1:
@@ -283,20 +291,35 @@ def unpack_slots(value: int, count: int, width: int, bound: int | None = None) -
         value = (value + biases) ^ biases
     data = value.to_bytes(count * width, "little")
     size, code = _SLOTS.get(width, (width, ""))
-    if not code:
+    if code and size == width:
+        words = array(code.lower() if signed else code, data)
+        if _BIG_ENDIAN:
+            words.byteswap()
+        return words.tolist()
+    if code:  # never signed: a signed width is an item size
+        return _lane(data, width, 0, width).tolist()
+    if signed or width > 16 or _SLOTS.get(8, (0,))[0] != 8:
         return [
             int.from_bytes(data[i : i + width], "little", signed=signed)
             for i in range(0, count * width, width)
         ]
-    if size != width:  # never signed: a signed width is an item size
-        items = bytearray(count * size)
-        for b in range(width):
-            items[b::size] = data[b::width]
-        data = items
-    words = array(code.lower() if signed else code, data)
+    low, high = _lane(data, width, 0, 8), _lane(data, width, 8, width - 8)
+    if not int.from_bytes(high, "little"):  # every slot below 2^64
+        return low.tolist()
+    return list(map(operator.or_, map(operator.lshift, high, repeat(64)), low))
+
+
+def _lane(data: bytes, width: int, start: int, size: int) -> array:
+    """Bytes start to start + size of each width-byte slot of data, as
+    the unsigned items of the smallest array type that holds size bytes."""
+    item, code = _SLOTS[size]
+    items = bytearray(len(data) // width * item)
+    for b in range(size):
+        items[b::item] = data[start + b :: width]
+    words = array(code, items)
     if _BIG_ENDIAN:
         words.byteswap()
-    return words.tolist()
+    return words
 
 
 def _pack(cs: tuple[int, ...], width: int, signed: bool) -> int:
@@ -347,23 +370,17 @@ def packed_sum(parts: Iterable[tuple[tuple[IntPoly, ...], tuple[int, ...]]]) -> 
     return IntPoly(unpack_slots(total, count, width, bound))
 
 
-def _packed_product(a: tuple[int, ...], b: tuple[int, ...], spare: int = 0) -> tuple:
-    """(a(B) b(B), width, bound), B = 2^(8 width), in slots that hold every
-    product coefficient, its sign and spare bits more (module docstring);
-    bound, on the coefficients, is None if a and b are nonnegative."""
+def kronecker_product(a: tuple[int, ...], b: tuple[int, ...]) -> IntPoly:
+    """The product of two nonempty coefficient tuples, packed and
+    multiplied as one integer each, whatever their shape, in slots that
+    hold every product coefficient and its sign (module docstring)."""
     lo_a, lo_b = min(a), min(b)
     top_a, top_b, terms = max(max(a), -lo_a), max(max(b), -lo_b), min(len(a), len(b))
     # One sign bit more, and 7 to round up to whole bytes.
-    width = (top_a.bit_length() + top_b.bit_length() + terms.bit_length() + spare + 8) // 8
+    width = (top_a.bit_length() + top_b.bit_length() + terms.bit_length() + 8) // 8
     width = _SLOTS.get(width, (width, ""))[0]
     bound = top_a * top_b * terms if lo_a < 0 or lo_b < 0 else None
-    return _pack(a, width, lo_a < 0) * _pack(b, width, lo_b < 0), width, bound
-
-
-def kronecker_product(a: tuple[int, ...], b: tuple[int, ...]) -> IntPoly:
-    """The product of two nonempty coefficient tuples, packed and
-    multiplied as one integer each, whatever their shape."""
-    product, width, bound = _packed_product(a, b)
+    product = _pack(a, width, lo_a < 0) * _pack(b, width, lo_b < 0)
     return IntPoly(unpack_slots(product, len(a) + len(b) - 1, width, bound))
 
 
@@ -375,19 +392,21 @@ def monomial(j: int, c: int = 1) -> IntPoly:
 
 
 def ratio(p: IntPoly, up: Iterable[int] = (), down: Iterable[int] = (),
-          by: IntPoly | None = None) -> IntPoly:
-    """p, times by if given, times the product of (1 - q^a) for a in up,
-    over the product of (1 - q^i) for i in down.  Each a must be >= 0,
-    or InvalidParameters is raised, and each i >= 1, or DivisionByZero.
+          by: IntPoly | None = None, geometric: Iterable[tuple[int, int]] = ()) -> IntPoly:
+    """p, times by if given, times (1 - q^a) / (1 - q^i) for each pair
+    (a, i) of geometric, i dividing a, times the product of (1 - q^a) for
+    a in up, over the product of (1 - q^i) for i in down.  Each a must be
+    >= 0, or InvalidParameters is raised, and each i >= 1, or
+    DivisionByZero.
 
     Multiplying by 1 - q^a is one shift and subtraction.  Dividing by
     1 - q^i takes the running sums q_m = p_m + q_(m-i) of the power
     series, one itertools.accumulate over each residue class of m mod i.
     That division is exact if and only if the last i of them are zero;
-    otherwise NonExactDivision is raised.  With by, p is first multiplied
-    by it: packed, with the quotient split into one divmod and running
-    sums and certified, when there is a down (module docstring), and as
-    p * by when there is none.
+    otherwise NonExactDivision is raised.  With by or geometric and a
+    down, p is first multiplied by them packed, and the quotient split
+    into one divmod and running sums and certified (module docstring);
+    otherwise, or if that fails, by p * by and the list steps.
 
     >>> ratio(IntPoly([1, 1]), up=(2,))
     IntPoly('1 + q - q^2 - q^3')
@@ -395,30 +414,28 @@ def ratio(p: IntPoly, up: Iterable[int] = (), down: Iterable[int] = (),
     IntPoly('1 + q + q^2 + q^3')
     >>> ratio(IntPoly([1, 1]), (3,), (1, 1), by=IntPoly([1, -1]))
     IntPoly('1 + 2q + 2q^2 + q^3')
+    >>> ratio(IntPoly([1, 1]), geometric=[(4, 2)])
+    IntPoly('1 + q + q^2 + q^3')
     """
-    up, down = tuple(up), tuple(down)
+    up, down, geometric = tuple(up), tuple(down), tuple(geometric)
     if up and min(up) < 0:
         raise InvalidParameters(
             f"factor 1 - q^{next(a for a in up if a < 0)}: negative exponent"
         )
     if down and min(down) < 1:
         raise DivisionByZero(f"division by 1 - q^{next(i for i in down if i < 1)}")
-    if p and by and down:
-        x, y = p.coeffs, by.coeffs
-        product, width, bound = _packed_product(x, y, len(up))
-        size = len(x) + len(y) - 1
-        count = size + sum(up) - sum(down)
-        quot = _packed_quotient(product, x, y, bound, up, down, count, width)
+    if geometric and any(not 1 <= i <= a or a % i for a, i in geometric):
+        raise InvalidParameters(f"geometric pairs {geometric}: need i dividing a >= i >= 1")
+    y = ONE if by is None else by
+    if p and y and down and (by is not None or geometric):
+        quot = _packed_ratio(p.coeffs, y.coeffs, geometric, up, down)
         if quot is not None:
-            return IntPoly(unpack_slots(quot, count, width))
-        p = IntPoly(unpack_slots(product, size, width, bound))
-    elif by is not None:
-        p = p * by
-    cs = list(p.coeffs)
-    for a in up:
+            return quot
+    cs = list((p if by is None else p * by).coeffs)
+    for a in up + tuple(a for a, _ in geometric):
         pad = [0] * a
         cs = list(map(operator.sub, cs + pad, pad + cs))
-    for i in down:
+    for i in down + tuple(i for _, i in geometric):
         num, cs = cs, cs.copy()
         # A class r with r + i past the end has one entry, its own sum.
         for r in range(min(i, len(cs) - i)):
@@ -433,6 +450,36 @@ def ratio(p: IntPoly, up: Iterable[int] = (), down: Iterable[int] = (),
     return IntPoly(cs)
 
 
+def _packed_ratio(x: tuple, y: tuple, pairs: tuple, up: tuple, down: tuple) -> IntPoly | None:
+    """x y times the pairs' geometric sums, by shift-adds, times up over
+    down: packed once, in the width _quotient_width fixes, and divided
+    once; None unless certified (module docstring)."""
+    lo_x, lo_y, g, count = min(x), min(y), 1, len(x) + len(y) - 1 + sum(up) - sum(down)
+    for a, i in pairs:
+        g, count = g * (a // i), count + a - i
+    nb = max(max(x), -lo_x) * max(max(y), -lo_y) * min(len(x), len(y)) * g << len(up)
+    width = _quotient_width(x, up, down, sum(y) * g, nb)
+    if nb >> 8 * width - 1:  # too narrow to pack
+        return None
+    v = _pack(x, width, lo_x < 0) * _pack(y, width, lo_y < 0)
+    for a, i in pairs:
+        v = packed_geometric(v, a, i, width)
+    quot = _packed_quotient(v, nb, up, down, count, width)
+    return None if quot is None else IntPoly(unpack_slots(quot, count, width))
+
+
+def _quotient_width(x: tuple, up: tuple, down: tuple, at_one: int, nb: int) -> int:
+    """The narrowest slot, rounded as _pack needs, that certifies Q = x g
+    up / down if Q >= 0, g(1) = at_one (module docstring)."""
+    r, q1 = len(down) - len(up), 0
+    if r >= 0:  # Q(1) = at_one x_r(1) prod a / prod i
+        xr = sum(map(operator.mul, map(math.comb, range(r, len(x)), repeat(r)), x[r:]))
+        q1 = max(-(-at_one * (-xr if r & 1 else xr) * math.prod(up) // math.prod(down)), 0)
+    need = max(((1 << q1.bit_length()) - 1 << len(down)) + 2 * nb, 4 * nb)  # below 2B
+    width = (need.bit_length() + 6) // 8
+    return _SLOTS.get(width, (width, ""))[0]
+
+
 # Down factors 1 - q^i with i up to this share _packed_quotient's one
 # divmod; each larger one is divided by running sums.  At 8-byte slots
 # over about 600 slots, divmod by 1 - B^i took 26/32/35 us for i = 1/2/3
@@ -441,10 +488,10 @@ def ratio(p: IntPoly, up: Iterable[int] = (), down: Iterable[int] = (),
 _DIVMOD_MAX_I = 3
 
 
-def _packed_quotient(v: int, x: tuple, y: tuple, bound: int | None, up: tuple,
-                     down: tuple, count: int, width: int) -> int | None:
-    """Q(B), Q = N / D in count slots, for v = x(B) y(B) from
-    _packed_product(x, y, len(up)); None unless certified (module docstring)."""
+def _packed_quotient(v: int, nb: int, up: tuple, down: tuple, count: int,
+                     width: int) -> int | None:
+    """Q(B), Q = N / D in count slots, for v packing N before the factors
+    of up, B/2 > nb >= max|N_j|; None unless certified (module docstring)."""
     if count <= 0:
         return None
     shift, d = 8 * width, 1
@@ -469,15 +516,12 @@ def _packed_quotient(v: int, x: tuple, y: tuple, bound: int | None, up: tuple,
         return None
     if not quot & slot_tops(width, len(down) + 1, count):
         return quot
-    # The sharper bound: u >= ||D||_1, and nb = bound << len(up) < B/2.
+    # The sharper bound: u >= ||D||_1, and nb < B/2.
     cs = [1]
     for i in small:
         cs = list(map(operator.sub, cs + [0] * i, [0] * i + cs))
     u = sum(map(abs, cs)) << len(large)
-    if bound is None:
-        bound = max(x) * max(y) * min(len(x), len(y))
-    room = 2 * ((1 << shift) - (bound << len(up))) - 1
-    t = (room // u + 1).bit_length() - 1
+    t = ((2 * ((1 << shift) - nb) - 1) // u + 1).bit_length() - 1
     return None if quot & slot_tops(width, shift - t, count) else quot
 
 

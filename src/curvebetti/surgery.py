@@ -61,11 +61,18 @@ class SurgeryStep(Record):
         setfield(self, "fiber", fiber)
         setfield(self, "label", label)
 
-    def check_fit(self, space_dim: int) -> None:
+    def check_fit(self, space_dim: int, dims: dict | None = None) -> None:
         """Check that center dim + fiber dim + 1 == space_dim: the
         exceptional divisor has codimension one.  A center with an empty
-        factor fits anywhere (tested last: it expands a Quotient head)."""
-        dim, codim = sum(factor.dim for factor in self.center), self.fiber.dim + 1
+        factor fits anywhere (tested last: it expands a Quotient head).
+        dims keeps each factor's dim by id, so a pipeline reads it once."""
+        dims, dim = {} if dims is None else dims, 0
+        for factor in self.center:
+            known = dims.get(id(factor))
+            if known is None:
+                known = dims[id(factor)] = factor.dim
+            dim += known
+        codim = self.fiber.dim + 1
         if dim + codim != space_dim and all(factor.poly for factor in self.center):
             raise DimensionMismatch(
                 f"step {self.label}: center dimension {dim} + "
@@ -88,8 +95,9 @@ class Pipeline(Record):
     __slots__ = ("base", "steps")
 
     def __init__(self, base: PoincarePoly | Quotient, steps: tuple[SurgeryStep, ...]):
+        space_dim, dims = base.dim, {}  # each read once per pipeline
         for step in steps:
-            step.check_fit(base.dim)
+            step.check_fit(space_dim, dims)
         setfield(self, "base", base)
         setfield(self, "steps", steps)
 

@@ -415,47 +415,112 @@ def test_stable_maps_gr_structure(k, n, d):
 
 
 @pytest.mark.parametrize("k, n, packed", [(10, 40, True), (24, 48, False)])
-def test_stable_maps_gr_degree_three_divides_packed_or_by_list(k, n, packed):
-    # The quotient of M(Gr(10,40),3), with coefficients of 48 bits, is
-    # certified in 8-byte slots.  That of M(Gr(24,48),3) has coefficients
-    # of 65 bits, past the slots, so the division falls back to the list
-    # steps, whose running sums are itertools.accumulate calls.  Either
-    # way it is the expanded space of lines times the kernel, divided
-    # factor by factor.
+def test_stable_maps_gr_degree_three_divides_packed_or_by_list(monkeypatch, k, n, packed):
+    # The quotient of M(Gr(10,40),3) has coefficients of 48 bits, that of
+    # M(Gr(24,48),3) 65.  The slot width fixed beforehand holds either, so
+    # both are certified packed.  Forced into 8-byte slots, the first is
+    # still certified and the second falls back to the list steps, whose
+    # running sums are itertools.accumulate calls: a width too narrow
+    # changes the path, never the result.  Either way it is the expanded
+    # space of lines times the kernel, divided factor by factor.
     expected = ratio(degree3_kernel(k, n) * fano_lines(k, n).poly, down=DEGREE3_KERNEL_DEN)
-    stable_maps_gr.cache_clear()
-    with mock.patch.object(polyring, "accumulate", wraps=polyring.accumulate) as sums:
-        got = stable_maps_gr(k, n, 3).poly
-    assert got == expected
-    assert sums.called != packed
+    for narrow in (False, True):
+        if narrow:
+            monkeypatch.setattr(polyring, "_quotient_width", lambda *args: 8)
+        stable_maps_gr.cache_clear()
+        with mock.patch.object(polyring, "accumulate", wraps=polyring.accumulate) as sums:
+            got = stable_maps_gr(k, n, 3).poly
+        assert got == expected
+        assert sums.called == (narrow and not packed)
     assert max(got.coeffs).bit_length() == (48 if packed else 65)
 
 
-def test_stable_maps_gr_degree_three_never_expands_the_lines(monkeypatch):
-    # The small factor Gr(k-1, k+1) of the lines goes into the kernel
-    # first; the large one, Gr(k+1, n), is multiplied in once, packed.
-    lines = fano_lines(12, 40).poly.coeffs
-    operands = []
-    mul, packed_product = IntPoly.__mul__, polyring._packed_product
-
-    def recording_mul(a, b):
-        operands.extend((a.coeffs, getattr(b, "coeffs", b)))
-        return mul(a, b)
-
-    def recording_packed_product(a, b, spare=0):
-        operands.extend((a, b))
-        return packed_product(a, b, spare)
+def test_stable_maps_gr_degree_three_never_expands_the_lines(monkeypatch, packed_operands):
+    # The small factor Gr(k-1, k+1) of the lines goes into the kernel;
+    # the numerator then runs through the pairs of the large one,
+    # Gr(k+1, n): on a cold route no packed operand is as long as
+    # Gr(12, 40), and neither Gr(13, 40) nor the space of lines is built.
+    expected = ratio(degree3_kernel(12, 40) * fano_lines(12, 40).poly, down=DEGREE3_KERNEL_DEN)
 
     def no_lines(k, n):
         raise AssertionError("fano_lines called")
 
-    stable_maps_gr.cache_clear()
-    monkeypatch.setattr(IntPoly, "__mul__", recording_mul)
-    monkeypatch.setattr(polyring, "_packed_product", recording_packed_product)
+    for cache in (stable_maps_gr, catalog.degree3_quotient, catalog.gaussian_anchor):
+        cache.cache_clear()
+    lengths, asked = packed_operands()
     monkeypatch.setattr(catalog, "fano_lines", no_lines)
-    assert stable_maps_gr(12, 40, 3).poly == space_poly(ModuliKey(12, 40, 3, "M")).poly
-    assert grassmannian(13, 40).poly.coeffs in operands
-    assert lines not in operands
+    assert stable_maps_gr(12, 40, 3).poly == expected
+    assert lengths and max(lengths) < len(grassmannian(12, 40).poly.coeffs)
+    assert (11, 13) in asked and not {(12, 40), (13, 40)} & set(asked)
+
+
+@pytest.mark.parametrize("k, n, through", [(8, 24, True), (7, 24, False)])
+def test_gaussian_anchors_run_through_their_pairs_from_dimension_128(packed_operands, k, n, through):
+    # Measured with the Grassmannians cached, as in verify: below a
+    # dimension k(n - k) of about 128, multiplying by the cached
+    # polynomial is quicker; from there on, running the numerator
+    # through the pairs is.  Cold, the pairs are quicker at every size.
+    assert catalog._THROUGH_MIN_DIM == 128 and k * (n - k) - 128 in (0, -9)
+    m2 = catalog.degree2_quotient(k - 1, n)  # a Quotient over Gr(k, n)
+    (x,), up, down = m2.small, m2.up, m2.down
+    expected = ratio(x, up, down, by=grassmannian(k, n).poly)
+    _, asked = packed_operands()
+    assert catalog.GaussianAnchor(k, n).ratio(x, up, down) == expected
+    assert asked == ([] if through else [(k, n)])
+
+
+def planted_numerators(rng: random.Random, j: int, n: int, signed: bool):
+    """N, up and down whose quotient times [n choose j]_q is a polynomial:
+    N = M (1 - q^j) prod(1 - q^i) over down less its last i, n, which
+    only the anchor's pairs divide out (its factor (1 - q^n) / (1 - q^j))."""
+    low = -3 if signed else 0
+    m = IntPoly([rng.randint(low, 9) for _ in range(rng.randint(1, 12))] + [1])
+    down = tuple(rng.choice((1, 2, 2, 3, 3, 4, 5, 7)) for _ in range(rng.randint(0, 4)))
+    up = tuple(rng.randint(1, 6) for _ in range(rng.randint(0, 2))) if signed else ()
+    return ratio(m, (j, *down)), up, (*down, n)
+
+
+ORACLE_PAIRS = [(0, 0), (0, 5), (5, 5), (1, 2), (1, 66), (65, 66), (33, 66), (32, 66),
+                (12, 41), (24, 48), (13, 40), (28, 61), (20, 58), (9, 31), (30, 64)]
+
+
+@pytest.mark.parametrize("j, n", ORACLE_PAIRS)
+def test_anchor_pairs_equal_the_product_by_the_polynomial(monkeypatch, j, n):
+    # Oracle: through the pairs, certified or not, a group is the product
+    # by the expanded Gaussian binomial, divided step by step.  Every
+    # anchor takes the pairs here, and every nonnegative quotient is
+    # certified in the width fixed beforehand.
+    monkeypatch.setattr(catalog, "_THROUGH_MIN_DIM", 0)
+    quotient, certified = polyring._packed_quotient, []
+
+    def recording_quotient(*args):
+        quot = quotient(*args)
+        certified.append(quot is not None)
+        return quot
+
+    monkeypatch.setattr(polyring, "_packed_quotient", recording_quotient)
+    rng, anchor = random.Random(f"{j},{n}"), catalog.GaussianAnchor(j, n)
+    for signed in (False, True) * 3:
+        if j == 0 or n == j:  # the point: no pair, so no factor to divide
+            x, up, down = IntPoly([rng.randint(0, 9) for _ in range(5)]), (), ()
+        else:
+            x, up, down = planted_numerators(rng, j, n, signed)
+        expected = ratio(x, up, down, by=grassmannian(j, n).poly)
+        certified.clear()
+        assert anchor.ratio(x, up, down) == expected, (signed, x, up, down)
+        if down and not signed:
+            assert certified == [True]
+
+
+@pytest.mark.parametrize("j, n", ORACLE_PAIRS[3:])
+def test_anchor_pairs_refuse_a_planted_inexact_numerator(monkeypatch, j, n):
+    monkeypatch.setattr(catalog, "_THROUGH_MIN_DIM", 0)
+    rng, anchor = random.Random(f"inexact {j},{n}"), catalog.GaussianAnchor(j, n)
+    for _ in range(4):
+        x, up, down = planted_numerators(rng, j, n, False)
+        bad = x + monomial(rng.randint(0, len(x.coeffs)), rng.choice((-1, 1)))
+        with pytest.raises(NonExactDivision):
+            anchor.ratio(bad, up, down)
 
 
 DEGREE2_ANCHOR_KEYS = [(k, n) for n in range(3, 31) for k in range(1, n)] + [

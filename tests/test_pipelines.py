@@ -184,6 +184,13 @@ def test_space_poly_rejects_bad_mode_and_m_pipeline():
         space_poly(ModuliKey(1, 4, 2, "M"), "pipeline")
 
 
+def test_space_poly_checks_an_unhashable_mode_before_the_route_cache():
+    # The route cache hashes its arguments; a mode it cannot hash is
+    # still refused as a bad mode, with the usual message.
+    with pytest.raises(InvalidParameters, match=r"mode \['closed'\] not one of closed, pipeline"):
+        space_poly(ModuliKey(1, 4, 2, "S"), ["closed"])
+
+
 def test_degree_two_hilbert_is_simpson():
     key = ModuliKey(1, 4, 2, "H")
     assert space_poly(key).poly == simpson_d2(1, 4).poly

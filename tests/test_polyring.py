@@ -576,6 +576,71 @@ def test_ratio_by_refuses_inexact_small_numerators(x, y, down):
     assert outcome(lambda: ratio(px, (), down, by=py)) == expected
 
 
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(st.one_of(st.integers(0, 9), st.integers(-9, 9), st.integers(0, 2**70)), min_size=1, max_size=10),
+    st.lists(st.tuples(st.integers(1, 5), st.integers(1, 4)), min_size=1, max_size=3),
+    st.lists(st.sampled_from((1, 2, 3, 5, 7)), max_size=4),
+    st.integers(-1, 3),
+)
+def test_ratio_through_geometric_pairs_is_the_list_steps(x, pairs, down, plant):
+    # Each pair (i m, i) multiplies by 1 + q^i + ... + q^(i (m - 1)),
+    # packed in the width fixed beforehand or, patched, in one byte: an
+    # exact numerator gives the list steps' quotient on either path, and
+    # one with a planted q^plant the list steps' error.
+    geometric = [(i * m, i) for m, i in pairs]
+    num = ratio(IntPoly(x), down)
+    if plant >= 0:
+        num += monomial(plant)
+    every_a, every_i = [a for a, _ in geometric], [i for _, i in geometric]
+    expected = outcome(lambda: ratio(num, every_a, down + every_i))
+    assert outcome(lambda: ratio(num, (), down, geometric=geometric)) == expected
+    with mock.patch.object(polyring, "_quotient_width", lambda *args: 1):
+        assert outcome(lambda: ratio(num, (), down, geometric=geometric)) == expected
+    if plant >= 0 and isinstance(expected, tuple):
+        assert expected[0] == "NonExactDivision"
+
+
+@pytest.mark.parametrize("lifts", [3, 5, 8])
+def test_the_width_fixed_beforehand_certifies_a_quotient_equal_to_its_value_at_one(lifts):
+    # c (1 - q)^l / (1 - q)^l = c: the quotient's one coefficient is Q(1)
+    # itself, so a width from any bound below Q(1) is too narrow for it
+    # somewhere below 80 bits, and the attempt falls back.
+    d = ratio(ONE, (1,) * lifts)
+    for j in range(1, 80):
+        for c in (2**j - 1, 2**j, 3 << j - 1):
+            with mock.patch.object(polyring, "accumulate", wraps=polyring.accumulate) as sums:
+                assert ratio(IntPoly([c * e for e in d.coeffs]), (), (1,) * lifts, by=ONE) == IntPoly([c])
+            assert not sums.called, (lifts, c)
+
+
+def test_the_width_holds_the_numerator_times_its_geometric_sums():
+    # The certificate needs nb >= every |N_j|, N = x G the product it
+    # divides.  Here x_2(1) = 0, so Q(1) says nothing and nb alone sets
+    # the width: with nb = max|x| prod(a / i), N's coefficients of up to
+    # 11,900 still fit below half a slot.
+    widths, quotient_width = [], polyring._quotient_width
+
+    def recording(*args):
+        widths.append(quotient_width(*args))
+        return widths[-1]
+
+    x, pairs = IntPoly([100, 100]), [(60, 1), (60, 1)]
+    with mock.patch.object(polyring, "_quotient_width", recording):
+        with pytest.raises(NonExactDivision):
+            ratio(x, (), (1, 1), geometric=pairs)
+    product = ratio(x, (60, 60), (1, 1))
+    assert widths and max(product.coeffs) == 11900 < 2 ** (8 * widths[0] - 1)
+
+
+def test_ratio_refuses_a_pair_that_is_no_geometric_sum():
+    for pair in ((3, 2), (0, 1), (2, 0), (-2, -1)):
+        with pytest.raises(InvalidParameters, match="geometric pairs"):
+            ratio(ONE, geometric=[pair])
+    assert ratio(ZERO, (1,), (1,), geometric=[(6, 2)]) == ZERO
+    assert ratio(IntPoly([1, 1]), geometric=[(4, 2)]) == IntPoly([1, 1, 1, 1])
+
+
 def test_packed_sum_bounds_the_lifted_coefficients():
     # -100 + 100q has norms 200 and 100, so 1-byte slots hold it, but
     # not its lift by 1 - q, -100 + 200q - 100q^2: the bound doubles per
@@ -609,19 +674,24 @@ def test_packed_sum_is_the_sum_of_the_lifted_products(pool, picks):
 
 
 @pytest.mark.parametrize("m, packed", [(31, True), (32, True), (63, True), (64, False)])
-def test_ratio_by_certifies_or_falls_back(m, packed):
+def test_ratio_by_certifies_or_falls_back(monkeypatch, m, packed):
     # (1 - q^m)^2 / (1 - q)^2 = (1 + ... + q^(m-1))^2 peaks at m.  The
     # product (1 - q^m)^2 * 1 fits one-byte slots.  The first mask takes
     # quotient slots below 2^8 / 2^(2 + 1) = 32; the sharper bound, with
     # ||(1 - q)^2||_1 = 4 and every |N_j| <= 2, takes slots below 2^t
-    # where 2 (2^t - 1) + 2 < 2^8, so below 64: m = 63 is certified
-    # packed, m = 64 falls back to the list steps, whose running sums
-    # are itertools.accumulate calls.
+    # where 2 (2^t - 1) + 2 < 2^8, so below 64: in one-byte slots m = 63
+    # is certified packed, m = 64 falls back to the list steps, whose
+    # running sums are itertools.accumulate calls.  The width fixed
+    # beforehand, from Q(1) = m^2, takes two bytes, and certifies both.
     run = IntPoly([1] * m)
-    with mock.patch.object(polyring, "accumulate", wraps=polyring.accumulate) as sums:
-        got = ratio(ratio(ONE, (m, m)), down=(1, 1), by=ONE)
-    assert got == schoolbook(run, run)
-    assert sums.called != packed
+    for narrow in (True, False):
+        with mock.patch.object(polyring, "accumulate", wraps=polyring.accumulate) as sums:
+            if narrow:
+                monkeypatch.setattr(polyring, "_quotient_width", lambda *args: 1)
+            got = ratio(ratio(ONE, (m, m)), down=(1, 1), by=ONE)
+            monkeypatch.undo()
+        assert got == schoolbook(run, run)
+        assert sums.called == (narrow and not packed)
 
 
 def test_div_one_minus_edge_cases():
@@ -692,15 +762,32 @@ def pack(cs: list[int], width: int) -> int:
     return sum(c << (8 * width * j) for j, c in enumerate(cs))
 
 
-@pytest.mark.parametrize("width", range(1, 11))
+@pytest.mark.parametrize("width", range(1, 18))
 def test_unpack_slots_reads_every_width(width):
     # Digits from zero to the top of the slot, with zero slots above the
-    # highest nonzero one; widths 3, 5, 6 and 7 widen into larger items
-    # and widths past 8 are read as byte slices.
+    # highest nonzero one; widths 3, 5, 6 and 7 widen into larger items,
+    # widths 9 to 16 are read as an 8-byte lane and a lane of the rest,
+    # the second skipped when it is all zero, and wider ones as byte
+    # slices.
     top = 2 ** (8 * width) - 1
     digits = [0, 1, top, top // 3, 2 ** (8 * width - 1), 7]
     assert unpack_slots(pack(digits, width), 9, width) == digits + [0, 0, 0]
     assert unpack_slots(0, 2, width) == [0, 0]
+    low = [c % 2 ** (8 * width) for c in (0, 1, 2**64 - 1, 2**63, 7)]
+    assert unpack_slots(pack(low, width), 5, width) == low
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8, 9, 11, 16, 17])
+def test_pack_holds_every_coefficient_below_half_a_slot(width):
+    # Through array items up to 8 bytes, byte slices past them, each
+    # negative coefficient borrowing from the slot above.
+    half = 2 ** (8 * width - 1)
+    for cs in ([0, 1, half - 1, 5], [-1, 2**62, -(2**63), 2**63 - 1, 3], [-half, half - 1, -7]):
+        cs = [c for c in cs if -half <= c < half]
+        assert polyring._pack(cs, width, True) == pack(cs, width)
+        nonnegative = [c for c in cs if c >= 0]
+        if nonnegative:
+            assert polyring._pack(nonnegative, width, False) == pack(nonnegative, width)
 
 
 @pytest.mark.parametrize("dropped", [4, 8])

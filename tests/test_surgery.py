@@ -288,42 +288,29 @@ def test_grouped_fold_equals_the_per_step_fold(order):
         assert list(grouped.coeffs) == run_pipeline_traced(pipe)[-1]["cumulative"], str(key)
 
 
-def test_each_degree3_route_makes_one_large_packed_product(monkeypatch):
+def test_each_degree3_route_never_expands_the_lines(packed_operands):
     # Every term of a degree 3 route of S or H is a Quotient over the
     # lines' Gr(13, 40), in H also Delta_A's envelope, and Gr(12, 40) and
-    # Delta_B's Gr(14, 40) enter as one recurrence step over it: each
-    # route makes one large packed product, by Gr(13, 40), and asks for
-    # neither of the other two Grassmannians.
+    # Delta_B's Gr(14, 40) enter as one recurrence step over it.  Each
+    # route runs its numerator through the pairs of Gr(13, 40): no packed
+    # operand is as long as Gr(12, 40), and none of the three
+    # Grassmannians is built.
     expected = {
         comp: IntPoly(run_pipeline_traced(pipeline_for(ModuliKey(12, 40, 3, comp)))[-1]["cumulative"])
         for comp in "SH"
     }
-    lines = grassmannian(13, 40).poly.coeffs
     large = len(grassmannian(12, 40).poly.coeffs)
-    operands, asked = [], []
-    packed_product, gr = polyring._packed_product, catalog.grassmannian
-
-    def recording_packed_product(a, b, spare=0):
-        operands.extend(x for x in (a, b) if len(x) >= large)
-        return packed_product(a, b, spare)
-
-    def recording_grassmannian(k, n):
-        asked.append((k, n))
-        return gr(k, n)
-
-    monkeypatch.setattr(polyring, "_packed_product", recording_packed_product)
-    for module in (catalog, pipelines):
-        monkeypatch.setattr(module, "grassmannian", recording_grassmannian)
+    lengths, asked = packed_operands()
     for comp, mode in (("S", "pipeline"), ("H", "pipeline"), ("S", "closed"), ("H", "closed")):
         for cache in (pipelines._raw_space_poly, pipelines._simpson3_closed,
-                      catalog.stable_maps_gr):
+                      catalog.stable_maps_gr, catalog.degree3_quotient, catalog.gaussian_anchor):
             cache.cache_clear()
-        operands.clear()
+        lengths.clear()
         asked.clear()
         key = ModuliKey(12, 40, 3, comp)
         assert space_poly(key, mode).poly == expected[comp], (comp, mode)
-        assert operands == [lines], (comp, mode)
-        assert (13, 40) in asked and not {(12, 40), (14, 40)} & set(asked), (comp, mode)
+        assert lengths and max(lengths) < large, (comp, mode)
+        assert asked and not {(12, 40), (13, 40), (14, 40)} & set(asked), (comp, mode)
 
 
 def test_each_degree3_route_packs_once_and_evaluates_no_nested_route(monkeypatch):
