@@ -27,9 +27,10 @@ A Quotient keeps a space as small factors over a large anchor; fold sums
 Quotients by one packed sum, one decode and one ratio per anchor.  An
 anchor is a space, whose polynomial ratio multiplies in, or a
 GaussianAnchor(k, n), grassmannian(k, n) never expanded: up to n = 66,
-from dimension _THROUGH_MIN_DIM, fold runs the numerator through its
-pairs, the geometric ones packed and the leftover ones joining up and
-down, in one certified ratio.  Both stable-map spaces are Quotients
+from dimension _THROUGH_MIN_DIM, fold peels off each 1 - q^i of down
+and of the leftover pairs that the numerator holds, then runs it through
+the pairs, the geometric ones packed and the leftover ones joining up
+and down, in one certified ratio.  Both stable-map spaces are Quotients
 over the lines' gaussian_anchor(k+1, n), and so is every route.
 """
 
@@ -47,6 +48,7 @@ from .polyring import (
     packed_geometric,
     packed_ratio,
     packed_sum,
+    peel,
     ratio,
     slot_tops,
     unpack_slots,
@@ -157,7 +159,8 @@ class GaussianAnchor(PoincarePoly):
             return ratio(x, up, down, by=grassmannian(k, n).poly)
         pairs = _gaussian_pairs(min(k, n - k), max(k, n - k))
         left = [(a, i) for a, i in pairs if a % i]
-        return ratio(x, up + tuple(a for a, _ in left), down + tuple(i for _, i in left),
+        x, down = peel(x, down + tuple(i for _, i in left))
+        return ratio(x, up + tuple(a for a, _ in left), down,
                      geometric=[(a, i) for a, i in pairs if not a % i])
 
 

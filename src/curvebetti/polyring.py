@@ -41,7 +41,10 @@ Products and quotients of factors (1 - q^j) have one function, ratio,
 which takes one O(len) step per factor: a shift and subtraction per
 factor multiplied, and per factor divided one running sum per residue
 class mod j, with a check that the remainder is zero.  exact_div stays
-the general divider.  ratio(x, up, down, by=y, geometric=pairs) keeps
+the general divider.  peel(x, down) takes those running sums only for
+each i of down, largest first, whose class sums sum(x_m, m = r mod i)
+all vanish: x mod (q^i - 1) is their polynomial, so 1 - q^i divides x
+exactly.  ratio(x, up, down, by=y, geometric=pairs) keeps
 the large product packed: x(B) y(B), times 1 + q^i + ... + q^(a-i) by
 packed_geometric for each pair (a, i), i dividing a, times each
 1 - q^a of up as v -= v << 8w a, is N(B), every |N_j| <= nb = max|x|
@@ -406,7 +409,8 @@ def ratio(p: IntPoly, up: Iterable[int] = (), down: Iterable[int] = (),
     otherwise NonExactDivision is raised.  With by or geometric and a
     down, p is first multiplied by them packed, and the quotient split
     into one divmod and running sums and certified (module docstring);
-    otherwise, or if that fails, by p * by and the list steps.
+    otherwise, or if that fails, by p * by and the list steps.  A caller
+    may peel p first, so that down holds only factors p does not.
 
     >>> ratio(IntPoly([1, 1]), up=(2,))
     IntPoly('1 + q - q^2 - q^3')
@@ -437,10 +441,7 @@ def ratio(p: IntPoly, up: Iterable[int] = (), down: Iterable[int] = (),
         cs = list(map(operator.sub, cs + pad, pad + cs))
     for i in down + tuple(i for _, i in geometric):
         num, cs = cs, cs.copy()
-        # A class r with r + i past the end has one entry, its own sum.
-        for r in range(min(i, len(cs) - i)):
-            cs[r::i] = accumulate(cs[r::i])
-        top = max(len(cs) - i, 0)
+        top = _class_running_sums(cs, i)
         if any(cs[top:]):
             raise NonExactDivision(
                 f"({IntPoly(num)}) / (1 - q^{i}): "
@@ -448,6 +449,31 @@ def ratio(p: IntPoly, up: Iterable[int] = (), down: Iterable[int] = (),
             )
         del cs[top:]
     return IntPoly(cs)
+
+
+def _class_running_sums(cs: list[int], i: int) -> int:
+    """Replace cs by the running sums of each residue class mod i, i >= 1,
+    and return top: cs[:top] is cs / (1 - q^i) if cs[top:] is all zero."""
+    # A class r with r + i past the end has one entry, its own sum.
+    for r in range(min(i, len(cs) - i)):
+        cs[r::i] = accumulate(cs[r::i])
+    return max(len(cs) - i, 0)
+
+
+def peel(p: IntPoly, down: Iterable[int]) -> tuple[IntPoly, tuple[int, ...]]:
+    """p over each 1 - q^i, i of down largest first, that divides it
+    exactly, its class sums mod i all zero (module docstring), and the i left.
+
+    >>> peel(IntPoly([1, 0, -1, 0, 1, 0, -1]), (1, 2, 4))  # (1 - q^2)(1 + q^4)
+    (IntPoly('1 + q^4'), (4, 1))
+    """
+    cs, left = list(p.coeffs), []
+    for i in sorted(down, reverse=True):
+        if i < len(cs) and not any(sum(cs[r::i]) for r in range(i)):
+            del cs[_class_running_sums(cs, i):]
+        else:
+            left.append(i)
+    return IntPoly(cs), tuple(left)
 
 
 def _packed_ratio(x: tuple, y: tuple, pairs: tuple, up: tuple, down: tuple) -> IntPoly | None:

@@ -7,6 +7,8 @@ from unittest import mock
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.polys.rings import ring
 
 from curvebetti import catalog, pipelines, polyring
@@ -414,24 +416,38 @@ def test_stable_maps_gr_structure(k, n, d):
     assert m.poly == stable_maps_gr(n - k, n, d).poly
 
 
+def recording_packed_quotient(monkeypatch) -> list:
+    """Patch polyring._packed_quotient to record (down, certified) per call."""
+    quotient, calls = polyring._packed_quotient, []
+
+    def recording(v, nb, up, down, *args):
+        quot = quotient(v, nb, up, down, *args)
+        calls.append((sorted(down), quot is not None))
+        return quot
+
+    monkeypatch.setattr(polyring, "_packed_quotient", recording)
+    return calls
+
+
 @pytest.mark.parametrize("k, n, packed", [(10, 40, True), (24, 48, False)])
 def test_stable_maps_gr_degree_three_divides_packed_or_by_list(monkeypatch, k, n, packed):
     # The quotient of M(Gr(10,40),3) has coefficients of 48 bits, that of
     # M(Gr(24,48),3) 65.  The slot width fixed beforehand holds either, so
     # both are certified packed.  Forced into 8-byte slots, the first is
-    # still certified and the second falls back to the list steps, whose
-    # running sums are itertools.accumulate calls: a width too narrow
-    # changes the path, never the result.  Either way it is the expanded
-    # space of lines times the kernel, divided factor by factor.
+    # still certified and the second's one packed attempt is refused, and
+    # the list steps run: a width too narrow changes the path, never the
+    # result.  Either way it is the expanded space of lines times the
+    # kernel, divided factor by factor.
     expected = ratio(degree3_kernel(k, n) * fano_lines(k, n).poly, down=DEGREE3_KERNEL_DEN)
+    calls = recording_packed_quotient(monkeypatch)
     for narrow in (False, True):
         if narrow:
             monkeypatch.setattr(polyring, "_quotient_width", lambda *args: 8)
         stable_maps_gr.cache_clear()
-        with mock.patch.object(polyring, "accumulate", wraps=polyring.accumulate) as sums:
-            got = stable_maps_gr(k, n, 3).poly
+        calls.clear()
+        got = stable_maps_gr(k, n, 3).poly
         assert got == expected
-        assert sums.called == (narrow and not packed)
+        assert [certified for _, certified in calls] == [not narrow or packed]
     assert max(got.coeffs).bit_length() == (48 if packed else 65)
 
 
@@ -521,6 +537,92 @@ def test_anchor_pairs_refuse_a_planted_inexact_numerator(monkeypatch, j, n):
         bad = x + monomial(rng.randint(0, len(x.coeffs)), rng.choice((-1, 1)))
         with pytest.raises(NonExactDivision):
             anchor.ratio(bad, up, down)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from([(8, 24), (12, 40), (13, 41), (24, 48), (20, 58), (30, 64), (33, 66)]),
+    st.lists(st.integers(-3, 9), max_size=12),
+    st.lists(st.sampled_from((1, 1, 2, 2, 3, 3, 4, 5, 6, 7, 11)), max_size=5),
+    st.data(),
+)
+def test_peeled_anchor_pairs_equal_the_product_by_the_polynomial(jn, m, down, data):
+    # N = M prod(1 - q^i) over a random sub-multiset of down, and up holds
+    # the rest of down and maybe more: the quotient is a polynomial, the
+    # peel moves some factors of N and the certified division gets the
+    # others.  With more factors down than up, N + q^s has a pole at 1.
+    (j, n), down = jn, tuple(down)
+    assert j * (n - j) >= catalog._THROUGH_MIN_DIM
+    mask = data.draw(st.lists(st.booleans(), min_size=len(down), max_size=len(down)))
+    extra = tuple(data.draw(st.lists(st.integers(1, 6), max_size=2)))
+    up = tuple(i for i, peeled in zip(down, mask) if not peeled) + extra
+    x = ratio(IntPoly([*m, 1]), [i for i, peeled in zip(down, mask) if peeled])
+    y, left = polyring.peel(x, down)
+    assert ratio(y, catalog._minus(down, left)) == x
+    for i in left:
+        with pytest.raises(NonExactDivision):
+            ratio(y, down=(i,))
+    anchor = catalog.GaussianAnchor(j, n)
+    assert anchor.ratio(x, up, down) == ratio(x, up, down, by=grassmannian(j, n).poly)
+    if len(down) > len(up):
+        s, c = data.draw(st.integers(0, len(x.coeffs))), data.draw(st.sampled_from((-1, 1)))
+        with pytest.raises(NonExactDivision):
+            anchor.ratio(x + monomial(s, c), up, down)
+
+
+@pytest.mark.parametrize("j, n, down", [
+    (12, 40, (5,)), (12, 40, (5, 13)), (12, 40, (17, 19)), (24, 48, (5,)),
+    (24, 48, (13, 29)), (33, 66, (7,)), (33, 66, (5, 7)), (20, 58, (7,)),
+])
+def test_numerators_the_peel_cannot_touch_reach_the_division_whole(monkeypatch, j, n, down):
+    # N = (1 - q)^r M, r = len(down), M of positive falling coefficients,
+    # has no zero on the unit circle but at 1 (Enestrom-Kakeya).  Every i
+    # here and in the leftover pairs is at least 2, so 1 - q^i, zero at
+    # -1 or at a primitive i-th root of unity, divides no such N: the
+    # certified division gets every factor, and certifies iff Q >= 0.
+    rng = random.Random(f"untouched {j},{n},{down}")
+    x = ratio(IntPoly(sorted(rng.sample(range(1, 60), 8), reverse=True)), (1,) * len(down))
+    pairs = catalog._gaussian_pairs(min(j, n - j), max(j, n - j))
+    whole = sorted(down + tuple(i for a, i in pairs if a % i))
+    assert polyring.peel(x, whole) == (x, tuple(sorted(whole, reverse=True)))
+    calls = recording_packed_quotient(monkeypatch)
+    expected = ratio(x, (), down, by=grassmannian(j, n).poly)
+    calls.clear()
+    assert catalog.GaussianAnchor(j, n).ratio(x, (), down) == expected
+    assert calls == [(whole, min(expected.coeffs) >= 0)]
+
+
+@pytest.mark.parametrize("comp, mode, chains", [("M", "closed", (2, 2)), ("H", "pipeline", (5, 3))])
+def test_peel_moves_what_the_numerator_holds_on_a_cold_route(monkeypatch, comp, mode, chains):
+    # Cold routes at (12, 40), without the peel and with it: the same
+    # polynomial, fewer factors handed to the certified division (M3: 8
+    # to 3, its large 5 and 9 staying), no more running-sum chains, and
+    # no i handed over that the numerator's class sums clear.
+    handed, running = [], []
+    packed_ratio_, running_sums = polyring._packed_ratio, polyring._running_sums
+
+    def recording_packed_ratio(x, y, pairs, up, down):
+        handed.append((x, down))
+        return packed_ratio_(x, y, pairs, up, down)
+
+    def counting_running_sums(*args):
+        running.append(args[1])
+        return running_sums(*args)
+
+    monkeypatch.setattr(polyring, "_packed_ratio", recording_packed_ratio)
+    monkeypatch.setattr(polyring, "_running_sums", counting_running_sums)
+    routes, factors, counts = [], [], []
+    for peel in (lambda x, down: (x, tuple(down)), polyring.peel):
+        monkeypatch.setattr(catalog, "peel", peel)
+        clear_caches()
+        handed.clear()
+        running.clear()
+        routes.append(space_poly(ModuliKey(12, 40, 3, comp), mode).poly)
+        factors.append(sum(len(down) for _, down in handed))
+        counts.append(len(running))
+    clear_caches()
+    assert routes[0] == routes[1] and factors[1] < factors[0] and tuple(counts) == chains
+    assert all(any(sum(x[r::i]) for r in range(i)) for x, down in handed for i in down)
 
 
 DEGREE2_ANCHOR_KEYS = [(k, n) for n in range(3, 31) for k in range(1, n)] + [
