@@ -14,45 +14,31 @@ two-component space of planes, and the stable-map spaces of degree 2 and
 
 The Gaussian binomial [n choose k]_q, m = min(k, n-k) and d = n - m, is
 the product of (1 - q^a) / (1 - q^i) over pairs of a in d+1..n and i in
-1..m.  Up to n = 66 it is one integer in _row_width(n)-byte slots, one
-machine word.  Each i, from m down, takes the largest free multiple a
-of i, and polyring.packed_geometric multiplies in 1 + q^i + ... +
-q^(a-i) unchecked: no coefficient is negative, so the product of these
-a / i bounds them all, checked once below half a slot.  The i left over
-run last, smallest first, each against the first free a of largest
-gcd(a, i), as certified polyring.packed_ratio steps.  Above n = 66 the
-diagonal chain [d+i choose i], i = 1..m, runs on coefficient lists.
+1..m.  Each i, from m down, takes the largest free multiple a of i, a
+geometric pair of polyring.ratio, multiplied in by shift-adds; the a
+and the i left over join its up and down.  Up to n = 66 grassmannian is
+that one ratio of 1: packed once and divided once, certified.  Above
+n = 66 the diagonal chain [d+i choose i], i = 1..m, runs on coefficient
+lists.
 
 A Quotient keeps a space as small factors over a large anchor; fold sums
 Quotients by one packed sum, one decode and one ratio per anchor.  An
 anchor is a space, whose polynomial ratio multiplies in, or a
 GaussianAnchor(k, n), grassmannian(k, n) never expanded: up to n = 66,
 from dimension _THROUGH_MIN_DIM, fold peels off each 1 - q^i of down
-and of the leftover pairs that the numerator holds, then runs it through
-the pairs, the geometric ones packed and the leftover ones joining up
-and down, in one certified ratio.  Both stable-map spaces are Quotients
-over the lines' gaussian_anchor(k+1, n), and so is every route.
+and of the leftover i that the numerator holds, then runs it through
+grassmannian's one ratio, the leftover a and i joining its up and down.
+Both stable-map spaces are Quotients over the lines'
+gaussian_anchor(k+1, n), and so is every route.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from collections.abc import Iterable, Iterator
 
-from .errors import DimensionMismatch, InvalidParameters, NegativeBetti, NonExactDivision
-from .polyring import (
-    ONE,
-    ZERO,
-    IntPoly,
-    packed_geometric,
-    packed_ratio,
-    packed_sum,
-    peel,
-    ratio,
-    slot_tops,
-    unpack_slots,
-)
+from .errors import DimensionMismatch, InvalidParameters, NegativeBetti
+from .polyring import ONE, ZERO, IntPoly, packed_sum, peel, ratio
 from .polyring import exact_div  # noqa: F401  (bench/test_bench.py looks it up here)
 from .record import Record, setfield
 
@@ -157,11 +143,9 @@ class GaussianAnchor(PoincarePoly):
         k, n = self.k, self.n
         if n > _PACKED_ROWS_MAX_N or k * (n - k) < _THROUGH_MIN_DIM:
             return ratio(x, up, down, by=grassmannian(k, n).poly)
-        pairs = _gaussian_pairs(min(k, n - k), max(k, n - k))
-        left = [(a, i) for a, i in pairs if a % i]
-        x, down = peel(x, down + tuple(i for _, i in left))
-        return ratio(x, up + tuple(a for a, _ in left), down,
-                     geometric=[(a, i) for a, i in pairs if not a % i])
+        pairs, free, left = _gaussian_pairs(min(k, n - k), max(k, n - k))
+        x, down = peel(x, down + left)
+        return ratio(x, up + free, down, geometric=pairs)
 
 
 # One GaussianAnchor per (k, n), shared by every term of a route, as
@@ -242,18 +226,15 @@ def weighted_projective(weights: Iterable[int]) -> PoincarePoly:
     return projective(len(ws) - 1)
 
 
-# Up to here _row_width(n) is at most 8 bytes, a machine word:
-# C(66, 33) < 2^63 <= C(67, 33).
+# Up to here grassmannian is one packed ratio, and every coefficient fits
+# a machine word: C(66, 33) < 2^63 <= C(67, 33).  Above it the diagonal
+# chain runs on coefficient lists, quicker at grassmannian(100, 200).
 _PACKED_ROWS_MAX_N = 66
 
 
-def _row_width(n: int) -> int:
-    """Bytes per slot of a packed [n choose m]: C(n, n//2) is below half a slot."""
-    return (math.comb(n, n // 2).bit_length() + 8) // 8
-
-
-def _gaussian_pairs(m: int, d: int) -> list[tuple[int, int]]:
-    """The pairs (a, i) of [d+m choose m] in the module docstring's order."""
+def _gaussian_pairs(m: int, d: int) -> tuple[list[tuple[int, int]], tuple[int, ...], tuple[int, ...]]:
+    """[d+m choose m] as the module docstring's geometric pairs (a, i),
+    smallest i first, and the a and the i left over."""
     pairs, left, free = [], [], set(range(d + 1, d + m + 1))
     for i in range(m, 0, -1):
         for a in range(d + m - (d + m) % i, d, -i):
@@ -263,19 +244,15 @@ def _gaussian_pairs(m: int, d: int) -> list[tuple[int, int]]:
                 break
         else:
             left.append(i)
-    pairs, rest = pairs[::-1], sorted(free)
-    for i in reversed(left):
-        pairs.append((max(rest, key=functools.partial(math.gcd, i)), i))
-        rest.remove(pairs[-1][0])
-    return pairs
+    return pairs[::-1], tuple(sorted(free)), tuple(left)
 
 
 @functools.lru_cache(maxsize=None)
 def grassmannian(k: int, n: int) -> PoincarePoly:
     """Grassmannian of k-dimensional subspaces of an n-dimensional space.
 
-    The Gaussian binomial [n choose k]_q, by the steps of the module
-    docstring; no step is kept between calls.  Out-of-range k yields the
+    The Gaussian binomial [n choose k]_q, as the module docstring says;
+    no step is kept between calls.  Out-of-range k yields the
     empty space as a value, which downstream formulas rely on to drop
     vacuous terms.
 
@@ -288,14 +265,8 @@ def grassmannian(k: int, n: int) -> PoincarePoly:
         return EMPTY
     m, d = min(k, n - k), max(k, n - k)
     if n <= _PACKED_ROWS_MAX_N:
-        w, v, count, pairs = _row_width(n), 1, 1, _gaussian_pairs(m, d)
-        bound, tops = math.prod(a // i for a, i in pairs if a % i == 0), slot_tops(w, 1, m * d + 1)
-        if bound >> 8 * w - 1:
-            raise NonExactDivision(f"grassmannian({k},{n}): sum {bound} over half a {w}-byte slot")
-        for a, i in pairs:
-            count += a - i
-            v = packed_ratio(v, a, i, count, w, tops) if a % i else packed_geometric(v, a, i, w)
-        value = IntPoly(unpack_slots(v, m * d + 1, w))
+        pairs, free, left = _gaussian_pairs(m, d)
+        value = ratio(ONE, free, left, geometric=pairs)
     else:  # [d+i choose i] = [d+i-1 choose i-1] (1 - q^(d+i)) / (1 - q^i)
         value = functools.reduce(lambda v, i: ratio(v, (d + i,), (i,)), range(1, m + 1), ONE)
     return PoincarePoly.from_poly(value, claimed_dim=k * (n - k), what=f"grassmannian({k},{n})")

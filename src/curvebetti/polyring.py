@@ -44,10 +44,11 @@ class mod j, with a check that the remainder is zero.  exact_div stays
 the general divider.  peel(x, down) takes those running sums only for
 each i of down, largest first, whose class sums sum(x_m, m = r mod i)
 all vanish: x mod (q^i - 1) is their polynomial, so 1 - q^i divides x
-exactly.  ratio(x, up, down, by=y, geometric=pairs) keeps
-the large product packed: x(B) y(B), times 1 + q^i + ... + q^(a-i) by
-packed_geometric for each pair (a, i), i dividing a, times each
-1 - q^a of up as v -= v << 8w a, is N(B), every |N_j| <= nb = max|x|
+exactly.  ratio(x, up, down, by=y, geometric=pairs), which builds every
+Gaussian binomial up to n = 66, keeps the large product packed: x(B)
+y(B), times 1 + q^i + ... + q^(a-i) by packed_geometric for each pair
+(a, i), i dividing a, times each 1 - q^a of up as v -= v << 8w a, is
+N(B), every |N_j| <= nb = max|x|
 max|y| min(len) prod(a / i) 2^len(up).  D = prod(1 - q^i), over the l
 factors of down, is divided out by one divmod by its factors with
 i <= 3, then by running sums by doubling per larger factor, read mod
@@ -58,8 +59,11 @@ if that mask rejects, below 2^t with (U/2)(2^t - 1) + nb < B, U =
 ||D_small||_1 2^(factors above 3) >= ||D||_1.  As D(1) = 0, its
 positive and negative coefficients each sum to ||D||_1 / 2 <= 2^(l-1),
 so either test gives |(Q D - N)_j| < B: Q D - N vanishes at B and is
-the zero polynomial, and Q = N / D exactly.  Otherwise x * y and the
-list steps run, with the same quotient or the same NonExactDivision.
+the zero polynomial, and Q = N / D exactly.  With no down, D = 1 is no
+such D, and only the mask, every |Q_j| below B/2, certifies Q = N.
+Otherwise x * y and the list steps run, with the same quotient or the
+same NonExactDivision; their messages print a polynomial of more than 8
+terms by its degree, its term count and its lowest term.
 The width is fixed before, and decides only whether the attempt
 certifies: a Q >= 0 has no coefficient above Q(1) = y(1) prod(a / i)
 x_r(1) prod a / prod i over up and down, x_r = x / (q - 1)^r for r =
@@ -74,18 +78,6 @@ run c q^s (1 + q + ... + q^(m-1)), the product is c q^s times a times
 (1 - q^m) / (1 - q): one ratio, whose remainder check still runs.
 Both are sums of exact integers, so they give the Kronecker product
 coefficient for coefficient.
-
-packed_ratio runs one step V (1 - q^a) / (1 - q^i) on packed integers
-with slots of w bytes holding nonnegative coefficients: x = V(B) -
-V(B) B^a, and Q(B) = x / (1 - B^i) mod B^L, for L quotient slots, by
-running sums that double.  NonExactDivision is raised unless every
-slot of V(B) and Q(B) is below B/2 and Q(B) - Q(B) B^i == x; then both
-sides of Q + V q^a = V + Q q^i at B sum two polynomials with
-coefficients in [0, B/2), no slot carries, and equal integers have
-equal base-B digits.  Where i divides a, packed_geometric multiplies V
-by 1 + q^i + ... + q^(a-i) instead, unchecked: its caller bounds the
-coefficients, none negative, by their sum.  catalog.grassmannian uses
-both wherever w fits a machine word (n <= 66).
 """
 
 from __future__ import annotations
@@ -406,11 +398,12 @@ def ratio(p: IntPoly, up: Iterable[int] = (), down: Iterable[int] = (),
     1 - q^i takes the running sums q_m = p_m + q_(m-i) of the power
     series, one itertools.accumulate over each residue class of m mod i.
     That division is exact if and only if the last i of them are zero;
-    otherwise NonExactDivision is raised.  With by or geometric and a
-    down, p is first multiplied by them packed, and the quotient split
-    into one divmod and running sums and certified (module docstring);
-    otherwise, or if that fails, by p * by and the list steps.  A caller
-    may peel p first, so that down holds only factors p does not.
+    otherwise NonExactDivision is raised.  With by and a down, or with
+    geometric, p is first multiplied by them packed, and the quotient
+    split into one divmod and running sums and certified (module
+    docstring); otherwise, or if that fails, by p * by and the list
+    steps.  A caller may peel p first, so that down holds only factors p
+    does not.
 
     >>> ratio(IntPoly([1, 1]), up=(2,))
     IntPoly('1 + q - q^2 - q^3')
@@ -431,7 +424,7 @@ def ratio(p: IntPoly, up: Iterable[int] = (), down: Iterable[int] = (),
     if geometric and any(not 1 <= i <= a or a % i for a, i in geometric):
         raise InvalidParameters(f"geometric pairs {geometric}: need i dividing a >= i >= 1")
     y = ONE if by is None else by
-    if p and y and down and (by is not None or geometric):
+    if p and y and (down and by is not None or geometric):
         quot = _packed_ratio(p.coeffs, y.coeffs, geometric, up, down)
         if quot is not None:
             return quot
@@ -444,11 +437,21 @@ def ratio(p: IntPoly, up: Iterable[int] = (), down: Iterable[int] = (),
         top = _class_running_sums(cs, i)
         if any(cs[top:]):
             raise NonExactDivision(
-                f"({IntPoly(num)}) / (1 - q^{i}): "
-                f"remainder {IntPoly([0] * top + cs[top:])}"
+                f"({_brief(IntPoly(num))}) / (1 - q^{i}): "
+                f"remainder {_brief(IntPoly([0] * top + cs[top:]))}"
             )
         del cs[top:]
     return IntPoly(cs)
+
+
+def _brief(p: IntPoly) -> str:
+    """p as str prints it or, past 8 terms, its degree, term count and
+    lowest term: an error message stays one short line."""
+    terms = len(p.coeffs) - p.coeffs.count(0)
+    if terms <= 8:
+        return str(p)
+    j = next(j for j, c in enumerate(p.coeffs) if c)
+    return f"degree {p.degree}, {terms} terms, lowest {monomial(j, p.coeffs[j])}"
 
 
 def _class_running_sums(cs: list[int], i: int) -> int:
@@ -487,7 +490,9 @@ def _packed_ratio(x: tuple, y: tuple, pairs: tuple, up: tuple, down: tuple) -> I
     width = _quotient_width(x, up, down, sum(y) * g, nb)
     if nb >> 8 * width - 1:  # too narrow to pack
         return None
-    v = _pack(x, width, lo_x < 0) * _pack(y, width, lo_y < 0)
+    v = _pack(x, width, lo_x < 0)
+    if y != (1,):
+        v *= _pack(y, width, lo_y < 0)
     for a, i in pairs:
         v = packed_geometric(v, a, i, width)
     quot = _packed_quotient(v, nb, up, down, count, width)
@@ -527,7 +532,7 @@ def _packed_quotient(v: int, nb: int, up: tuple, down: tuple, count: int,
     large = [i for i in down if i > _DIVMOD_MAX_I]
     for i in small:
         d -= d << shift * i
-    quot, rem = divmod(v, d)
+    quot, rem = divmod(v, d) if small else (v, 0)
     if rem:
         return None
     rest = sum(large)
@@ -542,6 +547,8 @@ def _packed_quotient(v: int, nb: int, up: tuple, down: tuple, count: int,
         return None
     if not quot & slot_tops(width, len(down) + 1, count):
         return quot
+    if not down:  # the sharper bound needs D(1) = 0
+        return None
     # The sharper bound: u >= ||D||_1, and nb < B/2.
     cs = [1]
     for i in small:
@@ -560,35 +567,6 @@ def _running_sums(x: int, i: int, slots: int, shift: int) -> int:
         quot = (quot + (quot << shift * span)) & mask
         span *= 2
     return quot - ((quot >> shift * slots - 1) << shift * slots)
-
-
-def packed_ratio(v: int, a: int, i: int, count: int, width: int, tops: int = 0) -> int:
-    """V (1 - q^a) / (1 - q^i), a >= 0 and i >= 1, on integers packed
-    in width-byte slots: v packs V, whose coefficients are nonnegative,
-    and the result the quotient Q in count slots, by running sums that
-    double a span from i, certified as the module docstring says.  A
-    negative a raises InvalidParameters.  A chain may pass in
-    tops = slot_tops(width, 1, slots) once; one too short is rebuilt.
-
-    >>> packed_ratio(1, 2, 1, 2, 1)  # (1 - q^2) / (1 - q) = 1 + q
-    257
-    """
-    if a < 0:
-        raise InvalidParameters(f"factor 1 - q^{a}: negative exponent")
-    if i < 1:
-        raise DivisionByZero(f"division by 1 - q^{i}")
-    shift = 8 * width
-    x = v - (v << shift * a)
-    quot = _running_sums(x, i, count, shift)
-    slots = max(count, -(-v.bit_length() // shift))
-    if tops.bit_length() < shift * slots:
-        tops = slot_tops(width, 1, slots)
-    if (quot | v) & tops or quot - (quot << shift * i) != x:
-        raise NonExactDivision(
-            f"(1 - q^{a}) / (1 - q^{i}) in {count} slots of {width} bytes: "
-            "not exact, or a slot at or above half its range"
-        )
-    return quot
 
 
 def packed_geometric(v: int, a: int, i: int, width: int) -> int:
@@ -620,10 +598,9 @@ def exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
         raise DivisionByZero("division by the zero polynomial")
     if not num:
         return ZERO
+    what = f"({_brief(num)}) / ({_brief(den)})"
     if num.degree < den.degree:
-        raise NonExactDivision(
-            f"({num}) / ({den}): degree of the numerator is too small"
-        )
+        raise NonExactDivision(f"{what}: degree of the numerator is too small")
     rem = list(num.coeffs)
     dd = den.degree
     lead = den.coeffs[-1]
@@ -633,13 +610,11 @@ def exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
         if c == 0:
             continue
         if c % lead != 0:
-            raise NonExactDivision(
-                f"({num}) / ({den}): coefficient {c} not divisible by {lead}"
-            )
+            raise NonExactDivision(f"{what}: coefficient {c} not divisible by {lead}")
         t = c // lead
         quot[i] = t
         for j, dc in enumerate(den.coeffs):
             rem[i + j] -= t * dc
     if any(rem):
-        raise NonExactDivision(f"({num}) / ({den}): remainder {IntPoly(rem)}")
+        raise NonExactDivision(f"{what}: remainder {_brief(IntPoly(rem))}")
     return IntPoly(quot)

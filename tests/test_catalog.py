@@ -18,10 +18,6 @@ from curvebetti.catalog import (
     DEGREE3_KERNEL_DEN,
     EMPTY,
     POINT,
-    DimensionMismatch,
-    InvalidParameters,
-    NegativeBetti,
-    NonExactDivision,
     PoincarePoly,
     degree2_bracket,
     degree3_kernel,
@@ -34,6 +30,7 @@ from curvebetti.catalog import (
     stable_maps_p1,
     weighted_projective,
 )
+from curvebetti.errors import DimensionMismatch, InvalidParameters, NegativeBetti, NonExactDivision
 from curvebetti.pipelines import ModuliKey, dim_expected, space_poly
 from curvebetti.polyring import ONE, IntPoly, monomial, ratio
 
@@ -128,12 +125,13 @@ def q_pascal_coeffs(k: int, n: int) -> tuple[int, ...]:
     return tuple(int(terms.get((e,), 0)) for e in range(max(terms)[0] + 1))
 
 
-def clear_caches() -> None:
-    """Clear every cache of catalog and pipelines, as the benchmark does:
-    a cache cleared alone leaves others holding the old anchor objects."""
+def clear_caches(*kept) -> None:
+    """Clear every cache of catalog and pipelines but those kept, as the
+    benchmark does: a cache cleared alone leaves others holding the old
+    anchor objects."""
     for module in (catalog, pipelines):
         for obj in vars(module).values():
-            if callable(getattr(obj, "cache_clear", None)):
+            if callable(getattr(obj, "cache_clear", None)) and obj not in kept:
                 obj.cache_clear()
 
 
@@ -146,70 +144,45 @@ def test_grassmannian_against_q_pascal_across_the_packed_boundary(n):
 
 
 def test_packed_rows_stop_at_the_machine_word(monkeypatch):
-    # m = min(k, n-k) steps up to n = 66: geometric ones wherever i
-    # divides a free a, one certified packed_ratio per leftover pair;
-    # none above.
-    assert [catalog._row_width(n) for n in (9, 10, 66, 67)] == [1, 2, 8, 9]
+    # Up to n = 66 one certified division, after a geometric step
+    # wherever i divides a free a; m <= 2 leaves no i over, and the
+    # division is D = 1.  Above, coefficient lists.
     assert catalog._PACKED_ROWS_MAX_N == 66
     clear_caches()
     geometric = mock.Mock(wraps=polyring.packed_geometric)
-    leftover = mock.Mock(wraps=polyring.packed_ratio)
-    monkeypatch.setattr(catalog, "packed_geometric", geometric)
-    monkeypatch.setattr(catalog, "packed_ratio", leftover)
-    for (k, n), calls in (((3, 67), (0, 0)), ((3, 66), (3, 0)), ((64, 66), (2, 0)),
-                          ((24, 48), (19, 5)), ((28, 61), (20, 8))):
+    quotient = mock.Mock(wraps=polyring._packed_quotient)
+    monkeypatch.setattr(polyring, "packed_geometric", geometric)
+    monkeypatch.setattr(polyring, "_packed_quotient", quotient)
+    for (k, n), calls in (((3, 67), (0, 0)), ((3, 66), (3, 1)), ((64, 66), (2, 1)),
+                          ((24, 48), (19, 1)), ((28, 61), (20, 1))):
         geometric.reset_mock()
-        leftover.reset_mock()
+        quotient.reset_mock()
         grassmannian(k, n)
-        assert (geometric.call_count, leftover.call_count) == calls, (k, n)
+        assert (geometric.call_count, quotient.call_count) == calls, (k, n)
     clear_caches()
-
-
-def test_leftover_pairs_smallest_with_smallest_are_refused(monkeypatch):
-    # At (12, 41) the leftover i are 4, 5, 9 and the free a 31, 34, 37.
-    # Paired smallest with smallest, the first step (1 - q^31) / (1 - q^4)
-    # has no polynomial quotient, and packed_ratio refuses it.
-    pairs = catalog._gaussian_pairs
-    assert [(a, i) for a, i in pairs(12, 29) if a % i] == [(34, 4), (31, 5), (37, 9)]
-
-    def smallest_with_smallest(m, d):
-        leftover = [(a, i) for a, i in pairs(m, d) if a % i]
-        return [(a, i) for a, i in pairs(m, d) if a % i == 0] + list(
-            zip(sorted(a for a, _ in leftover), sorted(i for _, i in leftover))
-        )
-
-    monkeypatch.setattr(catalog, "_gaussian_pairs", smallest_with_smallest)
-    clear_caches()
-    try:
-        with pytest.raises(NonExactDivision, match=r"\(1 - q\^31\) / \(1 - q\^4\)"):
-            grassmannian(12, 41)
-    finally:
-        clear_caches()
 
 
 def test_slots_too_narrow_for_the_geometric_steps_are_refused(monkeypatch):
-    # In 1-byte slots a Grassmannian is the oracle's polynomial, every
-    # coefficient below 128, or refused: where no leftover step follows,
-    # by the bound on the geometric steps' sum, before any step runs.
-    monkeypatch.setattr(catalog, "_row_width", lambda n: 1)
+    # In 1-byte slots a packed attempt is certified or refused, before
+    # packing or by its certificate, and the list steps then give the
+    # oracle's polynomial.
+    packed_ratio, certified = polyring._packed_ratio, []
+
+    def recording(*args):
+        quot = packed_ratio(*args)
+        certified.append(quot is not None)
+        return quot
+
+    monkeypatch.setattr(polyring, "_quotient_width", lambda *args: 1)
+    monkeypatch.setattr(polyring, "_packed_ratio", recording)
     clear_caches()
-    by_bound = []
     try:
         for n in range(1, 21):
             for k in range(n + 1):
-                expected = q_pascal_coeffs(k, n)
-                try:
-                    assert grassmannian(k, n).poly.coeffs == expected, (k, n)
-                except NonExactDivision as error:
-                    pairs = catalog._gaussian_pairs(min(k, n - k), max(k, n - k))
-                    if not any(a % i for a, i in pairs):
-                        assert "over half a 1-byte slot" in str(error), (k, n)
-                        by_bound.append((k, n))
-                else:
-                    assert max(expected) < 128, (k, n)
+                assert grassmannian(k, n).poly.coeffs == q_pascal_coeffs(k, n), (k, n)
     finally:
         clear_caches()
-    assert (4, 10) in by_bound and len(by_bound) > 10
+    assert True in certified and False in certified
 
 
 def test_grassmannian_independent_of_request_order():
@@ -577,13 +550,13 @@ def test_peeled_anchor_pairs_equal_the_product_by_the_polynomial(jn, m, down, da
 def test_numerators_the_peel_cannot_touch_reach_the_division_whole(monkeypatch, j, n, down):
     # N = (1 - q)^r M, r = len(down), M of positive falling coefficients,
     # has no zero on the unit circle but at 1 (Enestrom-Kakeya).  Every i
-    # here and in the leftover pairs is at least 2, so 1 - q^i, zero at
+    # here and among the leftover i is at least 2, so 1 - q^i, zero at
     # -1 or at a primitive i-th root of unity, divides no such N: the
     # certified division gets every factor, and certifies iff Q >= 0.
     rng = random.Random(f"untouched {j},{n},{down}")
     x = ratio(IntPoly(sorted(rng.sample(range(1, 60), 8), reverse=True)), (1,) * len(down))
-    pairs = catalog._gaussian_pairs(min(j, n - j), max(j, n - j))
-    whole = sorted(down + tuple(i for a, i in pairs if a % i))
+    _, _, left = catalog._gaussian_pairs(min(j, n - j), max(j, n - j))
+    whole = sorted(down + left)
     assert polyring.peel(x, whole) == (x, tuple(sorted(whole, reverse=True)))
     calls = recording_packed_quotient(monkeypatch)
     expected = ratio(x, (), down, by=grassmannian(j, n).poly)
@@ -592,12 +565,14 @@ def test_numerators_the_peel_cannot_touch_reach_the_division_whole(monkeypatch, 
     assert calls == [(whole, min(expected.coeffs) >= 0)]
 
 
-@pytest.mark.parametrize("comp, mode, chains", [("M", "closed", (2, 2)), ("H", "pipeline", (5, 3))])
+@pytest.mark.parametrize("comp, mode, chains", [("M", "closed", (2, 2)), ("H", "pipeline", (4, 2))])
 def test_peel_moves_what_the_numerator_holds_on_a_cold_route(monkeypatch, comp, mode, chains):
     # Cold routes at (12, 40), without the peel and with it: the same
     # polynomial, fewer factors handed to the certified division (M3: 8
     # to 3, its large 5 and 9 staying), no more running-sum chains, and
-    # no i handed over that the numerator's class sums clear.
+    # no i handed over that the numerator's class sums clear.  Only the
+    # anchor's division is recorded: a first run builds the small
+    # Grassmannians, which stay cached.
     handed, running = [], []
     packed_ratio_, running_sums = polyring._packed_ratio, polyring._running_sums
 
@@ -615,6 +590,8 @@ def test_peel_moves_what_the_numerator_holds_on_a_cold_route(monkeypatch, comp, 
     for peel in (lambda x, down: (x, tuple(down)), polyring.peel):
         monkeypatch.setattr(catalog, "peel", peel)
         clear_caches()
+        space_poly(ModuliKey(12, 40, 3, comp), mode)
+        clear_caches(catalog.grassmannian)
         handed.clear()
         running.clear()
         routes.append(space_poly(ModuliKey(12, 40, 3, comp), mode).poly)

@@ -5,7 +5,7 @@ from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from curvebetti import polyring
@@ -21,7 +21,6 @@ from curvebetti.polyring import (
     kronecker_product,
     monomial,
     packed_geometric,
-    packed_ratio,
     packed_sum,
     ratio,
     slot_tops,
@@ -577,6 +576,7 @@ def test_ratio_by_refuses_inexact_small_numerators(x, y, down):
 
 
 @settings(deadline=None, max_examples=200)
+@example(x=[-2, 1], pairs=[(1, 1)], down=[], plant=0)  # D = 1: only the mask certifies
 @given(
     st.lists(st.one_of(st.integers(0, 9), st.integers(-9, 9), st.integers(0, 2**70)), min_size=1, max_size=10),
     st.lists(st.tuples(st.integers(1, 5), st.integers(1, 4)), min_size=1, max_size=3),
@@ -712,18 +712,15 @@ def test_ratio_and_packed_ratio_refuse_bad_exponents():
     # exponent up is a misuse, and a factor 1 - q^i with i < 1 is zero or
     # no polynomial, named as the first such factor of down.
     p = IntPoly([1, 2])
-    for by in (None, IntPoly([3, 1])):
+    for by, pairs in ((None, ()), (IntPoly([3, 1]), ()), (None, ((2, 1),))):
         with pytest.raises(InvalidParameters):
-            ratio(p, up=(-1,), by=by)
+            ratio(p, up=(-1,), by=by, geometric=pairs)
         with pytest.raises(InvalidParameters):
-            ratio(p, up=(2, -3), down=(1,), by=by)
+            ratio(p, up=(2, -3), down=(1,), by=by, geometric=pairs)
         for i in (0, -1):
             with pytest.raises(DivisionByZero) as excinfo:
-                ratio(p, down=(1, i, -5), by=by)
+                ratio(p, down=(1, i, -5), by=by, geometric=pairs)
             assert str(excinfo.value) == f"division by 1 - q^{i}"
-    with pytest.raises(InvalidParameters):
-        packed_ratio(1, -1, 1, 2, 1)
-    assert packed_ratio(1, 0, 1, 2, 1) == 0  # 1 - q^0 = 0
 
 
 @pytest.mark.parametrize("j", [1, 2, 7, 48, 100])
@@ -752,6 +749,19 @@ def test_div_one_minus_by_a_factor_longer_than_the_dividend():
             f"(1 + 2q + 3q^2) / (1 - q^{j}): remainder 1 + 2q + 3q^2"
         )
     assert ratio(ZERO, down=(10,)) == ZERO
+
+
+def test_division_errors_print_long_polynomials_briefly():
+    # A numerator over a Gaussian binomial that the list steps refuse:
+    # printed whole, the message ran to 8,697 characters.
+    num = ratio(IntPoly([5, 4, 3, 2, 1]), (1, 1, 1))
+    with pytest.raises(NonExactDivision) as excinfo:
+        ratio(num, (), (5, 13, 25), by=grassmannian(24, 48).poly)
+    message = str(excinfo.value)
+    assert len(message) < 200 and "\n" not in message
+    assert message.startswith("(degree 565, 565 terms, lowest 5) / (1 - q^")
+    with pytest.raises(NonExactDivision, match=r"^\(degree 12, 13 terms, lowest 1\) / \(1 \+ q\):"):
+        exact_div(IntPoly([1] * 13), IntPoly([1, 1]))
 
 
 # ------------------------------------------------------- packed integers
@@ -805,77 +815,25 @@ def test_unpack_slots_without_one_typecode_size(monkeypatch, dropped):
     st.integers(1, 5),
 )
 def test_packed_ratio_multiplies_by_a_geometric_sum(v, i, m):
-    # (1 - q^(im)) / (1 - q^i) = 1 + q^i + ... + q^(i(m-1)), so the
-    # quotient is a product with nonnegative coefficients below 128, and
-    # packed_geometric gives it by shift-adds alone.
+    # (1 - q^(im)) / (1 - q^i) = 1 + q^i + ... + q^(i(m-1)): packed_geometric
+    # gives the IntPoly product by shift-adds alone, in any width that
+    # holds it, and so does the packed ratio with D = 1.
     geometric = IntPoly([1 if j % i == 0 else 0 for j in range(i * (m - 1) + 1)])
     expected = IntPoly(v) * geometric
     count = len(v) + i * (m - 1)
     for width in (1, 3, 8):
-        quot = packed_ratio(pack(v, width), i * m, i, count, width)
+        quot = packed_geometric(pack(v, width), i * m, i, width)
         assert IntPoly(unpack_slots(quot, count, width)) == expected
-        assert packed_geometric(pack(v, width), i * m, i, width) == quot
-
-
-def test_packed_ratio_divides_down_to_one():
-    # (1 + q + ... + q^(i-1)) (1 - q) / (1 - q^i) = 1.
-    for i in (1, 2, 5, 40):
-        assert packed_ratio(pack([1] * i, 2), 1, i, 1, 2) == 1
+    with mock.patch.object(polyring, "accumulate", wraps=polyring.accumulate) as sums:
+        assert ratio(IntPoly(v), geometric=[(i * m, i)]) == expected
+    assert not (sums.called and any(v))  # 0 takes the list steps
 
 
 def test_slot_tops_and_a_passed_mask():
     assert slot_tops(1, 1, 3) == pack([0x80] * 3, 1)
     assert slot_tops(2, 3, 2) == pack([0xE000] * 2, 2)
     assert slot_tops(1, 9, 2) == pack([0xFF] * 2, 1)
-    # A mask of more slots than a step needs is used as it is; a shorter
-    # one is rebuilt, so a slot above it is still checked: here only the
-    # dividend's slot 1, at 254, shows that the division is not exact
-    # (see test_packed_ratio_rejects_a_dividend_slot_at_half_width).
-    v = pack([127, 254, 125, 255, 127], 1)
-    for tops in (0, slot_tops(1, 1, 100), slot_tops(1, 1, 1)):
-        assert packed_ratio(pack([1] * 40, 2), 1, 40, 1, 2, tops) == 1
-        with pytest.raises(NonExactDivision):
-            packed_ratio(v, 1, 3, 3, 1, tops)
-
-
-def test_packed_ratio_rejects_a_remainder():
-    # (1 - q) / (1 - q^2) is no polynomial.
-    for count in (1, 2, 5):
-        with pytest.raises(NonExactDivision):
-            packed_ratio(1, 1, 2, count, 1)
-    # A quotient needs more slots than it is given.
-    with pytest.raises(NonExactDivision):
-        packed_ratio(pack([1, 1], 1), 2, 1, 2, 1)
-
-
-def test_packed_ratio_rejects_a_quotient_slot_at_half_width():
-    # V = 127 + 127q^2 + 3q^4 has V(-1) = 257, so V is not divisible by
-    # 1 + q, and V (1 - q) / (1 - q^2) is no polynomial.  At q = 256 the
-    # integer identity holds all the same, because 257 = 1 + 256 divides
-    # V(256); the quotient's carries hide in a slot of 128 or more, which
-    # only the half-slot check sees.
-    v = pack([127, 0, 127, 0, 3], 1)
-    quot = v // 257
-    assert quot * 257 == v and quot < 256**4
-    assert quot - (quot << 16) == v - (v << 8)
-    assert max(unpack_slots(quot, 4, 1)) >= 128
-    with pytest.raises(NonExactDivision):
-        packed_ratio(v, 1, 2, 4, 1)
-
-
-def test_packed_ratio_rejects_a_dividend_slot_at_half_width():
-    # Q = 127 + 127q + 127q^2 times 1 + q + q^2 has the coefficient 381,
-    # which carries at q = 256: V(256) has the digits 127, 254, 125,
-    # 255, 127, and V(256) (1 - 256) = Q(256) (1 - 256^3) holds with
-    # every slot of Q below 128.  Yet the polynomial with V's digits is
-    # no multiple of 1 + q + q^2, so only the check on V's slots can
-    # reject it.
-    v = pack([127, 254, 125, 255, 127], 1)
-    q = pack([127, 127, 127], 1)
-    assert v == q * (1 + 256 + 256**2)
-    with pytest.raises(NonExactDivision):
-        ratio(IntPoly([127, 254, 125, 255, 127]), (1,), (3,))
-    with pytest.raises(NonExactDivision):
-        packed_ratio(v, 1, 3, 3, 1)
-    with pytest.raises(DivisionByZero):
-        packed_ratio(1, 1, 0, 1, 1)
+    # As the packed division's mask, the top l + 1 bits pass slots below
+    # B / 2^(l+1) and stop any slot at or above it.
+    mask = slot_tops(1, 3, 3)
+    assert not pack([31, 0, 31], 1) & mask and pack([31, 32, 0], 1) & mask
