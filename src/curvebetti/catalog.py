@@ -16,15 +16,15 @@ The Gaussian binomial [n choose k]_q, m = min(k, n-k) and d = n - m, is
 the product of (1 - q^a) / (1 - q^i) over pairs of a in d+1..n and i in
 1..m.  Each i, from m down, takes the largest free multiple a of i, a
 geometric pair of polyring.ratio, multiplied in by shift-adds; the a
-and the i left over join its up and down.  Up to n = 66 grassmannian is
-that one ratio of 1: packed once and divided once, certified.  Above
-n = 66 the diagonal chain [d+i choose i], i = 1..m, runs on coefficient
+and the i left over join its up and down.  Up to n = 250 grassmannian
+is that one ratio of 1: packed once and divided once, certified.  Above
+n = 250 the diagonal chain [d+i choose i], i = 1..m, runs on coefficient
 lists.
 
 A Quotient keeps a space as small factors over a large anchor; fold sums
 Quotients by one packed sum, one decode and one ratio per anchor.  An
 anchor is a space, whose polynomial ratio multiplies in, or a
-GaussianAnchor(k, n), grassmannian(k, n) never expanded: up to n = 66,
+GaussianAnchor(k, n), grassmannian(k, n) never expanded: up to n = 250,
 from dimension _THROUGH_MIN_DIM, fold peels off each 1 - q^i of down
 and of the leftover i that the numerator holds, then runs it through
 grassmannian's one ratio, the leftover a and i joining its up and down.
@@ -226,10 +226,10 @@ def weighted_projective(weights: Iterable[int]) -> PoincarePoly:
     return projective(len(ws) - 1)
 
 
-# Up to here grassmannian is one packed ratio, and every coefficient fits
-# a machine word: C(66, 33) < 2^63 <= C(67, 33).  Above it the diagonal
-# chain runs on coefficient lists, quicker at grassmannian(100, 200).
-_PACKED_ROWS_MAX_N = 66
+# Up to here grassmannian is one packed ratio, and anchors use its pairs.
+# Cold, k from n/8 to n/2, it took 0.57-0.91 of the list chain's time at
+# n = 250, and 0.81-1.08 at n = 300.
+_PACKED_ROWS_MAX_N = 250
 
 
 def _gaussian_pairs(m: int, d: int) -> tuple[list[tuple[int, int]], tuple[int, ...], tuple[int, ...]]:

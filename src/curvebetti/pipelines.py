@@ -300,8 +300,7 @@ def _raw_space_poly(key: ModuliKey, mode: str) -> PoincarePoly:
     every other route a pipeline, checked against the key's dimension."""
     if mode == "closed" and not has_pipeline(key):
         return stable_maps_gr(key.k, key.n, key.d)
-    total = run_pipeline(_pipeline(key, mode)).poly
-    return PoincarePoly.from_poly(total, dim_expected(key), f"{key} {mode}")
+    return run_pipeline(_pipeline(key, mode), dim_expected(key), f"{key} {mode}")
 
 
 def space_poly(key: ModuliKey, mode: str = "closed") -> PoincarePoly:

@@ -45,7 +45,7 @@ the general divider.  peel(x, down) takes those running sums only for
 each i of down, largest first, whose class sums sum(x_m, m = r mod i)
 all vanish: x mod (q^i - 1) is their polynomial, so 1 - q^i divides x
 exactly.  ratio(x, up, down, by=y, geometric=pairs), which builds every
-Gaussian binomial up to n = 66, keeps the large product packed: x(B)
+Gaussian binomial up to n = 250, keeps the large product packed: x(B)
 y(B), times 1 + q^i + ... + q^(a-i) by packed_geometric for each pair
 (a, i), i dividing a, times each 1 - q^a of up as v -= v << 8w a, is
 N(B), every |N_j| <= nb = max|x|
@@ -61,9 +61,17 @@ positive and negative coefficients each sum to ||D||_1 / 2 <= 2^(l-1),
 so either test gives |(Q D - N)_j| < B: Q D - N vanishes at B and is
 the zero polynomial, and Q = N / D exactly.  With no down, D = 1 is no
 such D, and only the mask, every |Q_j| below B/2, certifies Q = N.
-Otherwise x * y and the list steps run, with the same quotient or the
-same NonExactDivision; their messages print a polynomial of more than 8
-terms by its degree, its term count and its lowest term.
+To the middle: if x and y are each palindromic or anti-palindromic, Q's
+sign +1, count >= 192 and h = ceil(L / 2) < count, L = count + sum(down)
+= len(N), every step runs mod B^h, with running sums for every i of
+down, and the same tests give Q_low D = N mod q^h.  If the overlap
+low[count - h:h] reads the same reversed, Q is low followed by
+low[count - 1 - h::-1]: Q D - N, of length L and one symmetry, vanishes
+in its h low and so in its h top coefficients, and 2h >= L.  A Q the
+full length certifies passes these tests too, so a refused half is not
+retried.  A refused attempt leaves x * y to the list steps, with the
+same quotient or the same NonExactDivision, whose messages print a
+polynomial of over 8 terms by its degree, term count and lowest term.
 The width is fixed before, and decides only whether the attempt
 certifies: a Q >= 0 has no coefficient above Q(1) = y(1) prod(a / i)
 x_r(1) prod a / prod i over up and down, x_r = x / (q - 1)^r for r =
@@ -481,8 +489,8 @@ def peel(p: IntPoly, down: Iterable[int]) -> tuple[IntPoly, tuple[int, ...]]:
 
 def _packed_ratio(x: tuple, y: tuple, pairs: tuple, up: tuple, down: tuple) -> IntPoly | None:
     """x y times the pairs' geometric sums, by shift-adds, times up over
-    down: packed once, in the width _quotient_width fixes, and divided
-    once; None unless certified (module docstring)."""
+    down: packed once in the width _quotient_width fixes, divided once,
+    to the middle where _half_length allows; None unless certified."""
     lo_x, lo_y, g, count = min(x), min(y), 1, len(x) + len(y) - 1 + sum(up) - sum(down)
     for a, i in pairs:
         g, count = g * (a // i), count + a - i
@@ -490,13 +498,30 @@ def _packed_ratio(x: tuple, y: tuple, pairs: tuple, up: tuple, down: tuple) -> I
     width = _quotient_width(x, up, down, sum(y) * g, nb)
     if nb >> 8 * width - 1:  # too narrow to pack
         return None
+    half = _half_length(x, y, up, down, count)
+    mask = (1 << 8 * width * half) - 1 if half else -1
     v = _pack(x, width, lo_x < 0)
     if y != (1,):
         v *= _pack(y, width, lo_y < 0)
     for a, i in pairs:
-        v = packed_geometric(v, a, i, width)
-    quot = _packed_quotient(v, nb, up, down, count, width)
-    return None if quot is None else IntPoly(unpack_slots(quot, count, width))
+        v = packed_geometric(v, a, i, width) & mask
+    for a in up:
+        v = (v - (v << 8 * width * a)) & mask
+    quot = (_half_quotient(v, nb, down, count, half, width) if half
+            else _packed_quotient(v, nb, down, count, width))
+    return None if quot is None else IntPoly(quot)
+
+
+def _half_length(x: tuple, y: tuple, up: tuple, down: tuple, count: int) -> int:
+    """h = ceil(len(N) / 2) if h < count, count >= _HALF_MIN_COUNT, and x
+    and y are each palindromic or anti-palindromic, Q's sign +1; else 0."""
+    half, sign = (count + sum(down) + 1) // 2, (-1) ** (len(up) + len(down))
+    if count < _HALF_MIN_COUNT or half >= count:
+        return 0
+    for cs in (x, y):
+        rev = cs[::-1]
+        sign *= 1 if cs == rev else -(cs == tuple(map(operator.neg, rev)))
+    return half if sign == 1 else 0
 
 
 def _quotient_width(x: tuple, up: tuple, down: tuple, at_one: int, nb: int) -> int:
@@ -511,23 +536,22 @@ def _quotient_width(x: tuple, up: tuple, down: tuple, at_one: int, nb: int) -> i
     return _SLOTS.get(width, (width, ""))[0]
 
 
-# Down factors 1 - q^i with i up to this share _packed_quotient's one
+# At full length, down factors 1 - q^i with i up to this share one
 # divmod; each larger one is divided by running sums.  At 8-byte slots
 # over about 600 slots, divmod by 1 - B^i took 26/32/35 us for i = 1/2/3
 # (running sums 37/34/31 us) and by 1 - B^27 156 us (running sums 23 us);
 # all of (1, 2, 2, 3, 3) took 76 us in one divmod, 172 us by running sums.
 _DIVMOD_MAX_I = 3
+# Quotients of fewer slots took longer halved (x1.05-1.12 replayed; x0.89-0.97 above).
+_HALF_MIN_COUNT = 192
 
 
-def _packed_quotient(v: int, nb: int, up: tuple, down: tuple, count: int,
-                     width: int) -> int | None:
-    """Q(B), Q = N / D in count slots, for v packing N before the factors
-    of up, B/2 > nb >= max|N_j|; None unless certified (module docstring)."""
+def _packed_quotient(v: int, nb: int, down: tuple, count: int, width: int) -> list[int] | None:
+    """The count coefficients of Q = N / D, for v = N(B), B/2 > nb >=
+    max|N_j|; None unless certified (module docstring)."""
     if count <= 0:
         return None
     shift, d = 8 * width, 1
-    for a in up:
-        v -= v << shift * a
     small = [i for i in down if i <= _DIVMOD_MAX_I]
     large = [i for i in down if i > _DIVMOD_MAX_I]
     for i in small:
@@ -540,33 +564,54 @@ def _packed_quotient(v: int, nb: int, up: tuple, down: tuple, count: int,
         rest -= i
         # A certified Q has |quot / (1 - B^i)| < B^(count + rest).
         r = _running_sums(quot, i, count + rest + 1, shift)
+        r -= r >> shift * (count + rest + 1) - 1 << shift * (count + rest + 1)  # balanced
         if r - (r << shift * i) != quot:
             return None
         quot = r
-    if not 0 <= quot < 1 << shift * count:
+    if not 0 <= quot < 1 << shift * count or not _certified(quot, count, width, down, nb):
         return None
-    if not quot & slot_tops(width, len(down) + 1, count):
-        return quot
+    return unpack_slots(quot, count, width)
+
+
+def _half_quotient(v: int, nb: int, down: tuple, count: int, half: int, width: int) -> list | None:
+    """The count coefficients of the palindromic Q = N / D from Q mod B^half,
+    v = N(B) mod B^half, B/2 > nb >= max|N_j|; None unless certified."""
+    for i in down:
+        v = _running_sums(v, i, half, 8 * width)
+    quot = v & (1 << 8 * width * half) - 1
+    if not _certified(quot, half, width, down, nb):
+        return None
+    low = unpack_slots(quot, half, width)
+    middle = low[count - half :]
+    return low + low[count - 1 - half :: -1] if middle == middle[::-1] else None
+
+
+def _certified(quot: int, slots: int, width: int, down: tuple, nb: int) -> bool:
+    """Whether the slots of Q(B) = quot, 0 <= quot < B^slots, are below
+    B / 2^(l+1) or, given a down, below the sharper bound (module docstring)."""
+    if not quot & slot_tops(width, len(down) + 1, slots):
+        return True
     if not down:  # the sharper bound needs D(1) = 0
-        return None
+        return False
     # The sharper bound: u >= ||D||_1, and nb < B/2.
-    cs = [1]
+    shift, cs = 8 * width, [1]
+    small = [i for i in down if i <= _DIVMOD_MAX_I]
     for i in small:
         cs = list(map(operator.sub, cs + [0] * i, [0] * i + cs))
-    u = sum(map(abs, cs)) << len(large)
+    u = sum(map(abs, cs)) << len(down) - len(small)
     t = ((2 * ((1 << shift) - nb) - 1) // u + 1).bit_length() - 1
-    return None if quot & slot_tops(width, shift - t, count) else quot
+    return not quot & slot_tops(width, shift - t, slots)
 
 
 def _running_sums(x: int, i: int, slots: int, shift: int) -> int:
     """x / (1 - B^i) as a power series mod B^slots, B = 2^shift, by
-    running sums that double a span from i; a balanced residue."""
+    running sums that double a span from i; in [0, B^slots)."""
     mask = (1 << shift * slots) - 1
     quot, span = x & mask, i
     while span < slots:
         quot = (quot + (quot << shift * span)) & mask
         span *= 2
-    return quot - ((quot >> shift * slots - 1) << shift * slots)
+    return quot
 
 
 def packed_geometric(v: int, a: int, i: int, width: int) -> int:

@@ -151,12 +151,13 @@ def run_pipeline_traced(pipeline: Pipeline) -> list[dict]:
     return rows
 
 
-def run_pipeline(pipeline: Pipeline) -> PoincarePoly:
-    """run_pipeline_traced's total by fold.  A negative total reruns
-    traced, to name the first step that went bad."""
+def run_pipeline(pipeline: Pipeline, dim: int | None = None,
+                 what: str = "pipeline total") -> PoincarePoly:
+    """run_pipeline_traced's total by fold, of degree dim if given.  A
+    negative total reruns traced, to name the first step that went bad."""
     total = fold([pipeline.base, *(step.term() for step in pipeline.steps)])
     try:
-        return PoincarePoly.from_poly(total, what="pipeline total")
+        return PoincarePoly.from_poly(total, dim, what)
     except NegativeBetti:
         run_pipeline_traced(pipeline)  # raises with the first bad step: its total is this one
         raise

@@ -137,28 +137,44 @@ def clear_caches(*kept) -> None:
 
 @pytest.mark.parametrize("n", range(1, 73))
 def test_grassmannian_against_q_pascal_across_the_packed_boundary(n):
-    # Every pairing of geometric and leftover steps up to n = 66,
-    # coefficient lists from n = 67.
+    # Every pairing of geometric and leftover steps up to n = 72, across
+    # the machine word at n = 66/67 (C(67, 33) >= 2^63).
     for k in range(n + 1):
         assert grassmannian(k, n).poly.coeffs == q_pascal_coeffs(k, n), (k, n)
 
 
-def test_packed_rows_stop_at_the_machine_word(monkeypatch):
-    # Up to n = 66 one certified division, after a geometric step
-    # wherever i divides a free a; m <= 2 leaves no i over, and the
-    # division is D = 1.  Above, coefficient lists.
-    assert catalog._PACKED_ROWS_MAX_N == 66
+def test_the_list_chain_against_q_pascal(monkeypatch):
+    # The diagonal chain that runs above _PACKED_ROWS_MAX_N, moved down.
+    monkeypatch.setattr(catalog, "_PACKED_ROWS_MAX_N", 0)
+    clear_caches()
+    try:
+        for n in (1, 12, 31, 67):
+            for k in range(n + 1):
+                assert grassmannian(k, n).poly.coeffs == q_pascal_coeffs(k, n), (k, n)
+    finally:
+        clear_caches()
+
+
+def test_packed_rows_stop_at_the_measured_crossover(monkeypatch):
+    # Up to n = 250 one certified division, after a geometric step
+    # wherever i divides a free a, only to the middle from 192
+    # coefficients on; m <= 2 leaves no i over, and the division is
+    # D = 1.  Above, coefficient lists: at n = 300 they were quicker for
+    # some k.
+    assert catalog._PACKED_ROWS_MAX_N == 250
     clear_caches()
     geometric = mock.Mock(wraps=polyring.packed_geometric)
-    quotient = mock.Mock(wraps=polyring._packed_quotient)
     monkeypatch.setattr(polyring, "packed_geometric", geometric)
-    monkeypatch.setattr(polyring, "_packed_quotient", quotient)
-    for (k, n), calls in (((3, 67), (0, 0)), ((3, 66), (3, 1)), ((64, 66), (2, 1)),
-                          ((24, 48), (19, 1)), ((28, 61), (20, 1))):
+    divisions = recording_packed_dividers(monkeypatch)
+    for (k, n), calls, path in (((3, 251), 0, None), ((3, 250), 3, "half"), ((3, 66), 3, "full"),
+                                ((64, 66), 2, "full"), ((24, 48), 19, "half"),
+                                ((28, 61), 20, "half")):
         geometric.reset_mock()
-        quotient.reset_mock()
-        grassmannian(k, n)
-        assert (geometric.call_count, quotient.call_count) == calls, (k, n)
+        divisions.clear()
+        assert grassmannian(k, n).poly == ratio(ONE, range(n - k + 1, n + 1), range(1, k + 1))
+        assert geometric.call_count == calls, (k, n)
+        assert [(p, certified) for p, _, certified in divisions] == (
+            [(path, True)] if path else []), (k, n)
     clear_caches()
 
 
@@ -389,16 +405,18 @@ def test_stable_maps_gr_structure(k, n, d):
     assert m.poly == stable_maps_gr(n - k, n, d).poly
 
 
-def recording_packed_quotient(monkeypatch) -> list:
-    """Patch polyring._packed_quotient to record (down, certified) per call."""
-    quotient, calls = polyring._packed_quotient, []
+def recording_packed_dividers(monkeypatch) -> list:
+    """Patch polyring's packed dividers, _packed_quotient at full length
+    and _half_quotient to the middle, to record (path, down, certified)
+    per call, path "full" or "half"."""
+    calls = []
+    for path, name in (("full", "_packed_quotient"), ("half", "_half_quotient")):
+        def recording(v, nb, down, *args, path=path, divider=getattr(polyring, name)):
+            quot = divider(v, nb, down, *args)
+            calls.append((path, sorted(down), quot is not None))
+            return quot
 
-    def recording(v, nb, up, down, *args):
-        quot = quotient(v, nb, up, down, *args)
-        calls.append((sorted(down), quot is not None))
-        return quot
-
-    monkeypatch.setattr(polyring, "_packed_quotient", recording)
+        monkeypatch.setattr(polyring, name, recording)
     return calls
 
 
@@ -412,7 +430,7 @@ def test_stable_maps_gr_degree_three_divides_packed_or_by_list(monkeypatch, k, n
     # result.  Either way it is the expanded space of lines times the
     # kernel, divided factor by factor.
     expected = ratio(degree3_kernel(k, n) * fano_lines(k, n).poly, down=DEGREE3_KERNEL_DEN)
-    calls = recording_packed_quotient(monkeypatch)
+    calls = recording_packed_dividers(monkeypatch)
     for narrow in (False, True):
         if narrow:
             monkeypatch.setattr(polyring, "_quotient_width", lambda *args: 8)
@@ -420,7 +438,7 @@ def test_stable_maps_gr_degree_three_divides_packed_or_by_list(monkeypatch, k, n
         calls.clear()
         got = stable_maps_gr(k, n, 3).poly
         assert got == expected
-        assert [certified for _, certified in calls] == [not narrow or packed]
+        assert [(path, certified) for path, _, certified in calls] == [("half", not narrow or packed)]
     assert max(got.coeffs).bit_length() == (48 if packed else 65)
 
 
@@ -480,14 +498,7 @@ def test_anchor_pairs_equal_the_product_by_the_polynomial(monkeypatch, j, n):
     # anchor takes the pairs here, and every nonnegative quotient is
     # certified in the width fixed beforehand.
     monkeypatch.setattr(catalog, "_THROUGH_MIN_DIM", 0)
-    quotient, certified = polyring._packed_quotient, []
-
-    def recording_quotient(*args):
-        quot = quotient(*args)
-        certified.append(quot is not None)
-        return quot
-
-    monkeypatch.setattr(polyring, "_packed_quotient", recording_quotient)
+    calls = recording_packed_dividers(monkeypatch)
     rng, anchor = random.Random(f"{j},{n}"), catalog.GaussianAnchor(j, n)
     for signed in (False, True) * 3:
         if j == 0 or n == j:  # the point: no pair, so no factor to divide
@@ -495,10 +506,10 @@ def test_anchor_pairs_equal_the_product_by_the_polynomial(monkeypatch, j, n):
         else:
             x, up, down = planted_numerators(rng, j, n, signed)
         expected = ratio(x, up, down, by=grassmannian(j, n).poly)
-        certified.clear()
+        calls.clear()
         assert anchor.ratio(x, up, down) == expected, (signed, x, up, down)
         if down and not signed:
-            assert certified == [True]
+            assert [certified for _, _, certified in calls] == [True]
 
 
 @pytest.mark.parametrize("j, n", ORACLE_PAIRS[3:])
@@ -558,22 +569,24 @@ def test_numerators_the_peel_cannot_touch_reach_the_division_whole(monkeypatch, 
     _, _, left = catalog._gaussian_pairs(min(j, n - j), max(j, n - j))
     whole = sorted(down + left)
     assert polyring.peel(x, whole) == (x, tuple(sorted(whole, reverse=True)))
-    calls = recording_packed_quotient(monkeypatch)
+    calls = recording_packed_dividers(monkeypatch)
     expected = ratio(x, (), down, by=grassmannian(j, n).poly)
     calls.clear()
     assert catalog.GaussianAnchor(j, n).ratio(x, (), down) == expected
-    assert calls == [(whole, min(expected.coeffs) >= 0)]
+    assert calls == [("full", whole, min(expected.coeffs) >= 0)]
 
 
-@pytest.mark.parametrize("comp, mode, chains", [("M", "closed", (2, 2)), ("H", "pipeline", (4, 2))])
+@pytest.mark.parametrize("comp, mode, chains", [("M", "closed", (8, 3)), ("H", "pipeline", (10, 3))])
 def test_peel_moves_what_the_numerator_holds_on_a_cold_route(monkeypatch, comp, mode, chains):
     # Cold routes at (12, 40), without the peel and with it: the same
     # polynomial, fewer factors handed to the certified division (M3: 8
-    # to 3, its large 5 and 9 staying), no more running-sum chains, and
+    # to 3, its large 5 and 9 staying), fewer running-sum chains (one per
+    # factor handed over, as the division runs only to the middle), and
     # no i handed over that the numerator's class sums clear.  Only the
     # anchor's division is recorded: a first run builds the small
     # Grassmannians, which stay cached.
     handed, running = [], []
+    divisions = recording_packed_dividers(monkeypatch)
     packed_ratio_, running_sums = polyring._packed_ratio, polyring._running_sums
 
     def recording_packed_ratio(x, y, pairs, up, down):
@@ -594,9 +607,11 @@ def test_peel_moves_what_the_numerator_holds_on_a_cold_route(monkeypatch, comp, 
         clear_caches(catalog.grassmannian)
         handed.clear()
         running.clear()
+        divisions.clear()
         routes.append(space_poly(ModuliKey(12, 40, 3, comp), mode).poly)
         factors.append(sum(len(down) for _, down in handed))
         counts.append(len(running))
+        assert [(path, certified) for path, _, certified in divisions] == [("half", True)]
     clear_caches()
     assert routes[0] == routes[1] and factors[1] < factors[0] and tuple(counts) == chains
     assert all(any(sum(x[r::i]) for r in range(i)) for x, down in handed for i in down)
@@ -604,7 +619,7 @@ def test_peel_moves_what_the_numerator_holds_on_a_cold_route(monkeypatch, comp, 
 
 DEGREE2_ANCHOR_KEYS = [(k, n) for n in range(3, 31) for k in range(1, n)] + [
     (k, n) for n in (66, 67) for k in (1, 2, 32, 33, n - 1)
-]
+] + [(k, n) for n in (250, 251) for k in (1, 2, n - 1)]
 
 
 def test_degree2_over_the_lines_is_the_formula_over_gr_k_minus_1():

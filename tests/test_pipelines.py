@@ -552,7 +552,7 @@ def _output_lines():
                             value = type(exc).__name__
                         yield f"{k} {n} {d} {c} {mode}: {value}"
     _clear_caches()
-    # n <= 72 crosses the packed-row boundary at n = 66/67.
+    # n <= 72 crosses the machine word at n = 66/67 (C(67, 33) >= 2^63).
     for n in range(73):
         for k in range(n + 1):
             yield f"Gr({k},{n}): {grassmannian(k, n).poly.coeffs}"

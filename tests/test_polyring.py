@@ -601,6 +601,155 @@ def test_ratio_through_geometric_pairs_is_the_list_steps(x, pairs, down, plant):
         assert expected[0] == "NonExactDivision"
 
 
+@st.composite
+def symmetric_polys(draw):
+    """(p, e): p palindromic (e = 1) or anti-palindromic (e = -1), its
+    constant term nonzero, so that the coefficient tuple is the one read."""
+    e = draw(st.sampled_from((1, 1, -1)))
+    half = [draw(st.integers(1, 9))] + draw(st.lists(st.integers(0, 2**40), max_size=6))
+    middle = draw(st.lists(st.integers(0, 9), max_size=1)) if e == 1 else []
+    return IntPoly(half + middle + [e * c for c in reversed(half)]), e
+
+
+def recording_dividers(monkeypatch) -> list:
+    """Patch the packed dividers to record (path, certified) per call."""
+    calls = []
+    for path, name in (("full", "_packed_quotient"), ("half", "_half_quotient")):
+        def recording(*args, path=path, divider=getattr(polyring, name)):
+            quot = divider(*args)
+            calls.append((path, quot is not None))
+            return quot
+
+        monkeypatch.setattr(polyring, name, recording)
+    return calls
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    symmetric_polys(),
+    st.one_of(st.none(), symmetric_polys()),
+    st.lists(st.tuples(st.integers(1, 5), st.integers(1, 4)), max_size=3),
+    st.lists(st.integers(1, 6), max_size=2),
+    st.lists(st.sampled_from((1, 1, 2, 3, 4, 5, 7, 11)), max_size=5),
+    st.integers(-1, 40),
+)
+def test_palindromic_quotients_are_divided_only_to_the_middle(m, y, pairs, up, down, plant):
+    # N = M prod(1 - q^i) over down, times y, the geometric sums and up:
+    # D divides N.  The packed ratio is the list steps' quotient and,
+    # with no least length, divides only to the middle whenever the
+    # quotient is palindromic (sign +1) and h = ceil(len(N) / 2) is below
+    # its length; certified whenever the quotient is also nonnegative.
+    # A planted symmetric pair of terms q^s, e q^(L-1-s) keeps N's
+    # symmetry and gives the list steps' quotient or error, which no
+    # certificate accepts.
+    (m, e_m), (y, e_y) = m, y or (None, 1)
+    geometric = [(i * k, i) for k, i in pairs]
+    x = ratio(m, down)
+    if 0 < plant < len(x.coeffs) - 1:  # the end coefficients stay, and so len(N)
+        e_x = e_m * (-1) ** len(down)
+        x += monomial(plant) + monomial(len(x.coeffs) - 1 - plant, e_x)
+    every_a, every_i = [a for a, _ in geometric], [i for _, i in geometric]
+    expected = outcome(lambda: ratio(x if y is None else x * y, (*up, *every_a), (*down, *every_i)))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(polyring, "_HALF_MIN_COUNT", 0)
+        calls = recording_dividers(monkeypatch)
+        assert outcome(lambda: ratio(x, up, down, by=y, geometric=geometric)) == expected
+    if not (x and (down and y is not None or geometric)):
+        assert calls == []
+        return
+    count = len(x.coeffs) + len(y.coeffs if y else (1,)) - 1 + sum(up) - sum(down) + sum(
+        a - i for a, i in geometric)
+    halved = e_m * e_y * (-1) ** len(up) == 1 and (count + sum(down) + 1) // 2 < count
+    assert [path for path, _ in calls] == ["half" if halved else "full"]
+    if halved and isinstance(expected, IntPoly) and min(expected.coeffs) >= 0:
+        assert calls == [("half", True)]
+    if isinstance(expected, tuple):
+        assert not calls[0][1]
+
+
+@pytest.mark.parametrize("m", [[1, 1], [1, 3, 1], [2, 1, 1, 2], [1, 0, 0, 1], [5, 9, 9, 5]])
+def test_a_symmetric_numerator_one_down_factor_does_not_divide_is_refused(monkeypatch, m):
+    # N = M (1 - q^2)(1 - q^3)(1 - q^4) [9 choose 4]_q is
+    # anti-palindromic, and D = (1 - q^2)(1 - q^3)(1 - q^5) would leave a
+    # palindromic Q, divided to the middle by running sums mod B^h, with
+    # no remainder to see.  No factor of N vanishes at a primitive 5th
+    # root of unity, so 1 - q^5 does not divide N, and only the half
+    # path's certificate stands between the low half's mirror and a
+    # wrong quotient.
+    x, y = ratio(IntPoly(m), (2, 3, 4)), grassmannian(4, 9).poly
+    monkeypatch.setattr(polyring, "_HALF_MIN_COUNT", 0)
+    calls = recording_dividers(monkeypatch)
+    with pytest.raises(NonExactDivision):
+        ratio(x, (), (2, 3, 5), by=y)
+    assert calls == [("half", False)]
+
+
+def test_a_quotient_too_short_to_halve_is_refused_before_packing(monkeypatch):
+    # (1 + q)(1 - q^5)(1 - q^7) / ((1 - q^5)(1 - q^7)): len(N) = 14, so
+    # h = 7 is no shorter than Q's 2 coefficients, and the division runs
+    # at full length, with no least length too: decided before anything
+    # is packed.
+    monkeypatch.setattr(polyring, "_HALF_MIN_COUNT", 0)
+    events, half_length, pack = [], polyring._half_length, polyring._pack
+
+    def recording_length(*args):
+        events.append(("length", half_length(*args)))
+        return events[-1][1]
+
+    def recording_pack(*args):
+        events.append("pack")
+        return pack(*args)
+
+    monkeypatch.setattr(polyring, "_half_length", recording_length)
+    monkeypatch.setattr(polyring, "_pack", recording_pack)
+    calls = recording_dividers(monkeypatch)
+    x = ratio(IntPoly([1, 1]), (5, 7))
+    assert ratio(x, (), (5, 7), by=IntPoly([1, 2, 1])) == IntPoly([1, 3, 3, 1])
+    assert events == [("length", 0), "pack", "pack"] and calls == [("full", True)]
+
+
+@pytest.mark.parametrize("x, by, up, down", [
+    # sign -1: (1 + q)^3 (1 - q^4) is anti-palindromic, and signed.
+    (ratio(IntPoly([1, 2, 1]), (2, 3)), IntPoly([1, 1]), (4,), (2, 3)),
+    # a zero constant term: q (1 + q)^2 (1 - q^2)(1 - q^3) is neither.
+    (ratio(IntPoly([0, 1, 2, 1]), (2, 3)), IntPoly([1, 1]), (), (2, 3)),
+    # anti-palindromic x, y palindromic, no up: sign -1 again.
+    (ratio(IntPoly([1, -1]), (1, 2)), IntPoly([1, 4, 1]), (), (1, 2)),
+])
+def test_quotients_not_halved_take_the_full_length(monkeypatch, x, by, up, down):
+    monkeypatch.setattr(polyring, "_HALF_MIN_COUNT", 0)
+    calls = recording_dividers(monkeypatch)
+    expected = ratio(x * by, up, down)
+    calls.clear()
+    assert ratio(x, up, down, by=by) == expected
+    assert [path for path, _ in calls] == ["full"]
+    assert calls[0][1] == (min(expected.coeffs) >= 0)
+
+
+@pytest.mark.parametrize("a, path", [(191, "full"), (192, "half")])
+def test_the_middle_is_taken_from_192_slots(monkeypatch, a, path):
+    # 1 + q + ... + q^(a-1) as the geometric pair (a, 1): below 192
+    # slots the half path's running sums cost more than halving saves.
+    assert polyring._HALF_MIN_COUNT == 192
+    calls = recording_dividers(monkeypatch)
+    assert ratio(ONE, geometric=[(a, 1)]) == IntPoly([1] * a)
+    assert calls == [(path, True)]
+
+
+@pytest.mark.parametrize("m, certified", [(63, True), (64, False)])
+def test_slots_too_narrow_for_the_middle_are_refused(monkeypatch, m, certified):
+    # As test_ratio_by_certifies_or_falls_back: (1 - q^m)^2 / (1 - q)^2
+    # in 1-byte slots is certified up to m = 63.  Halved, its low half
+    # holds the peak m at q^(m-1), so m = 64 is refused by the slot test
+    # and the list steps give the same polynomial.
+    monkeypatch.setattr(polyring, "_HALF_MIN_COUNT", 0)
+    monkeypatch.setattr(polyring, "_quotient_width", lambda *args: 1)
+    calls = recording_dividers(monkeypatch)
+    run = IntPoly([1] * m)
+    assert ratio(ratio(ONE, (m, m)), down=(1, 1), by=ONE) == schoolbook(run, run)
+    assert calls == [("half", certified)]
+
+
 @pytest.mark.parametrize("lifts", [3, 5, 8])
 def test_the_width_fixed_beforehand_certifies_a_quotient_equal_to_its_value_at_one(lifts):
     # c (1 - q)^l / (1 - q)^l = c: the quotient's one coefficient is Q(1)
