@@ -29,7 +29,9 @@ from dimension _THROUGH_MIN_DIM, fold peels off each 1 - q^i of down
 and of the leftover i that the numerator holds, then runs it through
 grassmannian's one ratio, the leftover a and i joining its up and down.
 Both stable-map spaces are Quotients over the lines'
-gaussian_anchor(k+1, n), and so is every route.
+gaussian_anchor(k+1, n), and so is every route.  Routes take their small
+spaces as GeometricSpaces: geometric_projective, and geometric_grassmannian
+where _gaussian_pairs leaves no a and no i (every m <= 2).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import functools
 from collections.abc import Iterable, Iterator
 
 from .errors import DimensionMismatch, InvalidParameters, NegativeBetti
-from .polyring import ONE, ZERO, IntPoly, packed_sum, peel, ratio
+from .polyring import ONE, ZERO, Geometric, IntPoly, packed_sum, peel, ratio
 from .polyring import exact_div  # noqa: F401  (bench/test_bench.py looks it up here)
 from .record import Record, setfield
 
@@ -105,7 +107,7 @@ class PoincarePoly(Record):
         return str(self.poly)
 
     # A space is the Quotient over itself with no small factor (see Quotient).
-    small, up, down, anchor = (), (), (), property(lambda self: self)
+    small, up, down, anchor, geometric = (), (), (), property(lambda self: self), None
 
     def ratio(self, x: IntPoly, up: tuple, down: tuple) -> IntPoly:
         """x times this space, times up over down: fold's one step per anchor."""
@@ -153,8 +155,38 @@ class GaussianAnchor(PoincarePoly):
 gaussian_anchor = functools.lru_cache(maxsize=None)(GaussianAnchor)
 
 
+class GeometricSpace(PoincarePoly):
+    """A Gaussian binomial kept as its pairs, one polyring.Geometric, that
+    fold takes as it is; poly, if asked for, is expanded by packed_sum."""
+
+    __slots__ = ("geometric",)
+
+    def __init__(self, geometric: Geometric):
+        setfield(self, "geometric", geometric)
+
+    poly = property(lambda self: packed_sum([((self.geometric,), ())]))
+    dim, components = property(lambda self: self.geometric.degree), 1
+
+
+@functools.lru_cache(maxsize=None)
+def geometric_projective(m: int) -> GeometricSpace:
+    """projective(m), m >= 0, for a route: [m + 1] = (1 - q^(m+1)) / (1 - q)."""
+    return GeometricSpace(Geometric(((m + 1, 1),)))
+
+
+@functools.lru_cache(maxsize=None)
+def geometric_grassmannian(k: int, n: int) -> PoincarePoly:
+    """grassmannian(k, n) for a route: a GeometricSpace where _gaussian_pairs
+    leaves no a and no i, else grassmannian(k, n) itself."""
+    if 0 <= k <= n:
+        pairs, free, left = _gaussian_pairs(min(k, n - k), max(k, n - k))
+        if not (free or left):
+            return GeometricSpace(Geometric(pairs))
+    return grassmannian(k, n)
+
+
 class Quotient(Record):
-    """anchor times the small factors, a tuple of IntPoly, times (1 - q^a)
+    """anchor times the small factors, IntPoly or Geometric, times (1 - q^a)
     for a in up, over (1 - q^i) for i in down: a space kept as factored
     small parts over a large anchor that fold shares.  dim needs no ratio."""
 
@@ -320,26 +352,23 @@ def plane_families(k: int, n: int) -> Iterator[tuple]:
     codimension of the planar cubics over it in the Hilbert scheme of
     twisted cubics.  Both envelopes have the lines' Gr(k+1, n) as anchor."""
     if k >= 2:
-        yield grassmannian(k - 2, k + 1), gaussian_anchor(k + 1, n), 2 * n - k - 4, "Delta_A"
+        yield geometric_grassmannian(k - 2, k + 1), gaussian_anchor(k + 1, n), 2 * n - k - 4, "Delta_A"
     if n >= k + 2:
-        yield grassmannian(k - 1, k + 2), grassmannian_over(k + 2, k + 1, n), n + k - 4, "Delta_B"
+        yield geometric_grassmannian(k - 1, k + 2), grassmannian_over(k + 2, k + 1, n), n + k - 4, "Delta_B"
 
 
 @functools.lru_cache(maxsize=None)
 def lines_through_point(k: int, n: int) -> PoincarePoly:
     """Lines in grassmannian(k, n) through a fixed point.
 
-    (1 - q^(n-k)) (1 - q^k) / (1 - q)^2, of dimension n - 2.  Together
-    with the Grassmannian itself this multiplies out to the polynomial
-    of the full space of pointed lines; see the identity tested in the
+    P^(k-1) x P^(n-k-1), of dimension n - 2.  Together with the
+    Grassmannian itself this multiplies out to the polynomial of the
+    full space of pointed lines; see the identity tested in the
     verification suites.
     """
     if not 1 <= k <= n - 1:
         raise InvalidParameters(f"lines_through_point({k}, {n})")
-    value = ratio(ONE, (n - k, k), (1, 1))
-    return PoincarePoly.from_poly(
-        value, claimed_dim=n - 2, what=f"lines_through_point({k},{n})"
-    )
+    return projective(k - 1) * projective(n - k - 1)
 
 
 def stable_maps_p1(d: int) -> PoincarePoly:
@@ -440,7 +469,7 @@ def degree2_quotient(k: int, n: int) -> Quotient:
 def degree3_quotient(k: int, n: int) -> Quotient:
     """M(Gr(k, n), 3) as a Quotient over the lines' grassmannian(k+1, n):
     degree3_kernel times grassmannian(k-1, k+1) over DEGREE3_KERNEL_DEN."""
-    small = (degree3_kernel(k, n), grassmannian(k - 1, k + 1).poly)
+    small = (degree3_kernel(k, n), geometric_grassmannian(k - 1, k + 1).geometric)
     return Quotient(gaussian_anchor(k + 1, n), small, down=DEGREE3_KERNEL_DEN)
 
 

@@ -9,18 +9,18 @@ reachable from M by an explicit chain of blow-ups and blow-downs.
 This module computes S and H along both routes, each a
 surgery.Pipeline that surgery.run_pipeline evaluates:
 
-* closed mode starts from the printed formula for S, a Quotient whose
-  numerator is divided by a fixed product of (1 - q^j); S takes no
-  step, and H is S blown up along the locus of planar cubics;
+* closed mode starts from the printed formula for S, its terms Quotients
+  over the lines folded with the route; S takes no step, and H is S
+  blown up along the locus of planar cubics;
 * pipeline mode starts from the stable-map polynomial and folds the
   surgery steps, with centers kept as unexpanded products of catalog
   spaces (H's planar cubics S(Gr(1,3),3) as Gr(2,3) x P^6).
 
 Every route is one ratio through the lines' Gr(k+1, n), never expanded:
-every term is a Quotient over its gaussian_anchor (catalog.fold).  In degree 2 both bases are Quotients
-over the lines, as catalog.degree2_quotient is, and the steps' lines
-are the factor tuple (Gr(k+1, n), Gr(k-1, k+1)), as in degree 3, so
-the fold's only denominator is DEGREE2_DEN.
+every term is a Quotient over its gaussian_anchor (catalog.fold), and
+the lines are the factors (Gr(k+1, n), Gr(k-1, k+1)).  Small spaces whose
+Gaussian pairs are complete, the core, P^m, Gr(2, n-2), Gr(2,3) and the
+paired plane-family cores, are catalog's GeometricSpaces, never expanded.
 
 Both routes build on the catalog spaces and start from the same degree
 3 stable-map kernel, but combine them differently: the closed route
@@ -44,7 +44,6 @@ import functools
 from .catalog import (
     DEGREE2_DEN,
     DEGREE3_KERNEL_DEN,
-    POINT,
     PoincarePoly,
     Quotient,
     check_curve_range,
@@ -52,11 +51,11 @@ from .catalog import (
     degree2_quotient,
     degree3_kernel,
     degree3_quotient,
-    fold,
     gaussian_anchor,
+    geometric_grassmannian,
+    geometric_projective,
     grassmannian,
     grassmannian_over,
-    lines_through_point,
     plane_families,
     projective,
     stable_maps_gr,
@@ -66,9 +65,11 @@ from .catalog import (
 from .errors import CurvebettiError, InvalidParameters
 from .polyring import (
     ONE,
+    Geometric,
     IntPoly,
     exact_div,  # noqa: F401  (bench/test_bench.py looks it up here)
     monomial,
+    packed_sum,
     ratio,
 )
 from .record import Record, setfield
@@ -142,21 +143,10 @@ def dim_expected(key: ModuliKey) -> int:
 
 
 def _simpson2_steps(k: int, n: int) -> tuple[SurgeryStep, ...]:
-    f1 = (gaussian_anchor(k + 1, n), grassmannian(k - 1, k + 1))  # the lines
-    return (
-        SurgeryStep(
-            kind="blowup",
-            center=(*f1, stable_maps_p1(2)),
-            fiber=projective(n - 3),
-            label="Gamma^1",
-        ),
-        SurgeryStep(
-            kind="blowdown",
-            center=(*f1, projective(n - 3)),
-            fiber=stable_maps_p1(2),
-            label="Gamma^1_2",
-        ),
-    )
+    f1 = (gaussian_anchor(k + 1, n), geometric_grassmannian(k - 1, k + 1))  # the lines
+    pn3 = geometric_projective(n - 3)
+    return (SurgeryStep("blowup", (*f1, stable_maps_p1(2)), pn3, "Gamma^1"),
+            SurgeryStep("blowdown", (*f1, pn3), stable_maps_p1(2), "Gamma^1_2"))
 
 
 # ---------------------------------------------------------------- degree 3
@@ -168,84 +158,60 @@ MIXED_RULING = ((ONE + monomial(1)) * stable_maps_p1(3).poly
 
 
 @functools.lru_cache(maxsize=None)
-def _simpson3_closed(k: int, n: int) -> Quotient:
-    """Closed S over the lines, Gr(k+1, n) x Gr(k-1, k+1), and the kernel's
-    denominator: one small factor, the printed terms, each times Gr(k-1,
-    k+1) and its (1 - q^j) factors, summed by fold over the point.  The
-    last carries the one truly rational factor (1 - q^(n-3)) / (1 - q^2)."""
-    def geom(j: int) -> IntPoly:
-        # (1 - q^j) / (1 - q), the projective space of dimension j - 1.
-        return projective(j - 1).poly
+def _simpson3_closed(k: int, n: int) -> tuple[Quotient, ...]:
+    """Closed S as its printed terms, Quotients over the lines' Gr(k+1, n)
+    that fold sums with the route, each times the core Gr(k-1, k+1): in
+    each, the core, [j] = (1 - q^j) / (1 - q) and [j] - 1 = q [j - 1] are
+    one Geometric, and the pointed pencils Fx + q [n - 3], Fx = [n - k] [k],
+    split their terms in two.  The last carries the one truly rational
+    factor (1 - q^(n-3)) / (1 - q^2)."""
+    core = geometric_grassmannian(k - 1, k + 1).geometric.pairs
 
-    core = grassmannian(k - 1, k + 1).poly
-    g2, gn1, gn2 = geom(2), geom(n - 1), geom(n - 2)
-    pointed_pencils = lines_through_point(k, n).poly + gn2 - ONE
-    minus_g3, gn2_raised = ONE - geom(3), gn2 - ONE
+    def geom(*js: int, shift: int = 0, sign: int = 1) -> Geometric:
+        # sign q^shift [j] for j in js, times the core.
+        return Geometric((*((j, 1) for j in js), *core), shift, sign)
+
+    anchor, mb2, mb3 = gaussian_anchor(k + 1, n), stable_maps_p1(2).poly, stable_maps_p1(3).poly
     polynomial_terms = (
-        (stable_maps_p1(3).poly, geom(2 * n - 4) - ONE),
-        (g2, pointed_pencils, stable_maps_p1(2).poly, gn1 - ONE),
-        (gn2, MIXED_RULING, gn2_raised),
-        (g2, gn1, pointed_pencils, minus_g3),
-        (g2, g2, gn2, gn2_raised, minus_g3),
-        (g2, gn2, gn2, ONE - geom(5)),
+        (mb3, geom(2 * n - 5, shift=1)),  # mb3 ([2n - 4] - 1)
+        (mb2, geom(2, n - k, k, n - 2, shift=1)),  # [2] (pointed pencils) mb2 ([n - 1] - 1)
+        (mb2, geom(2, n - 3, n - 2, shift=2)),
+        (MIXED_RULING, geom(n - 2, n - 3, shift=1)),  # [n - 2] MIXED_RULING ([n - 2] - 1)
+        (geom(2, n - 1, n - k, k, 2, shift=1, sign=-1),),  # [2] [n - 1] (pointed pencils) (1 - [3])
+        (geom(2, n - 1, n - 3, 2, shift=2, sign=-1),),
+        (geom(2, 2, n - 2, n - 3, 2, shift=2, sign=-1),),  # [2]^2 [n - 2] ([n - 2] - 1) (1 - [3])
+        (geom(2, n - 2, n - 2, 4, shift=1, sign=-1),),  # [2] [n - 2]^2 (1 - [5])
     )
-    small = fold([
-        Quotient(POINT, (degree3_kernel(k, n), core)),
-        *(Quotient(POINT, (*factors, core), DEGREE3_KERNEL_DEN) for factors in polynomial_terms),
-        Quotient(POINT, (gn2, ONE - geom(8), core), (n - 3, 1, 2, 3, 3)),
-    ])
-    return Quotient(gaussian_anchor(k + 1, n), (small,), down=DEGREE3_KERNEL_DEN)
+    return (
+        Quotient(anchor, (degree3_kernel(k, n), geom()), (), DEGREE3_KERNEL_DEN),
+        *(Quotient(anchor, factors) for factors in polynomial_terms),
+        Quotient(anchor, (geom(n - 2, 7, shift=1, sign=-1),), (n - 3,), (2,)),  # [n - 2] (1 - [8])
+    )
 
 
+@functools.lru_cache(maxsize=None)
 def _simpson3_steps(k: int, n: int) -> tuple[SurgeryStep, ...]:
     """The steps from M to S, each center led by its large factor, the
     lines' Gr(k+1, n) or x over it: every head shares that anchor (in H,
     with Delta_A and B).  Pairs of pointed lines blown up along the
     diagonal (codimension n - 2) stay factored: Fx (Fx + P^(n-3) - 1)."""
     x = grassmannian_over(k, k + 1, n)
-    f1 = (gaussian_anchor(k + 1, n), grassmannian(k - 1, k + 1))  # the lines
-    fx = lines_through_point(k, n)
-    pn3 = projective(n - 3).poly
-    bl_rest = PoincarePoly(fx.poly + pn3 - ONE)  # Bl(Fx x Fx) over Fx
-    down4_rest = PoincarePoly(bl_rest.poly * projective(n - 2).poly
-                              + projective(1).poly * pn3 * (pn3 - ONE))
+    f1 = (gaussian_anchor(k + 1, n), geometric_grassmannian(k - 1, k + 1))  # the lines
+    fx = (geometric_projective(n - k - 1), geometric_projective(k - 1))  # lines through a point
+    p1, pn2, pn3 = (geometric_projective(m) for m in (1, n - 2, n - 3))
+    pn3_raised = Geometric(((n - 3, 1),), 1)  # P^(n-3) - 1 = q [n - 3]
+    # Bl(Fx x Fx) over Fx, and the rest of Gamma^2_3's center: bl_rest P^(n-2) + P^1 P^(n-3) (P^(n-3) - 1).
+    bl_rest = packed_sum([((fx[0].geometric, fx[1].geometric), ()), ((pn3_raised,), ())])
+    down4_rest = packed_sum([((bl_rest, pn2.geometric), ()), ((p1.geometric, pn3.geometric, pn3_raised), ())])
     return (
-        SurgeryStep(
-            kind="blowup",
-            center=(*f1, stable_maps_p1(3)),
-            fiber=projective(2 * n - 5),
-            label="Gamma^1_0",
-        ),
-        SurgeryStep(
-            kind="blowup",
-            center=(x, fx, bl_rest, stable_maps_p1(2)),
-            fiber=projective(n - 2),
-            label="Gamma^2_1",
-        ),
-        SurgeryStep(
-            kind="blowup",
-            center=(*f1, projective(n - 3), PoincarePoly(MIXED_RULING)),
-            fiber=projective(n - 3),
-            label="Gamma^3_2",
-        ),
-        SurgeryStep(
-            kind="blowdown",
-            center=(x, fx, down4_rest),
-            fiber=weighted_projective((1, 2, 2)),
-            label="Gamma^2_3",
-        ),
-        SurgeryStep(
-            kind="blowdown",
-            center=(*f1, projective(1), projective(n - 3), projective(n - 3)),
-            fiber=weighted_projective((1, 2, 2, 3, 3)),
-            label="Gamma^3_4",
-        ),
-        SurgeryStep(
-            kind="blowdown",
-            center=(*f1, grassmannian(2, n - 2)),
-            fiber=projective(7),
-            label="Gamma^1_5",
-        ),
+        SurgeryStep("blowup", (*f1, stable_maps_p1(3)), geometric_projective(2 * n - 5), "Gamma^1_0"),
+        SurgeryStep("blowup", (x, *fx, PoincarePoly(bl_rest), stable_maps_p1(2)), pn2, "Gamma^2_1"),
+        SurgeryStep("blowup", (*f1, pn3, PoincarePoly(MIXED_RULING)), pn3, "Gamma^3_2"),
+        SurgeryStep("blowdown", (x, *fx, PoincarePoly(down4_rest)), weighted_projective((1, 2, 2)),
+                    "Gamma^2_3"),
+        SurgeryStep("blowdown", (*f1, p1, pn3, pn3), weighted_projective((1, 2, 2, 3, 3)), "Gamma^3_4"),
+        SurgeryStep("blowdown", (*f1, geometric_grassmannian(2, n - 2)), geometric_projective(7),
+                    "Gamma^1_5"),
     )
 
 
@@ -256,15 +222,9 @@ def _delta_steps(k: int, n: int) -> tuple[SurgeryStep, ...]:
     different codimensions in the Hilbert scheme, with fibers the planar
     cubics S(Gr(1,3),3), kept as the closed formula's Gr(2,3) x P^6.
     """
-    return tuple(
-        SurgeryStep(
-            kind="blowup",
-            center=(envelope, core, grassmannian(2, 3), projective(6)),
-            fiber=projective(codim - 1),
-            label=label,
-        )
-        for core, envelope, codim, label in plane_families(k, n)
-    )
+    cubics = (geometric_grassmannian(2, 3), geometric_projective(6))
+    return tuple(SurgeryStep("blowup", (envelope, core, *cubics), geometric_projective(codim - 1), label)
+                 for core, envelope, codim, label in plane_families(k, n))
 
 
 def _pipeline(key: ModuliKey, mode: str) -> Pipeline:
@@ -280,15 +240,15 @@ def _pipeline(key: ModuliKey, mode: str) -> Pipeline:
     if key.d == 2:
         # In degree 2 the sheaf and Hilbert compactifications coincide.
         if mode == "pipeline":
-            return Pipeline(base=degree2_quotient(k, n), steps=_simpson2_steps(k, n))
+            return Pipeline(base=(degree2_quotient(k, n),), steps=_simpson2_steps(k, n))
         # Closed S over the lines as degree2_quotient is M, with the sheaf term.
         bracket = degree2_bracket(k, n) + ratio(monomial(3) - monomial(n - 2), (2,))
         base = Quotient(gaussian_anchor(k + 1, n), (bracket,), (k, k + 1), DEGREE2_DEN)
-        return Pipeline(base=base, steps=())
+        return Pipeline(base=(base,), steps=())
     delta = _delta_steps(k, n) if key.compactification == "H" else ()
     if mode == "closed":
         return Pipeline(base=_simpson3_closed(k, n), steps=delta)
-    return Pipeline(base=degree3_quotient(k, n), steps=_simpson3_steps(k, n) + delta)
+    return Pipeline(base=(degree3_quotient(k, n),), steps=_simpson3_steps(k, n) + delta)
 
 
 # ------------------------------------------------------------- public API

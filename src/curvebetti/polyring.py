@@ -36,6 +36,12 @@ is the sum of ||a||_inf prod ||b||_1 2^(lifts), a the factor of largest
 ||.||_1 / ||.||_inf and b the others (||x y||_inf <= ||x||_inf ||y||_1,
 and 1 - q^a at most doubles it).  The slot is the smallest, of 1, 2, 4
 or 8 bytes or byte slices above, whose half-range B/2 exceeds the bound.
+A Geometric factor G = sign q^s prod (1 - q^a) / (1 - q^i) over pairs
+(a, i), i | a, has no coefficients: its degree, ||G||_1 = prod a / i and
+||G||_inf <= ||G||_1 / max(a / i), as ||g h||_inf <= ||g||_inf ||h||_1
+and one geometric sum has ||.||_inf = 1, are fixed when it is built.  It
+multiplies in as G(B), sign B^s times the product of the runs (B^a - 1)
+/ (B^i - 1), kept on G per width.
 
 Products and quotients of factors (1 - q^j) have one function, ratio,
 which takes one O(len) step per factor: a shift and subtraction per
@@ -236,6 +242,45 @@ ZERO = IntPoly()
 ONE = IntPoly([1])
 
 
+class Geometric:
+    """sign q^shift times (1 - q^a) / (1 - q^i) = 1 + q^i + ... + q^(a-i)
+    for each pair (a, i), i dividing a >= 0, as packed_sum takes it:
+    degree, l1 = ||.||_1 and top >= ||.||_inf (module docstring) are fixed
+    here; a = 0 makes it zero, falsy and of degree -1.
+
+    >>> packed_sum([((Geometric([(4, 2), (2, 1)], 1, -1),), ())])
+    IntPoly('-q - q^2 - q^3 - q^4')
+    """
+
+    __slots__ = ("pairs", "shift", "sign", "degree", "l1", "top", "values")
+
+    def __init__(self, pairs: Iterable[tuple[int, int]], shift: int = 0, sign: int = 1):
+        pairs = self.pairs = tuple(pairs)
+        self.shift, self.sign = shift, sign
+        l1, run, degree = 1, 1, shift  # run: the largest a / i
+        for a, i in pairs:
+            if i < 1 or a < 0 or a % i:
+                raise InvalidParameters(f"geometric pair {(a, i)}: need i dividing a >= 0, i >= 1")
+            l1, degree = l1 * (a // i), degree + a - i
+            if a // i > run:
+                run = a // i
+        if shift < 0 or sign not in (1, -1):
+            raise InvalidParameters(f"geometric factor {sign} q^{shift}")
+        self.l1, self.top, self.degree = l1, l1 and l1 // run, degree if l1 else -1
+        self.values: dict[int, int] = {}
+
+    def at(self, width: int) -> int:
+        """Its value at B = 2^(8 width), kept per width: sign B^shift times
+        each run (B^a - 1) / (B^i - 1), multiplied."""
+        if width not in self.values:
+            runs = (int.from_bytes(b"\1".ljust(width * i, b"\0") * (a // i), "little") for a, i in self.pairs)
+            self.values[width] = self.sign * math.prod(runs) << 8 * width * self.shift
+        return self.values[width]
+
+    def __bool__(self) -> bool:
+        return self.l1 != 0
+
+
 def _termwise(op, a: tuple[int, ...], b: tuple[int, ...]) -> IntPoly:
     """a + b or a - b for op add or sub; past the end of b, op(a_j, 0) = a_j."""
     if len(a) < len(b):
@@ -339,29 +384,40 @@ def _pack(cs: tuple[int, ...], width: int, signed: bool) -> int:
     return u - ((u & slot_tops(width, 1, len(cs))) << 1) if signed else u
 
 
-def packed_sum(parts: Iterable[tuple[tuple[IntPoly, ...], tuple[int, ...]]]) -> IntPoly:
+def packed_sum(parts: Iterable[tuple[tuple[IntPoly | Geometric, ...], tuple[int, ...]]]) -> IntPoly:
     """The sum over parts (factors, lifts) of the factors' product times
     (1 - q^a) for a in lifts, at one packed point (module docstring): each
-    factor object is packed once, and parts with equal lifts lifted once."""
+    IntPoly packed and each Geometric valued once, and parts with equal
+    lifts lifted once."""
     parts = [(fs, lifts) for fs, lifts in parts if all(fs)]  # a zero factor adds 0
     if len(parts) == 1 and len(parts[0][0]) < 2 and not parts[0][1]:
-        return parts[0][0][0] if parts[0][0] else ONE  # nothing to multiply
-    norms, bound, count = {}, 0, 0  # norms: id -> (||f||_1, ||f||_inf, signed, coeffs)
+        (f,) = parts[0][0] or (ONE,)
+        if f.__class__ is IntPoly:  # nothing to multiply
+            return f
+    # norms: id -> (||f||_1, ||f||_inf, degree); forms: id -> f or (coeffs, signed)
+    norms, forms, bound, count = {}, {}, 0, 0
     for fs, lifts in parts:
         l1, a1, a_top, size = 1, 1, 1, sum(lifts) + 1  # a: the factor of largest l1 / top
         for f in fs:
-            if id(f) not in norms:
-                cs, lo, hi = f.coeffs, min(f.coeffs), max(f.coeffs)
-                norms[id(f)] = (sum(map(abs, cs)) if lo < 0 else sum(cs), max(hi, -lo), lo < 0, cs)
-            n1, top, _, cs = norms[id(f)]
-            l1, size = l1 * n1, size + len(cs) - 1
+            norm = norms.get(id(f))
+            if norm is None:
+                if f.__class__ is Geometric:
+                    norm, form = (f.l1, f.top, f.degree), f
+                else:
+                    cs, lo, hi = f.coeffs, min(f.coeffs), max(f.coeffs)
+                    norm = (sum(map(abs, cs)) if lo < 0 else sum(cs), max(hi, -lo), len(cs) - 1)
+                    form = (cs, lo < 0)
+                norms[id(f)], forms[id(f)] = norm, form
+            n1, top, degree = norm
+            l1, size = l1 * n1, size + degree
             if top * a1 < a_top * n1:
                 a1, a_top = n1, top
         bound += l1 // a1 * a_top << len(lifts)
         count = max(count, size)
     width = bound.bit_length() // 8 + 1  # the smallest slot with bound < B/2
     width = _SLOTS.get(width, (width, ""))[0]
-    packed = {i: _pack(cs, width, signed) for i, (_, _, signed, cs) in norms.items()}
+    packed = {i: f.at(width) if f.__class__ is Geometric else _pack(f[0], width, f[1])
+              for i, f in forms.items()}
     sums: dict[tuple[int, ...], int] = {}
     for fs, lifts in parts:
         sums[lifts] = sums.get(lifts, 0) + math.prod(packed[id(f)] for f in fs)
@@ -496,7 +552,7 @@ def _packed_ratio(x: tuple, y: tuple, pairs: tuple, up: tuple, down: tuple) -> I
         g, count = g * (a // i), count + a - i
     nb = max(max(x), -lo_x) * max(max(y), -lo_y) * min(len(x), len(y)) * g << len(up)
     width = _quotient_width(x, up, down, sum(y) * g, nb)
-    if nb >> 8 * width - 1:  # too narrow to pack
+    if width is None or nb >> 8 * width - 1:  # doomed, or too narrow to pack
         return None
     half = _half_length(x, y, up, down, count)
     mask = (1 << 8 * width * half) - 1 if half else -1
@@ -524,13 +580,16 @@ def _half_length(x: tuple, y: tuple, up: tuple, down: tuple, count: int) -> int:
     return half if sign == 1 else 0
 
 
-def _quotient_width(x: tuple, up: tuple, down: tuple, at_one: int, nb: int) -> int:
+def _quotient_width(x: tuple, up: tuple, down: tuple, at_one: int, nb: int) -> int | None:
     """The narrowest slot, rounded as _pack needs, that certifies Q = x g
-    up / down if Q >= 0, g(1) = at_one (module docstring)."""
+    up / down if Q >= 0, g(1) = at_one (module docstring); None if Q(1) <
+    0, as such a Q has a negative coefficient, which no test accepts."""
     r, q1 = len(down) - len(up), 0
     if r >= 0:  # Q(1) = at_one x_r(1) prod a / prod i
         xr = sum(map(operator.mul, map(math.comb, range(r, len(x)), repeat(r)), x[r:]))
-        q1 = max(-(-at_one * (-xr if r & 1 else xr) * math.prod(up) // math.prod(down)), 0)
+        q1 = -(-at_one * (-xr if r & 1 else xr) * math.prod(up) // math.prod(down))
+        if q1 < 0:
+            return None
     need = max(((1 << q1.bit_length()) - 1 << len(down)) + 2 * nb, 4 * nb)  # below 2B
     width = (need.bit_length() + 6) // 8
     return _SLOTS.get(width, (width, ""))[0]

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from .catalog import PoincarePoly, Quotient, fold, projective
 from .errors import DimensionMismatch, InvalidParameters, NegativeBetti
-from .polyring import ONE
+from .polyring import ONE, Geometric
 from .record import Record, setfield
 
 
@@ -81,21 +81,27 @@ class SurgeryStep(Record):
 
     def term(self) -> Quotient:
         """The correction as a Quotient over the head's anchor: the other
-        factors and the signed P(fiber) - 1 join the head's small factors."""
+        factors, geometric where they are, and the signed P(fiber) - 1 join
+        the head's small factors; a geometric fiber P^c = [c + 1] gives q [c]."""
         head, *rest = self.center
-        sign = self.fiber.poly - ONE if self.kind == "blowup" else ONE - self.fiber.poly
-        small = (*head.small, *(factor.poly for factor in rest), sign)
+        fiber, up = self.fiber.geometric, self.kind == "blowup"
+        if fiber is not None and len(fiber.pairs) == 1 and fiber.pairs[0][1] == 1:
+            sign = Geometric(((fiber.pairs[0][0] - 1, 1),), 1, 1 if up else -1)
+        else:
+            sign = self.fiber.poly - ONE if up else ONE - self.fiber.poly
+        small = (*head.small, *(f.poly if f.geometric is None else f.geometric for f in rest), sign)
         return Quotient(head.anchor, small, head.up, head.down)
 
 
 class Pipeline(Record):
-    """A base space, a PoincarePoly or Quotient, and a tuple of
+    """A base, a tuple of terms (PoincarePoly or Quotient) that sum to the
+    base space, the largest term's dim its dim, and a tuple of
     SurgerySteps, each checked to fit the base when the pipeline is built."""
 
     __slots__ = ("base", "steps")
 
-    def __init__(self, base: PoincarePoly | Quotient, steps: tuple[SurgeryStep, ...]):
-        space_dim, dims = base.dim, {}  # each read once per pipeline
+    def __init__(self, base: tuple[PoincarePoly | Quotient, ...], steps: tuple[SurgeryStep, ...]):
+        space_dim, dims = max(t.dim for t in base), {}  # each read once per pipeline
         for step in steps:
             step.check_fit(space_dim, dims)
         setfield(self, "base", base)
@@ -133,7 +139,7 @@ def run_pipeline_traced(pipeline: Pipeline) -> list[dict]:
     is tolerated, but a negative final total raises NegativeBetti naming
     a negative base, or else the first step where the total went bad.
     """
-    current = pipeline.base.poly
+    current = fold(pipeline.base)
     rows: list[dict] = []
     first_bad = "in the base" if min(current.coeffs, default=0) < 0 else None
     for step in pipeline.steps:
@@ -155,7 +161,7 @@ def run_pipeline(pipeline: Pipeline, dim: int | None = None,
                  what: str = "pipeline total") -> PoincarePoly:
     """run_pipeline_traced's total by fold, of degree dim if given.  A
     negative total reruns traced, to name the first step that went bad."""
-    total = fold([pipeline.base, *(step.term() for step in pipeline.steps)])
+    total = fold([*pipeline.base, *(step.term() for step in pipeline.steps)])
     try:
         return PoincarePoly.from_poly(total, dim, what)
     except NegativeBetti:

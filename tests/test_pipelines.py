@@ -11,6 +11,8 @@ from curvebetti.catalog import (
     DimensionMismatch,
     InvalidParameters,
     PoincarePoly,
+    Quotient,
+    fold,
     grassmannian,
     lines_through_point,
     projective,
@@ -34,7 +36,7 @@ from curvebetti.pipelines import (
     verify_pair,
     verify_suite,
 )
-from curvebetti.polyring import ONE, ZERO, IntPoly, NonExactDivision, monomial, ratio
+from curvebetti.polyring import ONE, ZERO, IntPoly, NonExactDivision, monomial
 from curvebetti.surgery import SurgeryStep, blowup_apply, run_pipeline, run_pipeline_traced
 
 S13 = IntPoly([1, 2, 3, 3, 3, 3, 3, 2, 1])
@@ -90,13 +92,13 @@ def test_simpson_d3_plane_cubics_reference():
 
 def test_planar_cubics_are_the_closed_formulas_factors_at_13():
     # H's planar-locus centers take S(Gr(1,3),3) as Gr(2,3) x P^6, which
-    # is S13, the value of both routes (test above): the closed quotient
-    # at (1, 3) is its small part P^6 over Gr(2,3).
+    # is S13, the value of both routes (test above): the closed terms at
+    # (1, 3) sum to P^6 over their one anchor, Gr(2,3).
     assert (grassmannian(2, 3) * projective(6)).poly == S13
-    quotient = pipelines._simpson3_closed(1, 3)
-    assert quotient.anchor.poly == grassmannian(2, 3).poly and not quotient.up
-    (small,) = quotient.small
-    assert ratio(small, (), quotient.down) == projective(6).poly
+    terms = pipelines._simpson3_closed(1, 3)
+    assert {id(term.anchor) for term in terms} == {id(catalog.gaussian_anchor(2, 3))}
+    assert fold(terms) == S13
+    assert fold([Quotient(POINT, term.small, term.up, term.down) for term in terms]) == projective(6).poly
 
 
 def test_blown_up_diagonal_of_pointed_line_pairs_stays_factored():

@@ -14,6 +14,7 @@ from curvebetti.polyring import (
     ONE,
     ZERO,
     DivisionByZero,
+    Geometric,
     IntPoly,
     InvalidParameters,
     NonExactDivision,
@@ -660,11 +661,26 @@ def test_palindromic_quotients_are_divided_only_to_the_middle(m, y, pairs, up, d
     count = len(x.coeffs) + len(y.coeffs if y else (1,)) - 1 + sum(up) - sum(down) + sum(
         a - i for a, i in geometric)
     halved = e_m * e_y * (-1) ** len(up) == 1 and (count + sum(down) + 1) // 2 < count
+    if not calls:  # refused before packing: Q(1) < 0, so Q has a negative coefficient
+        assert not isinstance(expected, IntPoly) or expected.evaluate(1) < 0
+        return
     assert [path for path, _ in calls] == ["half" if halved else "full"]
     if halved and isinstance(expected, IntPoly) and min(expected.coeffs) >= 0:
         assert calls == [("half", True)]
     if isinstance(expected, tuple):
         assert not calls[0][1]
+
+
+def test_a_quotient_negative_at_one_is_refused_before_packing(monkeypatch):
+    # (q^2 - 1) / (1 - q) = -1 - q: Q(1) = -2 < 0, so Q has a negative
+    # coefficient, which neither certificate accepts, and nothing is
+    # packed; the list steps give the quotient.  Its negative, Q(1) = 2,
+    # is packed and certified.
+    calls = recording_dividers(monkeypatch)
+    assert ratio(IntPoly([-1, 0, 1]), (), (1,), by=ONE) == IntPoly([-1, -1])
+    assert calls == []
+    assert ratio(IntPoly([1, 0, -1]), (), (1,), by=ONE) == IntPoly([1, 1])
+    assert calls == [("full", True)]
 
 
 @pytest.mark.parametrize("m", [[1, 1], [1, 3, 1], [2, 1, 1, 2], [1, 0, 0, 1], [5, 9, 9, 5]])
@@ -820,6 +836,65 @@ def test_packed_sum_is_the_sum_of_the_lifted_products(pool, picks):
     parts = [(tuple(factors[i % len(factors)] for i in which), lifts) for which, lifts in picks]
     plain = sum((ratio(functools.reduce(operator.mul, fs, ONE), lifts) for fs, lifts in parts), ZERO)
     assert packed_sum(parts) == plain
+
+
+def expand(g: Geometric) -> IntPoly:
+    """A Geometric's polynomial by IntPoly products of its runs."""
+    runs = (IntPoly([int(j % i == 0) for j in range(a - i + 1)]) if a else ZERO for a, i in g.pairs)
+    return functools.reduce(operator.mul, runs, monomial(g.shift, g.sign))
+
+
+# sign q^shift times 1 + q^i + ... + q^(a-i) for each pair (a, i), a = 0 a zero factor.
+geometric_factors = st.builds(
+    Geometric,
+    st.lists(st.tuples(st.integers(0, 7), st.integers(1, 3)).map(lambda t: (t[0] * t[1], t[1])), max_size=3),
+    st.integers(0, 3),
+    st.sampled_from((1, -1)),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.lists(st.one_of(st.lists(lifted_coeffs, max_size=4).map(IntPoly), geometric_factors),
+             min_size=1, max_size=4),
+    st.lists(
+        st.tuples(
+            st.lists(st.integers(0, 3), max_size=4),
+            st.lists(st.sampled_from((1, 2, 3)), max_size=2).map(tuple),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_packed_sum_with_geometric_factors_is_the_intpoly_expansion(pool, picks):
+    # Signed IntPoly and Geometric factors, shared between parts, with
+    # shifts, signs, lifts and zero factors: packed_sum is the plain sum.
+    parts = [(tuple(pool[i % len(pool)] for i in which), lifts) for which, lifts in picks]
+    plain = sum((ratio(functools.reduce(operator.mul, [
+        expand(f) if isinstance(f, Geometric) else f for f in fs], ONE), lifts)
+        for fs, lifts in parts), ZERO)
+    assert packed_sum(parts) == plain
+
+
+def test_a_geometric_factor_is_bounded_by_its_norm_over_its_longest_run(monkeypatch):
+    # ||[128] [2]||_inf = 2 = ||.||_1 / 128: one-byte slots hold it.  A
+    # bound of ||.||_1 / 2 = 128 would take two bytes.
+    decoded = []
+
+    def recording_unpack(value, count, w, bound=None):
+        decoded.append(w)
+        return unpack_slots(value, count, w, bound)
+
+    monkeypatch.setattr(polyring, "unpack_slots", recording_unpack)
+    g = Geometric([(128, 1), (2, 1)])
+    assert (g.degree, g.l1, g.top) == (128, 256, 2)
+    assert packed_sum([((g,), ())]) == IntPoly([1] + [2] * 127 + [1])
+    assert decoded == [1]
+    zero = Geometric([(4, 2), (0, 1)], 3, -1)
+    assert not zero and (zero.degree, zero.l1, zero.top) == (-1, 0, 0)
+    for pairs, shift, sign in (([(3, 2)], 0, 1), ([(2, 0)], 0, 1), ([(2, 1)], -1, 1), ([], 0, 2)):
+        with pytest.raises(InvalidParameters):
+            Geometric(pairs, shift, sign)
 
 
 @pytest.mark.parametrize("m, packed", [(31, True), (32, True), (63, True), (64, False)])

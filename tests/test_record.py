@@ -30,7 +30,7 @@ EXAMPLES = [
     (PoincarePoly, (LINE.poly,), {}),
     (Quotient, (LINE,), {"small": (), "up": (), "down": ()}),
     (SurgeryStep, ("blowup", POINT, LINE, "b"), {}),
-    (Pipeline, (PLANE, (STEP,)), {}),
+    (Pipeline, ((PLANE,), (STEP,)), {}),
     (ModuliKey, (1, 3, 3, "S"), {}),
     (CheckResult, ("duality", "S(Gr(1,3),3)", True), {"detail": ""}),
     (CheckResult, FAILED, {}),
@@ -138,7 +138,7 @@ def test_surgery_step_checks_its_fields_when_built():
     with pytest.raises(ValueError, match="step b: fiber must be connected"):
         SurgeryStep(kind="blowup", center=POINT, fiber=LINE + LINE, label="b")
     with pytest.raises(ValueError, match=r"step b: center dimension 0 \+ codimension 2 != 1"):
-        Pipeline(LINE, (STEP,))
+        Pipeline((LINE,), (STEP,))
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

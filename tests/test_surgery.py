@@ -26,7 +26,7 @@ from curvebetti.pipelines import (
     pipeline_for,
     space_poly,
 )
-from curvebetti.polyring import ONE, IntPoly, ratio, unpack_slots
+from curvebetti.polyring import ONE, Geometric, IntPoly, monomial, ratio, unpack_slots
 from curvebetti.surgery import (
     Pipeline,
     SurgeryStep,
@@ -117,14 +117,14 @@ def test_blowup_blowdown_round_trip(center, codim):
 
 def test_run_pipeline_empty_steps():
     base = grassmannian(2, 4)
-    assert run_pipeline(Pipeline(base=base, steps=())) == base
+    assert run_pipeline(Pipeline(base=(base,), steps=())) == base
 
 
 def test_run_pipeline_matches_step_application():
     base = projective(4)
     center = projective(1)
     pipe = Pipeline(
-        base=base,
+        base=(base,),
         steps=(
             SurgeryStep("blowup", center, projective(2), "up"),
             SurgeryStep("blowdown", center, projective(2), "down"),
@@ -156,11 +156,11 @@ def test_a_pipeline_whose_step_does_not_fit_is_refused_when_built():
     # A line blown up in P^4 with P^1 fibers leaves a divisor of dimension 2.
     step = SurgeryStep("blowup", projective(1), projective(1), "bad-step")
     with pytest.raises(DimensionMismatch) as excinfo:
-        Pipeline(base=projective(4), steps=(step,))
+        Pipeline(base=(projective(4),), steps=(step,))
     assert str(excinfo.value) == "step bad-step: center dimension 1 + codimension 2 != 4"
     for kind in ("blowup", "blowdown"):
         step = SurgeryStep(kind, projective(1), projective(2), "fits")
-        assert Pipeline(base=projective(4), steps=(step,)).steps == (step,)
+        assert Pipeline(base=(projective(4),), steps=(step,)).steps == (step,)
 
 
 @pytest.mark.parametrize("d, steps", [(2, "_simpson2_steps"), (3, "_simpson3_steps")])
@@ -188,7 +188,7 @@ def test_a_blowdown_fiber_one_dimension_short_is_caught_when_built(monkeypatch, 
 def test_run_pipeline_negative_total_names_step():
     # 1 + q^3 less q + q^2.
     bad = Pipeline(
-        base=space([1, 0, 0, 1]),
+        base=(space([1, 0, 0, 1]),),
         steps=(SurgeryStep("blowdown", projective(0), projective(2), "too-much"),),
     )
     with pytest.raises(NegativeBetti, match="too-much"):
@@ -199,7 +199,7 @@ def test_negative_total_names_the_first_step_even_after_a_recovery():
     # 1 + q^4, then 1 - q - q^2 - q^3 + q^4 (negative), 1 + q^4 again,
     # then 1 - q - 2q^2 - q^3 + q^4.
     bad = Pipeline(
-        base=space([1, 0, 0, 0, 1]),
+        base=(space([1, 0, 0, 0, 1]),),
         steps=(
             SurgeryStep("blowdown", projective(0), projective(3), "dip"),
             SurgeryStep("blowup", projective(0), projective(3), "recover"),
@@ -222,7 +222,7 @@ def test_a_negative_base_is_named_not_its_first_step():
     for steps in ((), (bump,)):
         for run in (run_pipeline, run_pipeline_traced):
             with pytest.raises(NegativeBetti) as excinfo:
-                run(Pipeline(base=base, steps=steps))
+                run(Pipeline(base=(base,), steps=steps))
             assert str(excinfo.value) == (
                 "pipeline total has a negative coefficient (first went negative in the base)"
             )
@@ -302,23 +302,23 @@ def test_each_degree3_route_never_expands_the_lines(packed_operands):
     large = len(grassmannian(12, 40).poly.coeffs)
     lengths, asked = packed_operands()
     for comp, mode in (("S", "pipeline"), ("H", "pipeline"), ("S", "closed"), ("H", "closed")):
-        for cache in (pipelines._raw_space_poly, pipelines._simpson3_closed,
-                      catalog.stable_maps_gr, catalog.degree3_quotient, catalog.gaussian_anchor):
+        for cache in (pipelines._raw_space_poly, pipelines._simpson3_closed, catalog.stable_maps_gr,
+                      catalog.degree3_quotient, catalog.gaussian_anchor, catalog.geometric_grassmannian):
             cache.cache_clear()
         lengths.clear()
         asked.clear()
         key = ModuliKey(12, 40, 3, comp)
         assert space_poly(key, mode).poly == expected[comp], (comp, mode)
         assert lengths and max(lengths) < large, (comp, mode)
-        assert asked and not {(12, 40), (13, 40), (14, 40)} & set(asked), (comp, mode)
+        assert comp == "S" or asked, (comp, mode)  # H still builds Delta_A's core
+        assert not {(12, 40), (13, 40), (14, 40)} & set(asked), (comp, mode)
 
 
 def test_each_degree3_route_packs_once_and_evaluates_no_nested_route(monkeypatch):
     # Every catalog and pipelines cache cleared, each route at (12, 40)
-    # multiplies out no center: a pipeline route makes one packed_sum,
-    # its fold's, and a closed route two, closed S's small part over the
-    # point and the fold over the lines.  H takes the planar cubics as
-    # Gr(2,3) x P^6, so no route evaluates S(Gr(1,3),3).
+    # multiplies out no center and makes one packed_sum, its fold's:
+    # closed S's printed terms are folded with the route.  H takes the
+    # planar cubics as Gr(2,3) x P^6, so no route evaluates S(Gr(1,3),3).
     caches = [obj for module in (catalog, pipelines) for obj in vars(module).values()
               if callable(getattr(obj, "cache_clear", None))]
     calls = []
@@ -341,11 +341,33 @@ def test_each_degree3_route_packs_once_and_evaluates_no_nested_route(monkeypatch
         calls.clear()
         space_poly(ModuliKey(12, 40, 3, comp), mode)
         names = [name for name, _ in calls]
-        assert names.count("packed_sum") == (1 if mode == "pipeline" else 2), (comp, mode)
+        assert names.count("packed_sum") == 1, (comp, mode)
         assert "kronecker_product" not in names, (comp, mode)
         # _raw_space_poly takes (key, mode): its key alone is compared.
         assert not [args for _, args in calls
                     if args in planar_cubics or args[:1] in planar_cubics], (comp, mode)
+
+
+def test_routes_keep_their_small_spaces_geometric(monkeypatch, packed_operands):
+    # Every cache cleared, no route at (12, 40) builds the core Gr(11, 13),
+    # Gamma^1_5's Gr(2, 38), the planar cubics' Gr(2, 3), Delta_B's core
+    # Gr(11, 14) or the lines through a point: each is a geometric factor.
+    # Delta_A's core Gr(10, 13) = [13 choose 3] leaves the i = 2 unpaired
+    # and stays expanded, so the H routes, and only they, build it.
+    def no_pointed_lines(k, n):
+        raise AssertionError("lines_through_point called")
+
+    monkeypatch.setattr(catalog, "lines_through_point", no_pointed_lines)
+    caches = [obj for module in (catalog, pipelines) for obj in vars(module).values()
+              if callable(getattr(obj, "cache_clear", None))]
+    _, asked = packed_operands()
+    for comp, mode in (("S", "pipeline"), ("H", "pipeline"), ("S", "closed"), ("H", "closed")):
+        for cache in caches:
+            cache.cache_clear()
+        asked.clear()
+        space_poly(ModuliKey(12, 40, 3, comp), mode)
+        assert not {(11, 13), (2, 38), (2, 3), (11, 14)} & set(asked), (comp, mode)
+        assert ((10, 13) in asked) == (comp == "H"), (comp, mode)
 
 
 # --------------------------------------------------------------- packed fold
@@ -357,16 +379,25 @@ signed_polys = st.lists(st.integers(-(2**40), 2**40), max_size=6).map(IntPoly)
 exponents = st.lists(st.integers(1, 4), max_size=3).map(tuple)
 
 
+# sign q^shift times 1 + q^i + ... + q^(a-i) per pair (a, i); a = 0 is zero.
+geometrics = st.builds(
+    Geometric,
+    st.lists(st.tuples(st.integers(0, 6), st.integers(1, 3)).map(lambda t: (t[0] * t[1], t[1])), max_size=3),
+    st.integers(0, 3),
+    st.sampled_from((1, -1)),
+)
+
+
 @st.composite
 def factored_terms(draw):
-    """Quotients with signed, zero and empty factor tuples over shared
-    and distinct anchors.  Each term's down either is in its up or
+    """Quotients with signed, geometric, zero and empty factor tuples over
+    shared and distinct anchors.  Each term's down either is in its up or
     divides a factor, ∏(1 - q^i) multiplied out, so every term and the
     total is exact; the downs still differ, so fold lifts them."""
     terms = []
     for _ in range(draw(st.integers(1, 5))):
         anchor = ANCHORS[draw(st.integers(0, len(ANCHORS) - 1))]
-        factors = draw(st.lists(signed_polys, max_size=3))
+        factors = draw(st.lists(st.one_of(signed_polys, geometrics), max_size=3))
         up, down = draw(exponents), draw(exponents)
         if draw(st.booleans()):
             up += down
@@ -380,6 +411,10 @@ def expanded(term: Quotient) -> IntPoly:
     """A term's polynomial by IntPoly products and list ratio steps."""
     product = term.anchor.poly
     for factor in term.small:
+        if isinstance(factor, Geometric):  # its runs, each (1 - q^a) / (1 - q^i)
+            for a, i in factor.pairs:
+                product = ratio(product, (a,), (i,))
+            factor = monomial(factor.shift, factor.sign)
         product = product * factor
     return ratio(product, term.up, term.down)
 
