@@ -187,7 +187,9 @@ def _cmd_betti(args) -> int:
         key = ModuliKey(args.k, args.n, args.d, args.compactification)
         result = space_poly(key)
         space_text = str(key)
-    if args.trace and key is not None and has_pipeline(key):
+    if args.trace and args.format == "csv":
+        print("note: --trace output is not available with --format csv", file=sys.stderr)
+    elif args.trace and key is not None and has_pipeline(key):
         trace = run_pipeline_traced(pipeline_for(key))
     elif args.trace:
         print("note: no pipeline trace for this space", file=sys.stderr)

@@ -6,13 +6,11 @@ q^j is a Betti number, so every operation here must be exact: no floats,
 no modular tricks, and division either succeeds with remainder zero or
 raises.
 
-Multiplication is Kronecker substitution (kronecker_product): each
-operand is packed into one integer, its value at q = 2^w, the two are
-multiplied once (CPython's Karatsuba multiply does the convolution), and
-the product's coefficients are read back out of w-bit slots.  A product
-coefficient sums at most min(len a, len b) terms, each below
-2^(bits a + bits b) in absolute value, so w = bits a + bits b +
-bits(min(len a, len b)) + 1 bits, in whole bytes, hold it with its sign.
+Multiplication is Kronecker substitution: each factor is packed into
+one integer, its value at q = 2^w, the integers are multiplied (CPython's
+Karatsuba multiply does the convolution), and the product's coefficients
+are read back out of w-bit slots.  A product x * y is packed_sum of the
+one part ((x, y), ()), in the slot that packed_sum's bound fixes.
 
 A slot of at most 8 bytes is widened to the next machine word of 1, 2,
 4 or 8 bytes that the platform's array module offers, so that packing
@@ -83,15 +81,6 @@ certifies: a Q >= 0 has no coefficient above Q(1) = y(1) prod(a / i)
 x_r(1) prod a / prod i over up and down, x_r = x / (q - 1)^r for r =
 len(down) - len(up), x_r(1) = sum C(m, r) x_m, so the narrowest slot
 with 2^l (2^bits(Q(1)) - 1) + 2 nb < 2B and nb < B/2 passes a test.
-
-Before packing, IntPoly.__mul__ looks at the shape of the shorter
-operand only.  If that one, b, has at most two nonzero coefficients,
-c q^s + d q^t, the product is the other, a, shifted by s and by t,
-scaled by c and d where they are not 1, and added.  If b is a single
-run c q^s (1 + q + ... + q^(m-1)), the product is c q^s times a times
-(1 - q^m) / (1 - q): one ratio, whose remainder check still runs.
-Both are sums of exact integers, so they give the Kronecker product
-coefficient for coefficient.
 """
 
 from __future__ import annotations
@@ -158,35 +147,7 @@ class IntPoly(Record):
         return _termwise(operator.sub, _as_poly(other).coeffs, self.coeffs)
 
     def __mul__(self, other: int | IntPoly) -> IntPoly:
-        x, y = self, _as_poly(other)
-        if len(x.coeffs) < len(y.coeffs):
-            x, y = y, x
-        a, b = x.coeffs, y.coeffs
-        if not b:
-            return ZERO
-        if b == (1,):  # x times 1 is x itself
-            return x
-        # b is the shorter operand; a factor of at most two terms, or a
-        # single run c q^s (1 + ... + q^(m-1)), takes O(len) steps (see
-        # the module docstring).
-        zeros = b.count(0)
-        terms = len(b) - zeros
-        if terms == 1:
-            return IntPoly((0,) * zeros + _scaled(a, b[-1]))
-        if terms == 2:
-            t = len(b) - 1
-            s = b.index(next(filter(None, b)))
-            return IntPoly(
-                map(
-                    operator.add,
-                    (0,) * s + _scaled(a, b[s]) + (0,) * (t - s),
-                    (0,) * t + _scaled(a, b[t]),
-                )
-            )
-        if b[zeros:].count(b[-1]) == terms:
-            run = ratio(x, (terms,), (1,))
-            return IntPoly((0,) * zeros + _scaled(run.coeffs, b[-1]))
-        return kronecker_product(a, b)
+        return packed_sum([((self, _as_poly(other)), ())])
 
     __rmul__ = __mul__
 
@@ -286,13 +247,6 @@ def _termwise(op, a: tuple[int, ...], b: tuple[int, ...]) -> IntPoly:
     if len(a) < len(b):
         a += (0,) * (len(b) - len(a))
     return IntPoly(chain(map(op, a, b), a[len(b) :]))
-
-
-def _scaled(cs: tuple[int, ...], c: int) -> tuple[int, ...]:
-    """The coefficients cs times c; as they are when c is 1."""
-    if c == 1:
-        return cs
-    return tuple(map(operator.neg if c == -1 else c.__mul__, cs))
 
 
 def _as_poly(x: int | IntPoly) -> IntPoly:
@@ -427,20 +381,6 @@ def packed_sum(parts: Iterable[tuple[tuple[IntPoly | Geometric, ...], tuple[int,
             v -= v << shift * a
         total += v
     return IntPoly(unpack_slots(total, count, width, bound))
-
-
-def kronecker_product(a: tuple[int, ...], b: tuple[int, ...]) -> IntPoly:
-    """The product of two nonempty coefficient tuples, packed and
-    multiplied as one integer each, whatever their shape, in slots that
-    hold every product coefficient and its sign (module docstring)."""
-    lo_a, lo_b = min(a), min(b)
-    top_a, top_b, terms = max(max(a), -lo_a), max(max(b), -lo_b), min(len(a), len(b))
-    # One sign bit more, and 7 to round up to whole bytes.
-    width = (top_a.bit_length() + top_b.bit_length() + terms.bit_length() + 8) // 8
-    width = _SLOTS.get(width, (width, ""))[0]
-    bound = top_a * top_b * terms if lo_a < 0 or lo_b < 0 else None
-    product = _pack(a, width, lo_a < 0) * _pack(b, width, lo_b < 0)
-    return IntPoly(unpack_slots(product, len(a) + len(b) - 1, width, bound))
 
 
 def monomial(j: int, c: int = 1) -> IntPoly:

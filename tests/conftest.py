@@ -29,29 +29,23 @@ def acceptance(request):
 
 @pytest.fixture
 def packed_operands(monkeypatch):
-    """Start recording the length of every operand packed or
-    Kronecker-multiplied, and every (k, n) asked of grassmannian;
-    returns the two lists."""
+    """Start recording the length of every operand packed, and every
+    (k, n) asked of grassmannian; returns the two lists."""
     from curvebetti import catalog, pipelines, polyring
 
     def start() -> tuple[list[int], list[tuple[int, int]]]:
         lengths, asked = [], []
-        pack, kronecker, gr = polyring._pack, polyring.kronecker_product, catalog.grassmannian
+        pack, gr = polyring._pack, catalog.grassmannian
 
         def recording_pack(cs, *args):
             lengths.append(len(cs))
             return pack(cs, *args)
-
-        def recording_kronecker(a, b):
-            lengths.extend((len(a), len(b)))
-            return kronecker(a, b)
 
         def recording_grassmannian(k, n):
             asked.append((k, n))
             return gr(k, n)
 
         monkeypatch.setattr(polyring, "_pack", recording_pack)
-        monkeypatch.setattr(polyring, "kronecker_product", recording_kronecker)
         for module in (catalog, pipelines):
             monkeypatch.setattr(module, "grassmannian", recording_grassmannian)
         return lengths, asked

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from curvebetti import cli
 from curvebetti.cli import _parse_grid, main
 from curvebetti.pipelines import DEFAULT_GRID, grid_keys
 
@@ -147,6 +148,21 @@ def test_betti_trace_unavailable_for_kontsevich(capsys):
     record = json.loads(out)
     assert "trace" not in record or record["trace"] is None
     assert "trace" in err.lower()
+
+
+def test_betti_trace_with_csv_is_skipped_with_a_note(capsys, monkeypatch):
+    # CSV has no column for a trace: the traced pipeline is not run, and
+    # stdout is the untraced output.
+    def no_trace(pipe):
+        raise AssertionError("run_pipeline_traced called")
+
+    monkeypatch.setattr(cli, "run_pipeline_traced", no_trace)
+    argv = ["betti", "--k", "2", "--n", "6", "--d", "3", "--compactification", "H", "--format", "csv"]
+    code, plain, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    code, traced, err = run(capsys, *argv, "--trace")
+    assert code == 0 and traced == plain
+    assert err == "note: --trace output is not available with --format csv\n"
 
 
 def test_table_csv(capsys):

@@ -1,5 +1,4 @@
 import functools
-import operator
 from array import array
 from unittest import mock
 
@@ -19,7 +18,6 @@ from curvebetti.polyring import (
     InvalidParameters,
     NonExactDivision,
     exact_div,
-    kronecker_product,
     monomial,
     packed_geometric,
     packed_sum,
@@ -173,7 +171,7 @@ def test_palindrome_iff_equal_to_reversal(a):
     assert p.is_palindromic() == (p == p.reversed())
 
 
-# ------------------------------------------------ Kronecker multiplication
+# ------------------------------------------------ packed multiplication
 
 
 def schoolbook(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -202,18 +200,12 @@ long_lists = st.integers(1, 300).flatmap(
 
 @settings(deadline=None, max_examples=30)
 @given(long_lists, long_lists)
-def test_kronecker_product_matches_schoolbook(a, b):
+def test_product_matches_schoolbook(a, b):
     pa, pb = IntPoly(a), IntPoly(b)
     assert pa * pb == schoolbook(pa, pb)
 
 
-def packed_and_dispatched(pa: IntPoly, pb: IntPoly) -> list[IntPoly]:
-    """The packed product, and pa * pb.  All-equal operands are single
-    runs, which __mul__ does not pack."""
-    return [kronecker_product(pa.coeffs, pb.coeffs), pa * pb]
-
-
-def test_kronecker_product_at_the_slot_bound():
+def test_product_at_the_slot_bound():
     # Coefficients of maximal magnitude make the middle product coefficient
     # as large as the slot width allows, at either sign, with one operand
     # or both signed.
@@ -222,43 +214,46 @@ def test_kronecker_product_at_the_slot_bound():
             for n in (1, 2, 3, 4, 7, 8, 15, 16, 31):
                 a, b = [2**bits_a - 1] * n, [2**bits_b - 1] * n
                 for x, y in sign_patterns(a, b):
-                    assert packed_and_dispatched(x, y) == [schoolbook(x, y)] * 2
+                    assert x * y == schoolbook(x, y)
 
 
-def test_kronecker_product_edge_cases():
+def test_product_edge_cases():
     big = 2**256 - 1
     assert IntPoly([big]) * IntPoly([-big]) == IntPoly([-(big * big)])
     runs = IntPoly([big] * 300)
-    assert packed_and_dispatched(runs, runs) == [schoolbook(runs, runs)] * 2
+    assert runs * runs == schoolbook(runs, runs)
     assert IntPoly([1, -1] * 150) * ZERO == ZERO
     assert ZERO * IntPoly([5]) == ZERO
     assert 0 * IntPoly([1, 2]) == ZERO
     assert IntPoly([-1]) * IntPoly([-1]) == ONE
 
 
+def middle(bits_a: int, bits_b: int, n: int) -> int:
+    """packed_sum's bound for a product of two length-n operands whose
+    coefficients all have the given bit lengths at their largest,
+    n (2^bits_a - 1)(2^bits_b - 1): its middle coefficient, exactly."""
+    return n * (2**bits_a - 1) * (2**bits_b - 1)
+
+
 def slot_width(bits_a: int, bits_b: int, n: int) -> int:
-    """Bytes per slot for a product of two length-n operands with
-    coefficients of the given bit lengths: the bound of the module
-    docstring, rounded up to whole bytes."""
-    return (bits_a + bits_b + n.bit_length() + 1 + 7) // 8
+    """Bytes per slot that packed_sum asks for such a product: the fewest
+    whose half-range exceeds the bound, before rounding to an item size."""
+    return middle(bits_a, bits_b, n).bit_length() // 8 + 1
 
 
 def operands_at_each_slot_width():
-    """(width, a, b) for every slot width of 1 to 9 bytes, with operand
-    bit lengths that fill the width to its last bit, and with one bit
-    more than fills the width below."""
+    """(width, a, b) for every slot width of 1 to 9 bytes, with all-equal
+    operands whose bound fills the width to its last bit, and whose bound
+    is one bit longer than fills the width below."""
     for width in range(1, 10):
-        # n = 2^m - 1 brings the middle coefficient closest to the bound;
-        # at n = 255 the length takes a whole byte of the slot.
+        # At n = 255 the length takes a whole byte of the slot.
         for n in (1, 2, 3, 7, 16, 100, 255):
-            for spare in (8 * width - 8, 8 * width - 1):
-                spare -= n.bit_length()
-                for bits_a in {1, spare // 2}:
-                    bits_b = spare - bits_a
-                    if bits_a < 1 or bits_b < 1:
-                        continue
-                    assert slot_width(bits_a, bits_b, n) == width
-                    yield width, [2**bits_a - 1] * n, [2**bits_b - 1] * n
+            for bits in (8 * width - 8, 8 * width - 1):  # the bound's bit length
+                for bits_a in {1, max(bits // 2, 1)}:
+                    fits = [b for b in range(1, bits + 1) if middle(bits_a, b, n).bit_length() == bits]
+                    if fits:
+                        assert slot_width(bits_a, fits[0], n) == width
+                        yield width, [2**bits_a - 1] * n, [2**fits[0] - 1] * n
 
 
 def sign_patterns(a: list[int], b: list[int]):
@@ -277,26 +272,30 @@ def sign_patterns(a: list[int], b: list[int]):
         yield IntPoly(x), IntPoly(y)
 
 
-def test_kronecker_product_at_every_slot_width():
+def test_product_at_every_slot_width():
     # Widths 1 to 8 bytes take the array typecodes of 1, 2, 4 and 8 bytes;
     # width 9 is the first to take byte slices.  All-equal coefficients
     # of maximal magnitude make the middle product coefficient as large
-    # as the width allows.
-    widths = set()
+    # as the width allows, and each product is decoded at the width its
+    # bound asks for, rounded up to an item size.
+    widths, used = set(), set()
     for width, a, b in operands_at_each_slot_width():
         widths.add(width)
         for pa, pb in sign_patterns(a, b):
-            assert packed_and_dispatched(pa, pb) == [schoolbook(pa, pb)] * 2, (
-                width,
-                len(a),
-            )
+            with mock.patch.object(polyring, "unpack_slots", wraps=polyring.unpack_slots) as unpack:
+                assert pa * pb == schoolbook(pa, pb), (width, len(a))
+            [call] = unpack.call_args_list
+            slot = call.args[2]
+            assert slot == polyring._SLOTS.get(width, (width,))[0], (width, len(a))
+            used.add(slot)
     assert widths == set(range(1, 10))
+    assert used == {1, 2, 4, 8, 9}
     assert sorted({size for size, _ in polyring._SLOTS.values()}) == [1, 2, 4, 8]
     assert 9 not in polyring._SLOTS
 
 
 @pytest.mark.parametrize("dropped", [1, 2, 4, 8])
-def test_kronecker_product_without_one_typecode_size(monkeypatch, dropped):
+def test_product_without_one_typecode_size(monkeypatch, dropped):
     # A platform without an item size rounds slots up to the next size,
     # or, past 8 bytes, falls back to byte slices.
     codes = [c for c in "BHILQ" if array(c).itemsize != dropped]
@@ -304,7 +303,7 @@ def test_kronecker_product_without_one_typecode_size(monkeypatch, dropped):
     assert all(size != dropped for size, _ in polyring._SLOTS.values())
     for _, a, b in operands_at_each_slot_width():
         for pa, pb in sign_patterns(a, b):
-            assert packed_and_dispatched(pa, pb) == [schoolbook(pa, pb)] * 2
+            assert pa * pb == schoolbook(pa, pb)
 
 
 @settings(deadline=None, max_examples=30)
@@ -337,28 +336,13 @@ def special_factors(draw):
     return IntPoly((0,) * s + (c,) * draw(st.integers(1, 200)))
 
 
-def is_run(p: IntPoly) -> bool:
-    """Whether p is c q^s (1 + ... + q^(m-1)): equal nonzero coefficients
-    from the lowest nonzero one up."""
-    nonzero = [c for c in p.coeffs if c]
-    return len(set(p.coeffs[p.coeffs.index(nonzero[0]) :])) == 1
-
-
 @settings(deadline=None, max_examples=60)
 @given(special_factors(), long_lists, st.booleans())
 def test_sparse_and_run_factors_match_schoolbook(b, a, b_first):
     # The special factor comes up both as the shorter operand and as the
-    # longer one; the value is checked either way.  Only the shorter
-    # operand's shape is looked at: b is that one if it has fewer
-    # coefficients, or as many and comes second, and a run there is
-    # never packed.
+    # longer one; the value is checked either way.
     pa = IntPoly(a)
-    with mock.patch.object(
-        polyring, "kronecker_product", wraps=polyring.kronecker_product
-    ) as packed:
-        assert (b * pa if b_first else pa * b) == schoolbook(pa, b)
-    if is_run(b) and len(b.coeffs) + b_first <= len(pa.coeffs):
-        assert not packed.called
+    assert (b * pa if b_first else pa * b) == schoolbook(pa, b)
 
 
 def test_sparse_and_run_factors_at_the_edges():
@@ -834,14 +818,14 @@ def test_packed_sum_is_the_sum_of_the_lifted_products(pool, picks):
     # once: the sum equals the plain sum of each product times its lifts.
     factors = [IntPoly(cs) for cs in pool]
     parts = [(tuple(factors[i % len(factors)] for i in which), lifts) for which, lifts in picks]
-    plain = sum((ratio(functools.reduce(operator.mul, fs, ONE), lifts) for fs, lifts in parts), ZERO)
+    plain = sum((ratio(functools.reduce(schoolbook, fs, ONE), lifts) for fs, lifts in parts), ZERO)
     assert packed_sum(parts) == plain
 
 
 def expand(g: Geometric) -> IntPoly:
-    """A Geometric's polynomial by IntPoly products of its runs."""
+    """A Geometric's polynomial by schoolbook products of its runs."""
     runs = (IntPoly([int(j % i == 0) for j in range(a - i + 1)]) if a else ZERO for a, i in g.pairs)
-    return functools.reduce(operator.mul, runs, monomial(g.shift, g.sign))
+    return functools.reduce(schoolbook, runs, monomial(g.shift, g.sign))
 
 
 # sign q^shift times 1 + q^i + ... + q^(a-i) for each pair (a, i), a = 0 a zero factor.
@@ -870,7 +854,7 @@ def test_packed_sum_with_geometric_factors_is_the_intpoly_expansion(pool, picks)
     # Signed IntPoly and Geometric factors, shared between parts, with
     # shifts, signs, lifts and zero factors: packed_sum is the plain sum.
     parts = [(tuple(pool[i % len(pool)] for i in which), lifts) for which, lifts in picks]
-    plain = sum((ratio(functools.reduce(operator.mul, [
+    plain = sum((ratio(functools.reduce(schoolbook, [
         expand(f) if isinstance(f, Geometric) else f for f in fs], ONE), lifts)
         for fs, lifts in parts), ZERO)
     assert packed_sum(parts) == plain

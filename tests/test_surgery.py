@@ -331,8 +331,8 @@ def test_each_degree3_route_packs_once_and_evaluates_no_nested_route(monkeypatch
             return original(*args)
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in ((catalog, "packed_sum"), (polyring, "kronecker_product"),
-                         (pipelines, "_raw_space_poly"), (pipelines, "_simpson3_closed")):
+    for module, name in ((catalog, "packed_sum"), (pipelines, "_raw_space_poly"),
+                         (pipelines, "_simpson3_closed")):
         record(module, name)
     planar_cubics = ((ModuliKey(1, 3, 3, "S"),), (1, 3))
     for comp, mode in (("S", "pipeline"), ("H", "pipeline"), ("S", "closed"), ("H", "closed")):
@@ -342,10 +342,36 @@ def test_each_degree3_route_packs_once_and_evaluates_no_nested_route(monkeypatch
         space_poly(ModuliKey(12, 40, 3, comp), mode)
         names = [name for name, _ in calls]
         assert names.count("packed_sum") == 1, (comp, mode)
-        assert "kronecker_product" not in names, (comp, mode)
         # _raw_space_poly takes (key, mode): its key alone is compared.
         assert not [args for _, args in calls
                     if args in planar_cubics or args[:1] in planar_cubics], (comp, mode)
+
+
+@pytest.mark.parametrize("k, n", [(2, 6), (12, 40), (2, 251)])
+def test_no_route_multiplies_two_intpolys(monkeypatch, k, n):
+    # Every cache cleared, no route of M, S or H, at degree 2 or 3 and in
+    # either mode, calls IntPoly's product: each route's products are made
+    # in its fold's one packed_sum.
+    caches = [obj for module in (catalog, pipelines) for obj in vars(module).values()
+              if callable(getattr(obj, "cache_clear", None))]
+    products, mul = [], IntPoly.__mul__
+
+    def recording(self, other):
+        products.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(IntPoly, "__mul__", recording)
+    monkeypatch.setattr(IntPoly, "__rmul__", recording)
+    assert 2 * (IntPoly([1, 1]) * IntPoly([1, 2])) == IntPoly([2, 6, 4]) and len(products) == 2
+    for comp, d, mode in itertools.product("MSH", (2, 3), ("closed", "pipeline")):
+        key = ModuliKey(k, n, d, comp)
+        if mode == "pipeline" and not has_pipeline(key):
+            continue
+        for cache in caches:
+            cache.cache_clear()
+        products.clear()
+        assert space_poly(key, mode).dim == k * (n - k) + d * n - 3
+        assert not products, (key, mode)
 
 
 def test_routes_keep_their_small_spaces_geometric(monkeypatch, packed_operands):
@@ -407,15 +433,24 @@ def factored_terms(draw):
     return terms
 
 
+def plain_product(a: IntPoly, b: IntPoly) -> IntPoly:
+    """a b by the double loop, sharing no code with packed_sum."""
+    out = [0] * (len(a.coeffs) + len(b.coeffs))
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return IntPoly(out)
+
+
 def expanded(term: Quotient) -> IntPoly:
-    """A term's polynomial by IntPoly products and list ratio steps."""
+    """A term's polynomial by plain products and list ratio steps."""
     product = term.anchor.poly
     for factor in term.small:
         if isinstance(factor, Geometric):  # its runs, each (1 - q^a) / (1 - q^i)
             for a, i in factor.pairs:
                 product = ratio(product, (a,), (i,))
             factor = monomial(factor.shift, factor.sign)
-        product = product * factor
+        product = plain_product(product, factor)
     return ratio(product, term.up, term.down)
 
 
