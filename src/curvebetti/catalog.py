@@ -16,18 +16,16 @@ The Gaussian binomial [n choose k]_q, m = min(k, n-k) and d = n - m, is
 the product of (1 - q^a) / (1 - q^i) over pairs of a in d+1..n and i in
 1..m.  Each i, from m down, takes the largest free multiple a of i, a
 geometric pair of polyring.ratio, multiplied in by shift-adds; the a
-and the i left over join its up and down.  Up to n = 250 grassmannian
-is that one ratio of 1: packed once and divided once, certified.  Above
-n = 250 the diagonal chain [d+i choose i], i = 1..m, runs on coefficient
-lists.
+and the i left over join its up and down.  grassmannian is that one
+ratio of 1: packed once and divided once, certified.
 
 A Quotient keeps a space as small factors over a large anchor; fold sums
 Quotients by one packed sum, one decode and one ratio per anchor.  An
 anchor is a space, whose polynomial ratio multiplies in, or a
-GaussianAnchor(k, n), grassmannian(k, n) never expanded: up to n = 250,
-from dimension _THROUGH_MIN_DIM, fold peels off each 1 - q^i of down
-and of the leftover i that the numerator holds, then runs it through
-grassmannian's one ratio, the leftover a and i joining its up and down.
+GaussianAnchor(k, n), grassmannian(k, n) never expanded: from dimension
+_THROUGH_MIN_DIM, fold peels off each 1 - q^i of down and of the
+leftover i that the numerator holds, then runs it through grassmannian's
+one ratio, the leftover a and i joining its up and down.
 Both stable-map spaces are Quotients over the lines'
 gaussian_anchor(k+1, n), and so is every route.  Routes take their small
 spaces as GeometricSpaces: geometric_projective, and geometric_grassmannian
@@ -143,7 +141,7 @@ class GaussianAnchor(PoincarePoly):
         of _gaussian_pairs where the module docstring says, else by the
         polynomial."""
         k, n = self.k, self.n
-        if n > _PACKED_ROWS_MAX_N or k * (n - k) < _THROUGH_MIN_DIM:
+        if k * (n - k) < _THROUGH_MIN_DIM:
             return ratio(x, up, down, by=grassmannian(k, n).poly)
         pairs, free, left = _gaussian_pairs(min(k, n - k), max(k, n - k))
         x, down = peel(x, down + left)
@@ -258,12 +256,6 @@ def weighted_projective(weights: Iterable[int]) -> PoincarePoly:
     return projective(len(ws) - 1)
 
 
-# Up to here grassmannian is one packed ratio, and anchors use its pairs.
-# Cold, k from n/8 to n/2, it took 0.57-0.91 of the list chain's time at
-# n = 250, and 0.81-1.08 at n = 300.
-_PACKED_ROWS_MAX_N = 250
-
-
 def _gaussian_pairs(m: int, d: int) -> tuple[list[tuple[int, int]], tuple[int, ...], tuple[int, ...]]:
     """[d+m choose m] as the module docstring's geometric pairs (a, i),
     smallest i first, and the a and the i left over."""
@@ -292,15 +284,11 @@ def grassmannian(k: int, n: int) -> PoincarePoly:
     '1 + q + 2q^2 + q^3 + q^4'
     """
     if n < 0:
-        raise InvalidParameters(f"grassmannian({k}, {n})")
+        raise InvalidParameters(f"grassmannian({k}, {n}): need n >= 0")
     if k < 0 or k > n:
         return EMPTY
-    m, d = min(k, n - k), max(k, n - k)
-    if n <= _PACKED_ROWS_MAX_N:
-        pairs, free, left = _gaussian_pairs(m, d)
-        value = ratio(ONE, free, left, geometric=pairs)
-    else:  # [d+i choose i] = [d+i-1 choose i-1] (1 - q^(d+i)) / (1 - q^i)
-        value = functools.reduce(lambda v, i: ratio(v, (d + i,), (i,)), range(1, m + 1), ONE)
+    pairs, free, left = _gaussian_pairs(min(k, n - k), max(k, n - k))
+    value = ratio(ONE, free, left, geometric=pairs)
     return PoincarePoly.from_poly(value, claimed_dim=k * (n - k), what=f"grassmannian({k},{n})")
 
 
@@ -321,7 +309,7 @@ def fano_lines(k: int, n: int) -> PoincarePoly:
     grassmannian(k+1, n) with grassmannian(k-1, k+1) fibers.
     """
     if not 1 <= k <= n - 1:
-        raise InvalidParameters(f"fano_lines({k}, {n})")
+        raise InvalidParameters(f"fano_lines({k}, {n}): need 1 <= k <= n-1")
     value = grassmannian(k + 1, n) * grassmannian(k - 1, k + 1)
     expected = (k + 1) * (n - k - 1) + 2 * (k - 1)
     return PoincarePoly.from_poly(
@@ -339,7 +327,7 @@ def fano_planes(k: int, n: int) -> PoincarePoly:
     the result is the empty space.
     """
     if not 1 <= k <= n - 1:
-        raise InvalidParameters(f"fano_planes({k}, {n})")
+        raise InvalidParameters(f"fano_planes({k}, {n}): need 1 <= k <= n-1")
     total = EMPTY
     for core, envelope, _, _ in plane_families(k, n):
         total = total + core * envelope
@@ -367,7 +355,7 @@ def lines_through_point(k: int, n: int) -> PoincarePoly:
     verification suites.
     """
     if not 1 <= k <= n - 1:
-        raise InvalidParameters(f"lines_through_point({k}, {n})")
+        raise InvalidParameters(f"lines_through_point({k}, {n}): need 1 <= k <= n-1")
     return projective(k - 1) * projective(n - k - 1)
 
 
@@ -377,7 +365,7 @@ def stable_maps_p1(d: int) -> PoincarePoly:
         return PoincarePoly(IntPoly([1, 1, 1]))
     if d == 3:
         return PoincarePoly(IntPoly([1, 1, 2, 1, 1]))
-    raise InvalidParameters(f"stable_maps_p1({d})")
+    raise InvalidParameters(f"stable_maps_p1({d}): degree must be 2 or 3")
 
 
 # The weight polynomials f1, f2, f3, f4 of the degree 3 stable-map kernel.

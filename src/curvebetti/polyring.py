@@ -49,26 +49,23 @@ the general divider.  peel(x, down) takes those running sums only for
 each i of down, largest first, whose class sums sum(x_m, m = r mod i)
 all vanish: x mod (q^i - 1) is their polynomial, so 1 - q^i divides x
 exactly.  ratio(x, up, down, by=y, geometric=pairs), which builds every
-Gaussian binomial up to n = 250, keeps the large product packed: x(B)
-y(B), times 1 + q^i + ... + q^(a-i) by packed_geometric for each pair
-(a, i), i dividing a, times each 1 - q^a of up as v -= v << 8w a, is
-N(B), every |N_j| <= nb = max|x|
-max|y| min(len) prod(a / i) 2^len(up).  D = prod(1 - q^i), over the l
-factors of down, is divided out by one divmod by its factors with
-i <= 3, then by running sums by doubling per larger factor, read mod
-B^s as a balanced residue r and kept only if r - r B^i is the dividend:
-Q(B) D(B) = N(B) exactly.  Given nb < B/2, Q is accepted if Q(B) >= 0
-fits the quotient's slots and every slot of Q is below B / 2^(l+1) or,
-if that mask rejects, below 2^t with (U/2)(2^t - 1) + nb < B, U =
-||D_small||_1 2^(factors above 3) >= ||D||_1.  As D(1) = 0, its
-positive and negative coefficients each sum to ||D||_1 / 2 <= 2^(l-1),
-so either test gives |(Q D - N)_j| < B: Q D - N vanishes at B and is
-the zero polynomial, and Q = N / D exactly.  With no down, D = 1 is no
-such D, and only the mask, every |Q_j| below B/2, certifies Q = N.
+Gaussian binomial, keeps the large product packed: x(B) y(B), times
+1 + q^i + ... + q^(a-i) by packed_geometric for each pair (a, i), i
+dividing a, times each 1 - q^a of up as v -= v << 8w a, is N(B), every
+|N_j| <= nb = max|x| max|y| min(len) prod(a / i) 2^len(up).  D =
+prod(1 - q^i), over the l factors of down, is divided out mod B^s, s
+the quotient's slots, by running sums by doubling per factor, and Q is
+kept only if Q(B) D(B), one shift and subtraction per factor, is N(B).
+Given nb < B/2, Q is accepted if every slot of Q is below 2^t with
+(U/2)(2^t - 1) + nb < B, U = 2^l >= ||D||_1.  As D(1) = 0, its positive
+and negative coefficients each sum to ||D||_1 / 2 <= 2^(l-1), so
+|(Q D - N)_j| < B: Q D - N vanishes at B and is the zero polynomial,
+and Q = N / D exactly.  With no down, D = 1 is no such D, and only
+slots below B/2 certify Q = N.
 To the middle: if x and y are each palindromic or anti-palindromic, Q's
 sign +1, count >= 192 and h = ceil(L / 2) < count, L = count + sum(down)
 = len(N), every step runs mod B^h, with running sums for every i of
-down, and the same tests give Q_low D = N mod q^h.  If the overlap
+down, and the same slot test gives Q_low D = N mod q^h.  If the overlap
 low[count - h:h] reads the same reversed, Q is low followed by
 low[count - 1 - h::-1]: Q D - N, of length L and one symmetry, vanishes
 in its h low and so in its h top coefficients, and 2h >= L.  A Q the
@@ -80,7 +77,8 @@ The width is fixed before, and decides only whether the attempt
 certifies: a Q >= 0 has no coefficient above Q(1) = y(1) prod(a / i)
 x_r(1) prod a / prod i over up and down, x_r = x / (q - 1)^r for r =
 len(down) - len(up), x_r(1) = sum C(m, r) x_m, so the narrowest slot
-with 2^l (2^bits(Q(1)) - 1) + 2 nb < 2B and nb < B/2 passes a test.
+with 2^l (2^bits(Q(1)) - 1) + 2 nb < 2B and nb < B/2 passes the slot
+test given a down.
 """
 
 from __future__ import annotations
@@ -404,10 +402,9 @@ def ratio(p: IntPoly, up: Iterable[int] = (), down: Iterable[int] = (),
     That division is exact if and only if the last i of them are zero;
     otherwise NonExactDivision is raised.  With by and a down, or with
     geometric, p is first multiplied by them packed, and the quotient
-    split into one divmod and running sums and certified (module
-    docstring); otherwise, or if that fails, by p * by and the list
-    steps.  A caller may peel p first, so that down holds only factors p
-    does not.
+    taken by running sums and certified (module docstring); otherwise,
+    or if that fails, by p * by and the list steps.  A caller may peel p
+    first, so that down holds only factors p does not.
 
     >>> ratio(IntPoly([1, 1]), up=(2,))
     IntPoly('1 + q - q^2 - q^3')
@@ -503,8 +500,7 @@ def _packed_ratio(x: tuple, y: tuple, pairs: tuple, up: tuple, down: tuple) -> I
         v = packed_geometric(v, a, i, width) & mask
     for a in up:
         v = (v - (v << 8 * width * a)) & mask
-    quot = (_half_quotient(v, nb, down, count, half, width) if half
-            else _packed_quotient(v, nb, down, count, width))
+    quot = _quotient(v, nb, down, count, half, width)
     return None if quot is None else IntPoly(quot)
 
 
@@ -535,51 +531,27 @@ def _quotient_width(x: tuple, up: tuple, down: tuple, at_one: int, nb: int) -> i
     return _SLOTS.get(width, (width, ""))[0]
 
 
-# At full length, down factors 1 - q^i with i up to this share one
-# divmod; each larger one is divided by running sums.  At 8-byte slots
-# over about 600 slots, divmod by 1 - B^i took 26/32/35 us for i = 1/2/3
-# (running sums 37/34/31 us) and by 1 - B^27 156 us (running sums 23 us);
-# all of (1, 2, 2, 3, 3) took 76 us in one divmod, 172 us by running sums.
-_DIVMOD_MAX_I = 3
 # Quotients of fewer slots took longer halved (x1.05-1.12 replayed; x0.89-0.97 above).
 _HALF_MIN_COUNT = 192
 
 
-def _packed_quotient(v: int, nb: int, down: tuple, count: int, width: int) -> list[int] | None:
-    """The count coefficients of Q = N / D, for v = N(B), B/2 > nb >=
+def _quotient(v: int, nb: int, down: tuple, count: int, half: int, width: int) -> list[int] | None:
+    """The count coefficients of Q = N / D, from Q mod B^(half or count)
+    by running sums, v = N(B) or, halved, N(B) mod B^half, B/2 > nb >=
     max|N_j|; None unless certified (module docstring)."""
-    if count <= 0:
+    slots, shift = half or count, 8 * width
+    if slots <= 0:
         return None
-    shift, d = 8 * width, 1
-    small = [i for i in down if i <= _DIVMOD_MAX_I]
-    large = [i for i in down if i > _DIVMOD_MAX_I]
-    for i in small:
-        d -= d << shift * i
-    quot, rem = divmod(v, d) if small else (v, 0)
-    if rem:
-        return None
-    rest = sum(large)
-    for i in large:
-        rest -= i
-        # A certified Q has |quot / (1 - B^i)| < B^(count + rest).
-        r = _running_sums(quot, i, count + rest + 1, shift)
-        r -= r >> shift * (count + rest + 1) - 1 << shift * (count + rest + 1)  # balanced
-        if r - (r << shift * i) != quot:
-            return None
-        quot = r
-    if not 0 <= quot < 1 << shift * count or not _certified(quot, count, width, down, nb):
-        return None
-    return unpack_slots(quot, count, width)
-
-
-def _half_quotient(v: int, nb: int, down: tuple, count: int, half: int, width: int) -> list | None:
-    """The count coefficients of the palindromic Q = N / D from Q mod B^half,
-    v = N(B) mod B^half, B/2 > nb >= max|N_j|; None unless certified."""
+    quot = v & (1 << shift * slots) - 1
     for i in down:
-        v = _running_sums(v, i, half, 8 * width)
-    quot = v & (1 << 8 * width * half) - 1
-    if not _certified(quot, half, width, down, nb):
+        quot = _running_sums(quot, i, slots, shift)
+    if not _certified(quot, slots, width, down, nb):
         return None
+    if not half:
+        product = quot
+        for i in down:
+            product -= product << shift * i
+        return unpack_slots(quot, count, width) if product == v else None
     low = unpack_slots(quot, half, width)
     middle = low[count - half :]
     return low + low[count - 1 - half :: -1] if middle == middle[::-1] else None
@@ -587,18 +559,10 @@ def _half_quotient(v: int, nb: int, down: tuple, count: int, half: int, width: i
 
 def _certified(quot: int, slots: int, width: int, down: tuple, nb: int) -> bool:
     """Whether the slots of Q(B) = quot, 0 <= quot < B^slots, are below
-    B / 2^(l+1) or, given a down, below the sharper bound (module docstring)."""
-    if not quot & slot_tops(width, len(down) + 1, slots):
-        return True
-    if not down:  # the sharper bound needs D(1) = 0
-        return False
-    # The sharper bound: u >= ||D||_1, and nb < B/2.
-    shift, cs = 8 * width, [1]
-    small = [i for i in down if i <= _DIVMOD_MAX_I]
-    for i in small:
-        cs = list(map(operator.sub, cs + [0] * i, [0] * i + cs))
-    u = sum(map(abs, cs)) << len(down) - len(small)
-    t = ((2 * ((1 << shift) - nb) - 1) // u + 1).bit_length() - 1
+    2^t, (U/2)(2^t - 1) + nb < B with U = 2^l, or below B/2 with no down
+    (module docstring)."""
+    shift = 8 * width
+    t = ((2 * ((1 << shift) - nb) - 1 >> len(down)) + 1).bit_length() - 1 if down else shift - 1
     return not quot & slot_tops(width, shift - t, slots)
 
 

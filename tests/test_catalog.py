@@ -121,7 +121,11 @@ def q_pascal(n: int) -> tuple:
 
 
 def q_pascal_coeffs(k: int, n: int) -> tuple[int, ...]:
-    terms = q_pascal(n)[k].to_dict()
+    return row_coeffs(q_pascal(n)[k])
+
+
+def row_coeffs(row) -> tuple[int, ...]:
+    terms = row.to_dict()
     return tuple(int(terms.get((e,), 0)) for e in range(max(terms)[0] + 1))
 
 
@@ -143,39 +147,48 @@ def test_grassmannian_against_q_pascal_across_the_packed_boundary(n):
         assert grassmannian(k, n).poly.coeffs == q_pascal_coeffs(k, n), (k, n)
 
 
-def test_the_list_chain_against_q_pascal(monkeypatch):
-    # The diagonal chain that runs above _PACKED_ROWS_MAX_N, moved down.
-    monkeypatch.setattr(catalog, "_PACKED_ROWS_MAX_N", 0)
-    clear_caches()
-    try:
-        for n in (1, 12, 31, 67):
-            for k in range(n + 1):
-                assert grassmannian(k, n).poly.coeffs == q_pascal_coeffs(k, n), (k, n)
-    finally:
-        clear_caches()
-
-
 def test_packed_rows_stop_at_the_measured_crossover(monkeypatch):
-    # Up to n = 250 one certified division, after a geometric step
-    # wherever i divides a free a, only to the middle from 192
-    # coefficients on; m <= 2 leaves no i over, and the division is
-    # D = 1.  Above, coefficient lists: at n = 300 they were quicker for
-    # some k.
-    assert catalog._PACKED_ROWS_MAX_N == 250
+    # At every n one certified division, after a geometric step wherever
+    # i divides a free a, only to the middle from 192 coefficients on;
+    # m <= 2 leaves no i over, and the division is D = 1.
     clear_caches()
     geometric = mock.Mock(wraps=polyring.packed_geometric)
     monkeypatch.setattr(polyring, "packed_geometric", geometric)
     divisions = recording_packed_dividers(monkeypatch)
-    for (k, n), calls, path in (((3, 251), 0, None), ((3, 250), 3, "half"), ((3, 66), 3, "full"),
+    for (k, n), calls, path in (((3, 251), 3, "half"), ((3, 250), 3, "half"), ((3, 66), 3, "full"),
                                 ((64, 66), 2, "full"), ((24, 48), 19, "half"),
                                 ((28, 61), 20, "half")):
         geometric.reset_mock()
         divisions.clear()
         assert grassmannian(k, n).poly == ratio(ONE, range(n - k + 1, n + 1), range(1, k + 1))
         assert geometric.call_count == calls, (k, n)
-        assert [(p, certified) for p, _, certified in divisions] == (
-            [(path, True)] if path else []), (k, n)
+        assert [(p, certified) for p, _, certified in divisions] == [(path, True)], (k, n)
     clear_caches()
+
+
+@pytest.mark.parametrize("n", [251, 300])
+def test_grassmannian_above_250_against_oracles_that_share_no_packed_code(n):
+    # P(1) = C(n, k); P(2) = prod_{j<k} (2^(n-j) - 1) / (2^(j+1) - 1),
+    # the number of k-dimensional subspaces of F_2^n; degree k(n - k),
+    # and palindromic.
+    for k in (3, n // 8, n // 4, n // 2):
+        p = grassmannian(k, n).poly
+        assert p.evaluate(1) == math.comb(n, k), (k, n)
+        assert p.evaluate(2) * math.prod(2 ** (j + 1) - 1 for j in range(k)) == math.prod(
+            2 ** (n - j) - 1 for j in range(k)), (k, n)
+        assert p.degree == k * (n - k) and p.is_palindromic(), (k, n)
+
+
+def test_grassmannian_above_250_against_q_pascal():
+    # q_pascal's rows k <= 3 only: the whole triangle to n = 253 is too
+    # large to build.
+    rows = (ZZq.one,)
+    for n in range(1, 254):
+        rows = tuple((rows[k - 1] if k else ZZq.zero) + (rows[k] * Q**k if k < n else ZZq.zero)
+                     for k in range(min(n, 3) + 1))
+        if n >= 251:
+            for k, row in enumerate(rows):
+                assert grassmannian(k, n).poly.coeffs == row_coeffs(row), (k, n)
 
 
 def test_slots_too_narrow_for_the_geometric_steps_are_refused(monkeypatch):
@@ -406,17 +419,17 @@ def test_stable_maps_gr_structure(k, n, d):
 
 
 def recording_packed_dividers(monkeypatch) -> list:
-    """Patch polyring's packed dividers, _packed_quotient at full length
-    and _half_quotient to the middle, to record (path, down, certified)
-    per call, path "full" or "half"."""
-    calls = []
-    for path, name in (("full", "_packed_quotient"), ("half", "_half_quotient")):
-        def recording(v, nb, down, *args, path=path, divider=getattr(polyring, name)):
-            quot = divider(v, nb, down, *args)
-            calls.append((path, sorted(down), quot is not None))
-            return quot
+    """Patch polyring's packed divider _quotient to record (path, down,
+    certified) per call, path "half" if it divides only to the middle,
+    else "full"."""
+    calls, quotient = [], polyring._quotient
 
-        monkeypatch.setattr(polyring, name, recording)
+    def recording(v, nb, down, count, half, width):
+        quot = quotient(v, nb, down, count, half, width)
+        calls.append(("half" if half else "full", sorted(down), quot is not None))
+        return quot
+
+    monkeypatch.setattr(polyring, "_quotient", recording)
     return calls
 
 
@@ -625,8 +638,8 @@ DEGREE2_ANCHOR_KEYS = [(k, n) for n in range(3, 31) for k in range(1, n)] + [
 def test_degree2_over_the_lines_is_the_formula_over_gr_k_minus_1():
     # Gr(k-1, n) (1 - q^(n-k)) (1 - q^(n-k+1)) = Gr(k+1, n) (1 - q^k)
     # (1 - q^(k+1)): the printed formula, anchored on Gr(k-1, n), gives
-    # the same polynomial, on both sides of the packed-row boundary.  The
-    # bracket is the printed product, expanded.
+    # the same polynomial, up to n = 251.  The bracket is the printed
+    # product, expanded.
     q = monomial(1)
     for k, n in DEGREE2_ANCHOR_KEYS:
         assert degree2_bracket(k, n) == (ONE + monomial(n)) * (ONE + monomial(3)) - (

@@ -109,6 +109,23 @@ def test_betti_invalid_parameters_exit_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("space, rule", [
+    ("F1(Gr(0,2))", "fano_lines(0, 2): need 1 <= k <= n-1"),
+    ("Gr(1,-2)", "grassmannian(1, -2): need n >= 0"),
+    ("F2(Gr(0,3))", "fano_planes(0, 3): need 1 <= k <= n-1"),
+    ("Fx(Gr(3,3))", "lines_through_point(3, 3): need 1 <= k <= n-1"),
+    ("MbarP1(4)", "stable_maps_p1(4): degree must be 2 or 3"),
+])
+def test_catalog_range_errors_name_their_rule(capsys, space, rule):
+    # As check_curve_range does: the one error line says which rule the
+    # call breaks, not only the call.
+    code, out, err = run(capsys, "betti", "--space", space)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert [line for line in lines if line.startswith("error:")] == lines and len(lines) == 1
+    assert rule in lines[0] and "Traceback" not in err
+
+
 def test_betti_arithmetic_error_exit_3(capsys):
     code, _, err = run(
         capsys, "betti", "--space", "blowdown(P(1), P(0), P(2))"

@@ -491,10 +491,10 @@ def test_ratio_by_is_ratio_of_the_product(x, y, up, down, divisible):
     st.lists(st.integers(4, 60), min_size=1, max_size=2),
     st.booleans(),
 )
-def test_ratio_by_splits_the_division(x, y, up, large, divisible):
-    # The kernel's small factors go into one divmod, each larger one is
-    # divided by running sums: the same quotient, or the same error and
-    # text, as ratio of the product.
+def test_ratio_by_divides_small_and_large_factors(x, y, up, large, divisible):
+    # The kernel's small factors and larger ones, each divided by running
+    # sums and checked by Q(B) D(B) = N(B): the same quotient, or the
+    # same error and text, as ratio of the product.
     down = (1, 2, 2, 3, 3, *large)
     px, py = IntPoly(x), IntPoly(y)
     if divisible:
@@ -525,9 +525,9 @@ def test_ratio_by_refuses_a_perturbed_numerator_at_size():
 
 
 def test_ratio_by_checks_each_running_sum_division():
-    # Running sums mod B^s never read the top i - 1 coefficients of their
-    # dividend: an error there is caught only by the check that r - r B^i
-    # is the dividend, and then the list path raises.
+    # Running sums mod B^s never read the top coefficients of their
+    # dividend: an error there is caught only by the check that Q(B) D(B)
+    # is N(B), and then the list path raises.
     down = (1, 2, 2, 3, 3, 27)
     num = ratio(IntPoly(range(1, 90)), up=down)
     bad = num + ratio(monomial(num.degree - 11), up=(1, 2, 2, 3, 3))
@@ -536,12 +536,19 @@ def test_ratio_by_checks_each_running_sum_division():
     assert outcome(lambda: ratio(bad, down=down, by=ONE)) == expected
 
 
-def test_ratio_by_checks_the_divmod_remainder():
-    # One divmod by (1 - B)(1 - B^3) leaves a remainder here; a quotient
-    # that ignored it would pass every later check as
-    # 281 + 47q + 63q^2 + 117q^3.
-    with pytest.raises(NonExactDivision):
-        ratio(IntPoly([-1, -2, 3, 3, 0, -2, 3]), (), (1, 3), by=IntPoly([8, 39]))
+def test_ratio_by_checks_the_product_at_full_length(monkeypatch):
+    # Running sums mod B^3 never read the top four coefficients of N =
+    # (1 + q)^2 (1 - q)(1 - q^3) + q^6: they give (1 + q)^2, which passes
+    # the slot test, and only Q(B) D(B) != N(B) refuses it; the list path
+    # raises.  The second N, which D does not divide either, gives slots
+    # that the slot test refuses.
+    calls = recording_dividers(monkeypatch)
+    for x, by in ((ratio(IntPoly([1, 2, 1]), (1, 3)) + monomial(6), ONE),
+                  (IntPoly([-1, -2, 3, 3, 0, -2, 3]), IntPoly([8, 39]))):
+        expected = outcome(lambda: ratio(x * by, (), (1, 3)))
+        assert expected[0] == "NonExactDivision"
+        assert outcome(lambda: ratio(x, (), (1, 3), by=by)) == expected
+    assert calls == [("full", False), ("full", False)]
 
 
 @settings(deadline=None, max_examples=200)
@@ -552,8 +559,8 @@ def test_ratio_by_checks_the_divmod_remainder():
 )
 def test_ratio_by_refuses_inexact_small_numerators(x, y, down):
     # Operands this small pack in 1-byte slots, every product coefficient
-    # at most 27, and every down goes into the one divmod: an inexact
-    # numerator is refused there, with the list path's error and text.
+    # at most 27, and every down is one of the kernel's small factors: an
+    # inexact numerator is refused, with the list path's error and text.
     px, py, down = IntPoly(x), IntPoly(y), tuple(sorted(down))
     expected = outcome(lambda: ratio(px * py, (), down))
     assume(isinstance(expected, tuple))
@@ -597,15 +604,16 @@ def symmetric_polys(draw):
 
 
 def recording_dividers(monkeypatch) -> list:
-    """Patch the packed dividers to record (path, certified) per call."""
-    calls = []
-    for path, name in (("full", "_packed_quotient"), ("half", "_half_quotient")):
-        def recording(*args, path=path, divider=getattr(polyring, name)):
-            quot = divider(*args)
-            calls.append((path, quot is not None))
-            return quot
+    """Patch the packed divider to record (path, certified) per call,
+    path "half" if it divides only to the middle, else "full"."""
+    calls, quotient = [], polyring._quotient
 
-        monkeypatch.setattr(polyring, name, recording)
+    def recording(v, nb, down, count, half, width):
+        quot = quotient(v, nb, down, count, half, width)
+        calls.append(("half" if half else "full", quot is not None))
+        return quot
+
+    monkeypatch.setattr(polyring, "_quotient", recording)
     return calls
 
 
