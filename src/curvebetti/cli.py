@@ -6,31 +6,32 @@ ambient dimensions, verify runs the consistency suites.  Exit codes:
 arithmetic errors.  main has one except clause for the package's own
 errors, which reports CurvebettiError.exit_code; the other clauses
 cover unwritable output files and integers too large to compute with.
+
+Importing this module loads only argparse, errors and keys.  Each
+command imports what it runs: dsl for --space, pipelines for keys,
+table and verify, surgery for --trace, and json or csv for the format
+that needs it.  A usage error loads neither dsl nor pipelines.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
+import importlib
 import sys
 
-from .catalog import PoincarePoly
-from .dsl import Moduli, eval_expr, parse, to_text
 from .errors import CurvebettiError, InvalidParameters
-from .pipelines import (
-    DEFAULT_GRID,
-    SUITES,
-    ModuliKey,
-    grid_keys,
-    has_pipeline,
-    pipeline_for,
-    space_poly,
-    validate_key,
-    verify_suite,
-)
-from .surgery import run_pipeline_traced
+from .keys import DEFAULT_GRID, SUITES, ModuliKey
+
+# Names that code outside the package reads on this module: each is
+# resolved from its defining module at every access and never stored
+# here, so the defining module's binding is the one seen.
+_FORWARDS = {"parse": ".dsl", "space_poly": ".pipelines", "run_pipeline_traced": ".surgery"}
+
+
+def __getattr__(name: str):
+    if name not in _FORWARDS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_FORWARDS[name], __package__), name)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -106,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _record(
-    result: PoincarePoly,
+    result,
     space: str,
     key: ModuliKey | None = None,
     trace: list[dict] | None = None,
@@ -143,10 +144,15 @@ def _render_text_record(record: dict) -> str:
 
 
 def _render_json(payload) -> str:
+    import json
+
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _render_csv(records: list[dict]) -> str:
+    import csv
+    import io
+
     width = max((len(r["q_coefficients"]) for r in records), default=1)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -175,24 +181,28 @@ def _cmd_betti(args) -> int:
 
     trace = None
     if args.space is not None:
-        expr = parse(args.space)
-        result = eval_expr(expr)
-        space_text = to_text(expr)
+        from . import dsl
+
+        expr = dsl.parse(args.space)
+        result = dsl.eval_expr(expr)
+        space_text = dsl.to_text(expr)
         key = (
             ModuliKey(expr.base.k, expr.base.n, expr.d, expr.compactification)
-            if isinstance(expr, Moduli)
+            if isinstance(expr, dsl.Moduli)
             else None
         )
     else:
+        from . import pipelines
+
         key = ModuliKey(args.k, args.n, args.d, args.compactification)
-        result = space_poly(key)
+        result = pipelines.space_poly(key)
         space_text = str(key)
     if args.trace and args.format == "csv":
         print("note: --trace output is not available with --format csv", file=sys.stderr)
-    elif args.trace and key is not None and has_pipeline(key):
-        trace = run_pipeline_traced(pipeline_for(key))
     elif args.trace:
-        print("note: no pipeline trace for this space", file=sys.stderr)
+        trace = _trace(key)
+        if trace is None:
+            print("note: no pipeline trace for this space", file=sys.stderr)
 
     record = _record(result, space_text, key, trace)
     if args.format == "json":
@@ -202,6 +212,17 @@ def _cmd_betti(args) -> int:
     else:
         sys.stdout.write(_render_text_record(record))
     return 0
+
+
+def _trace(key: ModuliKey | None) -> list[dict] | None:
+    """The surgery trace of key's pipeline; None for no key, or for M."""
+    if key is None:
+        return None
+    from . import pipelines, surgery
+
+    if not pipelines.has_pipeline(key):
+        return None
+    return surgery.run_pipeline_traced(pipelines.pipeline_for(key))
 
 
 def _write_file(path: str, text: str) -> None:
@@ -230,8 +251,10 @@ def _parse_n_range(text: str) -> tuple[int, int]:
 
 def _cmd_table(args) -> int:
     lo, hi = _parse_n_range(args.n)
+    from . import pipelines
+
     try:  # a key valid at some n in the range is valid at hi: no rule refuses a larger n
-        validate_key(ModuliKey(args.k, hi, args.d, args.compactification))
+        pipelines.validate_key(ModuliKey(args.k, hi, args.d, args.compactification))
     except InvalidParameters:
         raise InvalidParameters(f"range {args.n!r} selects no keys") from None
     if args.out:
@@ -243,18 +266,18 @@ def _cmd_table(args) -> int:
 
 
 def _table_text(args, lo: int, hi: int) -> str:
+    from . import pipelines
+
     records = []
     for n in range(lo, hi + 1):
         key = ModuliKey(args.k, n, args.d, args.compactification)
         try:
-            validate_key(key)
+            pipelines.validate_key(key)
         except InvalidParameters as e:
             print(f"note: skipped n={n}: {e}", file=sys.stderr)
             continue
-        trace = None
-        if args.trace and args.format == "json" and has_pipeline(key):
-            trace = run_pipeline_traced(pipeline_for(key))
-        records.append(_record(space_poly(key), str(key), key, trace))
+        trace = _trace(key) if args.trace and args.format == "json" else None
+        records.append(_record(pipelines.space_poly(key), str(key), key, trace))
     if args.trace and args.format != "json":
         print("note: --trace output is available with --format json only",
               file=sys.stderr)
@@ -279,7 +302,9 @@ def _parse_grid(spec: str) -> list[ModuliKey]:
     except ValueError:  # more digits than sys.get_int_max_str_digits()
         raise bad from None
     n_lo, n_offset = (None, start) if m[3] else (start, 1)
-    return grid_keys(k_lo, k_hi, n_lo, n_hi, n_offset)
+    from . import pipelines
+
+    return pipelines.grid_keys(k_lo, k_hi, n_lo, n_hi, n_offset)
 
 
 def _paint(text: str, color: str, mode: str) -> str:
@@ -296,7 +321,9 @@ def _cmd_verify(args) -> int:
     suites = SUITES if args.suite == "all" else (args.suite,)
     if args.json_path:
         open(args.json_path, "a").close()  # fails before the suites run
-    report = verify_suite(keys, suites)
+    from . import pipelines
+
+    report = pipelines.verify_suite(keys, suites)
     if args.json_path:
         _write_file(args.json_path, _render_json(report.to_json()))
 

@@ -25,26 +25,20 @@ parse produces a small AST, eval_expr evaluates it to a PoincarePoly
 canonical form, round-tripping through parse.  All three read the
 tables below, so a new space is one row of _KEYWORDS and one of
 _EVALUATORS.
+
+Importing this module loads no arithmetic: parse and to_text need
+none.  eval_expr imports catalog when it evaluates, and surgery or
+pipelines only for the blow-up, blow-down and moduli nodes that call
+them.
 """
 
 from __future__ import annotations
 
+import importlib
 import re
 
-from . import pipelines
-from .catalog import (
-    PoincarePoly,
-    fano_lines,
-    fano_planes,
-    grassmannian,
-    lines_through_point,
-    projective,
-    stable_maps_p1,
-    weighted_projective,
-)
 from .errors import CurvebettiError, ParseError
 from .record import Record
-from .surgery import blowdown_apply, blowup_apply
 
 # AST nodes: each base is a Gr, and left, right, space, center and fiber SpaceExprs.
 
@@ -300,36 +294,55 @@ def to_text(expr: SpaceExpr) -> str:
     return f"{name}({(', ' if 'expr' in kinds else ',').join(args)})"
 
 
-# Node type -> its value, from its fields with each subexpression already
-# evaluated.  The builders are looked up by name at each call, so that a
-# rebound module attribute (a tracing wrapper, say) is the one called.
+# Node type -> (module, value): value maps that module and the node's
+# fields, each subexpression already evaluated, to the node's value.
+# _eval imports the module when a node first needs it, and the builders
+# are looked up on it at each call, so that a rebound module attribute
+# (a tracing wrapper, say) is the one called.
 _EVALUATORS = {
-    Proj: lambda m: projective(m),
-    WProj: lambda weights: weighted_projective(weights),
-    Gr: lambda k, n: grassmannian(k, n),
-    FanoLines: lambda base: fano_lines(base.k, base.n),
-    FanoPlanes: lambda base: fano_planes(base.k, base.n),
-    PointedLines: lambda base: lines_through_point(base.k, base.n),
-    MbarP1: lambda d: stable_maps_p1(d),
-    Moduli: lambda c, base, d: pipelines.space_poly(
+    Proj: ("catalog", lambda catalog, m: catalog.projective(m)),
+    WProj: ("catalog", lambda catalog, weights: catalog.weighted_projective(weights)),
+    Gr: ("catalog", lambda catalog, k, n: catalog.grassmannian(k, n)),
+    FanoLines: ("catalog", lambda catalog, base: catalog.fano_lines(base.k, base.n)),
+    FanoPlanes: ("catalog", lambda catalog, base: catalog.fano_planes(base.k, base.n)),
+    PointedLines: ("catalog", lambda catalog, base: catalog.lines_through_point(base.k, base.n)),
+    MbarP1: ("catalog", lambda catalog, d: catalog.stable_maps_p1(d)),
+    Moduli: ("pipelines", lambda pipelines, c, base, d: pipelines.space_poly(
         pipelines.ModuliKey(base.k, base.n, d, c), "closed"
-    ),
-    Product: lambda left, right: left * right,
-    Sum: lambda left, right: left + right,
-    Diff: lambda left, right: PoincarePoly.from_poly(
+    )),
+    Product: ("catalog", lambda catalog, left, right: left * right),
+    Sum: ("catalog", lambda catalog, left, right: left + right),
+    Diff: ("catalog", lambda catalog, left, right: catalog.PoincarePoly.from_poly(
         left.poly - right.poly, what="difference"
-    ),
-    Blowup: lambda space, center, codim: blowup_apply(space, center, codim),
-    Blowdown: lambda space, center, fiber: blowdown_apply(space, center, fiber),
+    )),
+    Blowup: ("surgery", lambda surgery, space, center, codim: surgery.blowup_apply(
+        space, center, codim
+    )),
+    Blowdown: ("surgery", lambda surgery, space, center, fiber: surgery.blowdown_apply(
+        space, center, fiber
+    )),
 }
 
+# Names that code outside the package reads on this module: each is
+# resolved from its defining module (the package, for a submodule) at
+# every access and never stored here, so the defining module's binding
+# is the one seen.
+_FORWARDS = {"grassmannian": ".catalog", "pipelines": "."}
 
-def eval_expr(expr: SpaceExpr) -> PoincarePoly:
-    """Evaluate an AST; failures carry the path of the failing node."""
+
+def __getattr__(name: str):
+    if name not in _FORWARDS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_FORWARDS[name], __package__), name)
+
+
+def eval_expr(expr: SpaceExpr):
+    """Evaluate an AST to a PoincarePoly; failures carry the path of the
+    failing node."""
     return _eval(expr, "expr")
 
 
-def _eval(expr: SpaceExpr, path: str) -> PoincarePoly:
+def _eval(expr: SpaceExpr, path: str):
     # Subexpressions first, under their own paths, so the try below tags
     # only this node's step.  A leaf's Gr base is not a subexpression.
     if type(expr) not in _SPELLING:
@@ -339,8 +352,10 @@ def _eval(expr: SpaceExpr, path: str) -> PoincarePoly:
         _eval(value, f"{path}.{name}") if kind == "expr" else value
         for name, kind, value in zip(expr.__slots__, kinds, expr.astuple())
     ]
+    module_name, value = _EVALUATORS[type(expr)]
+    module = importlib.import_module(f".{module_name}", __package__)
     try:
-        return _EVALUATORS[type(expr)](*args)
+        return value(module, *args)
     except CurvebettiError as e:
         # Retag in place: the class and its fields stay as raised.
         e.args = (f"{e} [at {path}]",)

@@ -63,6 +63,7 @@ from .catalog import (
     weighted_projective,
 )
 from .errors import CurvebettiError, InvalidParameters
+from .keys import SUITES, ModuliKey
 from .polyring import (
     ONE,
     Geometric,
@@ -72,37 +73,10 @@ from .polyring import (
     packed_sum,
     ratio,
 )
-from .record import Record, setfield
+from .record import Record
 from .surgery import Pipeline, SurgeryStep, run_pipeline
 
 COMPACTIFICATIONS = ("M", "S", "H")
-SUITES = ("duality", "pipeline", "special", "symmetry")
-DEFAULT_GRID = "k=1..4,n=k+1..10"  # grid_keys() with its defaults
-
-
-@functools.total_ordering
-class ModuliKey(Record):
-    """One compactified space: curves of degree d in grassmannian(k, n).
-    Keys sort by (k, n, d, compactification)."""
-
-    __slots__ = ("k", "n", "d", "compactification")
-
-    def __init__(self, k: int, n: int, d: int, compactification: str):
-        setfield(self, "k", k)
-        setfield(self, "n", n)
-        setfield(self, "d", d)
-        setfield(self, "compactification", compactification)
-
-    def astuple(self) -> tuple:  # written out: == and hash serve the route cache
-        return (self.k, self.n, self.d, self.compactification)
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return self.astuple() < other.astuple()
-        return NotImplemented
-
-    def __str__(self) -> str:
-        return f"{self.compactification}(Gr({self.k},{self.n}),{self.d})"
 
 
 def validate_key(key: ModuliKey) -> None:
@@ -354,7 +328,7 @@ def grid_keys(
 ) -> list[ModuliKey]:
     """The valid keys with k_lo <= k <= k_hi and max(n_lo, k + n_offset)
     <= n <= n_hi; n_lo of None sets no bound beyond k + n_offset.  The
-    defaults give DEFAULT_GRID.  Every key has k < n, so k stops at
+    defaults give keys.DEFAULT_GRID.  Every key has k < n, so k stops at
     n_hi - 1, however large k_hi is."""
     keys: list[ModuliKey] = []
     for k in range(k_lo, min(k_hi, n_hi - 1) + 1):

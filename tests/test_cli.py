@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from curvebetti import cli
+from curvebetti import cli, pipelines, surgery
 from curvebetti.cli import _parse_grid, main
-from curvebetti.pipelines import DEFAULT_GRID, grid_keys
+from curvebetti.keys import DEFAULT_GRID
+from curvebetti.pipelines import grid_keys
 
 
 def run(capsys, *argv):
@@ -173,7 +174,7 @@ def test_betti_trace_with_csv_is_skipped_with_a_note(capsys, monkeypatch):
     def no_trace(pipe):
         raise AssertionError("run_pipeline_traced called")
 
-    monkeypatch.setattr(cli, "run_pipeline_traced", no_trace)
+    monkeypatch.setattr(surgery, "run_pipeline_traced", no_trace)
     argv = ["betti", "--k", "2", "--n", "6", "--d", "3", "--compactification", "H", "--format", "csv"]
     code, plain, err = run(capsys, *argv)
     assert (code, err) == (0, "")
@@ -380,11 +381,9 @@ def test_table_unwritable_out_exit_2(tmp_path, capsys):
 
 
 def test_unwritable_paths_fail_before_the_work(tmp_path, capsys, monkeypatch):
-    from curvebetti import cli
-
     calls = []
-    monkeypatch.setattr(cli, "verify_suite", lambda *a: calls.append(a))
-    monkeypatch.setattr(cli, "space_poly", lambda *a: calls.append(a))
+    monkeypatch.setattr(pipelines, "verify_suite", lambda *a: calls.append(a))
+    monkeypatch.setattr(pipelines, "space_poly", lambda *a: calls.append(a))
     target = tmp_path / "missing" / "x"
     code, out, err = run(
         capsys, "verify", "--grid", "k=1..1,n=3..4", "--json", str(target)
@@ -417,14 +416,13 @@ def test_failed_write_names_the_path(capsys, argv):
 
 
 def test_failed_sweep_leaves_an_existing_file_as_it_was(tmp_path, capsys, monkeypatch):
-    from curvebetti import cli
     from curvebetti.polyring import NonExactDivision
 
     def fail(*args):
         raise NonExactDivision("inexact")
 
-    monkeypatch.setattr(cli, "verify_suite", fail)
-    monkeypatch.setattr(cli, "space_poly", fail)
+    monkeypatch.setattr(pipelines, "verify_suite", fail)
+    monkeypatch.setattr(pipelines, "space_poly", fail)
     target = tmp_path / "x"
     target.write_text("old output\n")
     code, out, err = run(
@@ -477,3 +475,20 @@ def test_betti_deep_expression_exit_2(capsys, space):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "levels of nesting" in err
+
+
+def test_forwarded_names_follow_their_defining_modules(monkeypatch):
+    # cli and dsl forward these names at every access and never store
+    # them, so a rebinding in the defining module is the one seen.
+    from curvebetti import catalog, dsl
+
+    forwards = [(cli, "parse", dsl), (cli, "space_poly", pipelines),
+                (cli, "run_pipeline_traced", surgery), (dsl, "grassmannian", catalog)]
+    for module, name, owner in forwards:
+        assert getattr(module, name) is getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a: None)
+        assert getattr(module, name) is getattr(owner, name)
+        assert name not in vars(module)
+    assert dsl.pipelines is pipelines
+    with pytest.raises(AttributeError):
+        cli.verify_suite

@@ -88,7 +88,7 @@ def test_cli_exits_with_the_class_exit_code(cls, capsys, monkeypatch):
     def fail(*args):
         raise error
 
-    monkeypatch.setattr(cli, "space_poly", fail)
+    monkeypatch.setattr(pipelines, "space_poly", fail)
     code, out, err = run(
         capsys, "betti", "--k", "1", "--n", "4", "--d", "2", "--compactification", "S"
     )
@@ -213,7 +213,7 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
     def fail(*args):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "space_poly", fail)
+    monkeypatch.setattr(pipelines, "space_poly", fail)
     code, out, err = run(
         capsys, "betti", "--k", "1", "--n", "4", "--d", "2", "--compactification", "S"
     )

@@ -2,6 +2,7 @@
 
 import copy
 import functools
+import json
 import os
 import pickle
 import subprocess
@@ -155,3 +156,59 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         check=True,
     )
     assert proc.stdout == "[]\n"
+
+
+def _loaded_after(argv: list[str] | None) -> tuple[int | None, set[str]]:
+    """In a fresh process, the exit code of cli.main(argv) and the
+    curvebetti submodules then loaded; argv None only imports curvebetti."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import json, sys\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "if argv is None:\n"
+        "    import curvebetti\n"
+        "    code = None\n"
+        "else:\n"
+        "    import curvebetti.cli\n"
+        "    code = curvebetti.cli.main(argv)\n"
+        "names = [m for m in sys.modules if m.startswith('curvebetti.')]\n"
+        "print(json.dumps([code, names]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe, json.dumps(argv)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    code, names = json.loads(proc.stdout.splitlines()[-1])
+    return code, {name.removeprefix("curvebetti.") for name in names}
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert _loaded_after(None) == (None, set())
+
+
+NO_ARITHMETIC = {"dsl", "pipelines", "surgery", "catalog", "polyring"}
+
+
+@pytest.mark.parametrize(
+    "argv, code, loads, skips",
+    [
+        (["frobnicate"], 2, {"cli", "keys"}, NO_ARITHMETIC),
+        (["table", "--k", "1", "--n", "9..4", "--d", "3", "--compactification", "S"], 2,
+         {"cli", "keys"}, NO_ARITHMETIC),
+        (["verify", "--grid", "k=1..x"], 2, {"cli", "keys"}, NO_ARITHMETIC),
+        (["betti", "--space", "P(3"], 2, {"dsl"}, {"pipelines", "surgery", "catalog", "polyring"}),
+        (["betti", "--k", "2", "--n", "6", "--d", "3", "--compactification", "H", "--trace"], 0,
+         {"pipelines", "surgery"}, {"dsl"}),
+        (["betti", "--space", "P(2) * Gr(2,4)"], 0, {"dsl", "catalog", "polyring"},
+         {"pipelines", "surgery"}),
+    ],
+    ids=["unknown-command", "empty-range", "bad-grid", "parse-error", "key-trace", "product"],
+)
+def test_each_command_loads_only_the_modules_it_runs(argv, code, loads, skips):
+    got_code, loaded = _loaded_after(argv)
+    assert got_code == code
+    assert loads <= loaded, loads - loaded
+    assert not skips & loaded, skips & loaded
