@@ -20,11 +20,10 @@ _DEFINED_IN = {
         "CurvebettiError", "DimensionMismatch", "DivisionByZero", "InvalidParameters",
         "NegativeBetti", "NonExactDivision", "ParseError",
     ),
-    "keys": ("ModuliKey",),
+    "keys": ("ModuliKey", "dim_expected", "grid_keys"),
     "pipelines": (
-        "CheckResult", "SuiteReport", "dim_expected", "grid_keys", "hilbert_d3",
-        "pipeline_for", "simpson_d2", "simpson_d3", "space_poly", "verify_pair",
-        "verify_suite",
+        "CheckResult", "SuiteReport", "hilbert_d3", "pipeline_for", "simpson_d2",
+        "simpson_d3", "space_poly", "verify_pair", "verify_suite",
     ),
     "polyring": ("IntPoly", "exact_div", "monomial"),
     "surgery": (

@@ -1,11 +1,16 @@
 import gc
 import sys
 
-from .cli import main
+from . import cli
 
-# Everything built so far, at interpreter start-up and by these imports,
-# lives until this one-shot process exits: freezing it spares the cyclic
-# collector from traversing it again, above all in the full collection
-# at exit.
-gc.freeze()
-sys.exit(main())
+
+def main() -> int:
+    """python -m curvebetti and the installed command: freeze what
+    start-up and importing cli built, which lives until exit, so that the
+    cyclic collector, above all at exit, no longer traverses it."""
+    gc.freeze()
+    return cli.main()
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,7 +10,9 @@ rational cohomology agrees with the straight projective space of the
 same dimension), Grassmannians as Gaussian binomials, the space of
 lines in a Grassmannian and of lines through a fixed point, the
 two-component space of planes, and the stable-map spaces of degree 2 and
-3 rational curves.
+3 rational curves.  stable_maps_gr, which keys validates, is reached
+through pipelines' route cache, and the spaces of lines, planes and
+pointed lines only from dsl: none of the four caches its own results.
 
 The Gaussian binomial [n choose k]_q, m = min(k, n-k) and d = n - m, is
 the product of (1 - q^a) / (1 - q^i) over pairs of a in d+1..n and i in
@@ -38,6 +40,7 @@ import functools
 from collections.abc import Iterable, Iterator
 
 from .errors import DimensionMismatch, InvalidParameters, NegativeBetti
+from .keys import ModuliKey, dim_expected, validate_key
 from .polyring import ONE, ZERO, Geometric, IntPoly, packed_sum, peel, ratio
 from .polyring import exact_div  # noqa: F401  (bench/test_bench.py looks it up here)
 from .record import Record, setfield
@@ -300,7 +303,6 @@ def grassmannian_over(j: int, a: int, n: int) -> Quotient:
     return Quotient(gaussian_anchor(a, n), (), *((up, down) if j > a else (down, up)))
 
 
-@functools.lru_cache(maxsize=None)
 def fano_lines(k: int, n: int) -> PoincarePoly:
     """Space of lines in grassmannian(k, n).
 
@@ -317,7 +319,6 @@ def fano_lines(k: int, n: int) -> PoincarePoly:
     )
 
 
-@functools.lru_cache(maxsize=None)
 def fano_planes(k: int, n: int) -> PoincarePoly:
     """Space of planes in grassmannian(k, n); up to two disjoint pieces.
 
@@ -345,7 +346,6 @@ def plane_families(k: int, n: int) -> Iterator[tuple]:
         yield geometric_grassmannian(k - 1, k + 2), grassmannian_over(k + 2, k + 1, n), n + k - 4, "Delta_B"
 
 
-@functools.lru_cache(maxsize=None)
 def lines_through_point(k: int, n: int) -> PoincarePoly:
     """Lines in grassmannian(k, n) through a fixed point.
 
@@ -461,30 +461,17 @@ def degree3_quotient(k: int, n: int) -> Quotient:
     return Quotient(gaussian_anchor(k + 1, n), small, down=DEGREE3_KERNEL_DEN)
 
 
-def check_curve_range(k: int, n: int, d: int, what: str) -> None:
-    """Raise InvalidParameters, naming what, unless the stable-map
-    formulas cover degree d curves in grassmannian(k, n)."""
-    if d not in (2, 3):
-        raise InvalidParameters(f"{what}: degree must be 2 or 3")
-    if not 1 <= k <= n - 1:
-        raise InvalidParameters(f"{what}: need 1 <= k <= n-1")
-    if n < 3:
-        raise InvalidParameters(f"{what}: need n >= 3")
-
-
-@functools.lru_cache(maxsize=None)
 def stable_maps_gr(k: int, n: int, d: int) -> PoincarePoly:
     """Stable-map space of degree d rational curves in grassmannian(k, n).
 
     Closed form: a numerator over a fixed product of (1 - q^j), times
     the lines' grassmannian(k+1, n), which ratio multiplies in packed:
-    degree2_quotient or degree3_quotient.  The result has dimension
-    k(n-k) + dn - 3 and the degree is checked.
+    degree2_quotient or degree3_quotient.  The key M(Gr(k,n),d) is
+    validated, and the degree checked against its dim_expected.
     """
-    check_curve_range(k, n, d, f"M(Gr({k},{n}),{d})")
+    key = ModuliKey(k, n, d, "M")
+    validate_key(key)
     quotient = degree2_quotient(k, n) if d == 2 else degree3_quotient(k, n)
     return PoincarePoly.from_poly(
-        quotient.poly,
-        claimed_dim=k * (n - k) + d * n - 3,
-        what=f"stable_maps_gr({k},{n},{d})",
+        quotient.poly, claimed_dim=dim_expected(key), what=f"stable_maps_gr({k},{n},{d})"
     )

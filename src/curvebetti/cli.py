@@ -7,10 +7,12 @@ arithmetic errors.  main has one except clause for the package's own
 errors, which reports CurvebettiError.exit_code; the other clauses
 cover unwritable output files and integers too large to compute with.
 
-Importing this module loads only argparse, errors and keys.  Each
-command imports what it runs: dsl for --space, pipelines for keys,
+Importing this module loads only argparse, errors and keys, and keys
+decides every key, table range and grid: a usage error, a bad key, range
+or grid loads no arithmetic, and only --space loads dsl.  Each command
+then imports what it computes with: dsl for --space, pipelines for keys,
 table and verify, surgery for --trace, and json or csv for the format
-that needs it.  A usage error loads neither dsl nor pipelines.
+that needs it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import importlib
 import sys
 
 from .errors import CurvebettiError, InvalidParameters
-from .keys import DEFAULT_GRID, SUITES, ModuliKey
+from .keys import DEFAULT_GRID, SUITES, ModuliKey, grid_keys, has_pipeline, validate_key
 
 # Names that code outside the package reads on this module: each is
 # resolved from its defining module at every access and never stored
@@ -192,9 +194,10 @@ def _cmd_betti(args) -> int:
             else None
         )
     else:
+        key = ModuliKey(args.k, args.n, args.d, args.compactification)
+        validate_key(key)
         from . import pipelines
 
-        key = ModuliKey(args.k, args.n, args.d, args.compactification)
         result = pipelines.space_poly(key)
         space_text = str(key)
     if args.trace and args.format == "csv":
@@ -216,12 +219,10 @@ def _cmd_betti(args) -> int:
 
 def _trace(key: ModuliKey | None) -> list[dict] | None:
     """The surgery trace of key's pipeline; None for no key, or for M."""
-    if key is None:
+    if key is None or not has_pipeline(key):
         return None
     from . import pipelines, surgery
 
-    if not pipelines.has_pipeline(key):
-        return None
     return surgery.run_pipeline_traced(pipelines.pipeline_for(key))
 
 
@@ -251,10 +252,8 @@ def _parse_n_range(text: str) -> tuple[int, int]:
 
 def _cmd_table(args) -> int:
     lo, hi = _parse_n_range(args.n)
-    from . import pipelines
-
     try:  # a key valid at some n in the range is valid at hi: no rule refuses a larger n
-        pipelines.validate_key(ModuliKey(args.k, hi, args.d, args.compactification))
+        validate_key(ModuliKey(args.k, hi, args.d, args.compactification))
     except InvalidParameters:
         raise InvalidParameters(f"range {args.n!r} selects no keys") from None
     if args.out:
@@ -272,7 +271,7 @@ def _table_text(args, lo: int, hi: int) -> str:
     for n in range(lo, hi + 1):
         key = ModuliKey(args.k, n, args.d, args.compactification)
         try:
-            pipelines.validate_key(key)
+            validate_key(key)
         except InvalidParameters as e:
             print(f"note: skipped n={n}: {e}", file=sys.stderr)
             continue
@@ -302,9 +301,7 @@ def _parse_grid(spec: str) -> list[ModuliKey]:
     except ValueError:  # more digits than sys.get_int_max_str_digits()
         raise bad from None
     n_lo, n_offset = (None, start) if m[3] else (start, 1)
-    from . import pipelines
-
-    return pipelines.grid_keys(k_lo, k_hi, n_lo, n_hi, n_offset)
+    return grid_keys(k_lo, k_hi, n_lo, n_hi, n_offset)
 
 
 def _paint(text: str, color: str, mode: str) -> str:

@@ -27,9 +27,9 @@ tables below, so a new space is one row of _KEYWORDS and one of
 _EVALUATORS.
 
 Importing this module loads no arithmetic: parse and to_text need
-none.  eval_expr imports catalog when it evaluates, and surgery or
-pipelines only for the blow-up, blow-down and moduli nodes that call
-them.
+none.  eval_expr imports catalog when it evaluates, surgery for the
+blow-up and blow-down nodes, and pipelines for a moduli node only once
+keys has found its key valid.
 """
 
 from __future__ import annotations
@@ -294,6 +294,13 @@ def to_text(expr: SpaceExpr) -> str:
     return f"{name}({(', ' if 'expr' in kinds else ',').join(args)})"
 
 
+def _moduli(keys, c: str, base: Gr, d: int):
+    """A moduli leaf by the closed route; a bad key loads no arithmetic."""
+    key = keys.ModuliKey(base.k, base.n, d, c)
+    keys.validate_key(key)
+    return importlib.import_module(".pipelines", __package__).space_poly(key, "closed")
+
+
 # Node type -> (module, value): value maps that module and the node's
 # fields, each subexpression already evaluated, to the node's value.
 # _eval imports the module when a node first needs it, and the builders
@@ -307,9 +314,7 @@ _EVALUATORS = {
     FanoPlanes: ("catalog", lambda catalog, base: catalog.fano_planes(base.k, base.n)),
     PointedLines: ("catalog", lambda catalog, base: catalog.lines_through_point(base.k, base.n)),
     MbarP1: ("catalog", lambda catalog, d: catalog.stable_maps_p1(d)),
-    Moduli: ("pipelines", lambda pipelines, c, base, d: pipelines.space_poly(
-        pipelines.ModuliKey(base.k, base.n, d, c), "closed"
-    )),
+    Moduli: ("keys", _moduli),
     Product: ("catalog", lambda catalog, left, right: left * right),
     Sum: ("catalog", lambda catalog, left, right: left + right),
     Diff: ("catalog", lambda catalog, left, right: catalog.PoincarePoly.from_poly(

@@ -32,9 +32,11 @@ verify_pair turns one key's two routes into CheckResults (that check,
 and palindromicity with the expected dimension); verify_suite adds
 duality under k -> n-k and collects a grid's checks in one report.
 
-Keys are normalized to k <= n-k before evaluation; the duality suite
-evaluates the raw, unnormalized formulas on both sides so that the
-symmetry stays an actual test.
+The key rules (validity, dimension, normal form, grids) live in keys;
+this module imports them, so pipelines.validate_key and the rest still
+resolve.  Keys are normalized to k <= n-k before evaluation; the symmetry suite evaluates the raw,
+unnormalized formulas on both sides so that the duality stays an
+actual test.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .catalog import (
     DEGREE3_KERNEL_DEN,
     PoincarePoly,
     Quotient,
-    check_curve_range,
     degree2_bracket,
     degree2_quotient,
     degree3_kernel,
@@ -63,7 +64,10 @@ from .catalog import (
     weighted_projective,
 )
 from .errors import CurvebettiError, InvalidParameters
-from .keys import SUITES, ModuliKey
+from .keys import (  # noqa: F401  (COMPACTIFICATIONS and keys_for_pair stay readable here)
+    COMPACTIFICATIONS, SUITES, ModuliKey, dim_expected, grid_keys, has_pipeline, keys_for_pair,
+    mirror_key, normalize_key, validate_key,
+)
 from .polyring import (
     ONE,
     Geometric,
@@ -75,42 +79,6 @@ from .polyring import (
 )
 from .record import Record
 from .surgery import Pipeline, SurgeryStep, run_pipeline
-
-COMPACTIFICATIONS = ("M", "S", "H")
-
-
-def validate_key(key: ModuliKey) -> None:
-    """Raise InvalidParameters unless the key names a supported space."""
-    if key.compactification not in COMPACTIFICATIONS:
-        raise InvalidParameters(
-            f"compactification {key.compactification!r} not one of M, S, H"
-        )
-    check_curve_range(key.k, key.n, key.d, str(key))
-    if key.compactification == "H" and key.d == 3 and key.n == 3:
-        raise InvalidParameters(
-            f"{key}: every cubic here lies in a plane, so the planar locus "
-            "is the whole space and the blow-up to the Hilbert scheme "
-            "degenerates"
-        )
-
-
-def has_pipeline(key: ModuliKey) -> bool:
-    """S and H keys have a surgery pipeline; M is its base and has none."""
-    return key.compactification != "M"
-
-
-def normalize_key(key: ModuliKey) -> ModuliKey:
-    """Fold k -> n-k duality so k <= n-k, returning such a key itself."""
-    return key if 2 * key.k <= key.n else mirror_key(key)
-
-
-def mirror_key(key: ModuliKey) -> ModuliKey:
-    return ModuliKey(key.n - key.k, key.n, key.d, key.compactification)
-
-
-def dim_expected(key: ModuliKey) -> int:
-    """k(n-k) + dn - 3, the dimension of any of the three spaces."""
-    return key.k * (key.n - key.k) + key.d * key.n - 3
 
 
 # ---------------------------------------------------------------- degree 2
@@ -307,34 +275,6 @@ class SuiteReport(Record):
             "total_failures": self.total_failures,
             "suites": suites,
         }
-
-
-def keys_for_pair(k: int, n: int) -> list[ModuliKey]:
-    """The valid keys over one (k, n): both degrees of M and S, plus H."""
-    out = []
-    for d, comp in ((2, "M"), (2, "S"), (3, "M"), (3, "S"), (3, "H")):
-        key = ModuliKey(k, n, d, comp)
-        try:
-            validate_key(key)
-        except InvalidParameters:
-            continue
-        out.append(key)
-    return out
-
-
-def grid_keys(
-    k_lo: int = 1, k_hi: int = 4, n_lo: int | None = None, n_hi: int = 10,
-    n_offset: int = 1,
-) -> list[ModuliKey]:
-    """The valid keys with k_lo <= k <= k_hi and max(n_lo, k + n_offset)
-    <= n <= n_hi; n_lo of None sets no bound beyond k + n_offset.  The
-    defaults give keys.DEFAULT_GRID.  Every key has k < n, so k stops at
-    n_hi - 1, however large k_hi is."""
-    keys: list[ModuliKey] = []
-    for k in range(k_lo, min(k_hi, n_hi - 1) + 1):
-        for n in range(max(k + n_offset, n_lo or 0), n_hi + 1):
-            keys.extend(keys_for_pair(k, n))
-    return sorted(keys)
 
 
 def _error_detail(e: CurvebettiError) -> str:

@@ -31,6 +31,7 @@ from curvebetti.catalog import (
     weighted_projective,
 )
 from curvebetti.errors import DimensionMismatch, InvalidParameters, NegativeBetti, NonExactDivision
+from curvebetti.keys import validate_key
 from curvebetti.pipelines import ModuliKey, dim_expected, space_poly
 from curvebetti.polyring import ONE, IntPoly, monomial, ratio
 
@@ -392,19 +393,23 @@ def test_stable_maps_gr_degree_two_reference():
 
 
 def test_stable_maps_gr_guards():
-    # The catalog builder and the key check share one range check, so a
-    # bad key reads the same from either entry point.
+    # The catalog builder validates its key with keys.validate_key, so a
+    # bad key reads the same from every entry point.
     for k, n, d, message in (
         (1, 2, 2, "M(Gr(1,2),2): need n >= 3"),
         (0, 4, 2, "M(Gr(0,4),2): need 1 <= k <= n-1"),
         (4, 4, 3, "M(Gr(4,4),3): need 1 <= k <= n-1"),
         (1, 4, 4, "M(Gr(1,4),4): degree must be 2 or 3"),
+        (-1, 3, 2, "M(Gr(-1,3),2): need 1 <= k <= n-1"),
+        (2, 1, 0, "M(Gr(2,1),0): degree must be 2 or 3"),
     ):
         with pytest.raises(InvalidParameters) as direct:
             stable_maps_gr(k, n, d)
+        with pytest.raises(InvalidParameters) as validated:
+            validate_key(ModuliKey(k, n, d, "M"))
         with pytest.raises(InvalidParameters) as keyed:
             space_poly(ModuliKey(k, n, d, "M"))
-        assert str(direct.value) == str(keyed.value) == message
+        assert str(direct.value) == str(validated.value) == str(keyed.value) == message
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -447,7 +452,6 @@ def test_stable_maps_gr_degree_three_divides_packed_or_by_list(monkeypatch, k, n
     for narrow in (False, True):
         if narrow:
             monkeypatch.setattr(polyring, "_quotient_width", lambda *args: 8)
-        stable_maps_gr.cache_clear()
         calls.clear()
         got = stable_maps_gr(k, n, 3).poly
         assert got == expected
@@ -465,7 +469,7 @@ def test_stable_maps_gr_degree_three_never_expands_the_lines(monkeypatch, packed
     def no_lines(k, n):
         raise AssertionError("fano_lines called")
 
-    for cache in (stable_maps_gr, catalog.degree3_quotient, catalog.gaussian_anchor):
+    for cache in (catalog.degree3_quotient, catalog.gaussian_anchor):
         cache.cache_clear()
     lengths, asked = packed_operands()
     monkeypatch.setattr(catalog, "fano_lines", no_lines)
@@ -681,7 +685,7 @@ def test_euler_count_catches_a_kernel_fault_that_every_division_allows(monkeypat
     kernel = catalog.degree3_kernel
     fault = ratio(ONE, DEGREE3_KERNEL_DEN)
     monkeypatch.setattr(catalog, "degree3_kernel", lambda k, n: kernel(k, n) + monomial(n) * fault)
-    caches = (stable_maps_gr, catalog.degree3_quotient)
+    caches = (catalog.degree3_quotient,)
     for cache in caches:
         cache.cache_clear()
     try:

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import importlib
 import io
 import json
 import os
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvebetti import cli, pipelines, surgery
 from curvebetti.cli import _parse_grid, main
@@ -118,7 +122,7 @@ def test_betti_invalid_parameters_exit_2(capsys):
     ("MbarP1(4)", "stable_maps_p1(4): degree must be 2 or 3"),
 ])
 def test_catalog_range_errors_name_their_rule(capsys, space, rule):
-    # As check_curve_range does: the one error line says which rule the
+    # As validate_key does: the one error line says which rule the
     # call breaks, not only the call.
     code, out, err = run(capsys, "betti", "--space", space)
     assert code == 2 and out == ""
@@ -492,3 +496,81 @@ def test_forwarded_names_follow_their_defining_modules(monkeypatch):
     assert dsl.pipelines is pipelines
     with pytest.raises(AttributeError):
         cli.verify_suite
+
+
+# Space expressions from the grammar, integers at most 6 and nesting at
+# most 3, then, in half the cases, one character inserted, replaced or
+# deleted.
+_INT = st.integers(0, 6).map(str)
+_GR = st.builds("Gr({},{})".format, st.integers(-6, 6), st.integers(-6, 6))
+_LEAF = st.one_of(
+    _INT.map("P({})".format),
+    st.lists(_INT, min_size=1, max_size=3).map(lambda ws: f"WP({','.join(ws)})"),
+    _GR,
+    st.builds("{}({})".format, st.sampled_from(["F1", "F2", "Fx"]), _GR),
+    _INT.map("MbarP1({})".format),
+    st.builds("{}({},{})".format, st.sampled_from("MSH"), _GR, _INT),
+)
+
+
+def _nest(inner):
+    return st.one_of(
+        _LEAF,
+        st.builds("{} {} {}".format, inner, st.sampled_from("+-*"), inner),
+        inner.map("({})".format),
+        st.builds("blowup({}, {}, {})".format, inner, inner, _INT),
+        st.builds("blowdown({}, {}, {})".format, inner, inner, inner),
+    )
+
+
+_EXPR = _nest(_nest(_nest(_LEAF)))
+
+
+@st.composite
+def _spaces(draw) -> str:
+    text = draw(_EXPR)
+    edit = draw(st.sampled_from(["none", "insert", "replace", "delete"]))
+    if edit == "none":
+        return text
+    i = draw(st.integers(0, len(text) - (edit != "insert")))
+    c = "" if edit == "delete" else draw(st.sampled_from("()+-*,0123456789 PGrWMSHFx#"))
+    return text[:i] + c + text[i + (edit != "insert"):]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spaces())
+def test_betti_space_fuzz_exits_with_one_error_line(space):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["betti", f"--space={space}"])
+    assert code in (0, 2, 3), (space, code)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (space, lines)
+
+
+def test_installed_command_is_the_freezing_entry_point():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["curvebetti"]
+    module_name, _, attr = target.partition(":")
+    entry = importlib.import_module("curvebetti.__main__").main
+    assert getattr(importlib.import_module(module_name), attr) is entry
+
+
+def test_entry_point_freezes_before_the_command_runs():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import gc, sys\n"
+        "import curvebetti.__main__, curvebetti.cli\n"
+        "curvebetti.cli.main = lambda: print(gc.get_freeze_count()) or 0\n"
+        "sys.exit(curvebetti.__main__.main())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert int(proc.stdout) > 0

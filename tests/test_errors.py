@@ -57,8 +57,6 @@ def make(cls):
 def package_exception_classes():
     found = set()
     for info in pkgutil.iter_modules(curvebetti.__path__):
-        if info.name == "__main__":  # importing it runs the command line
-            continue
         module = importlib.import_module(f"curvebetti.{info.name}")
         for obj in vars(module).values():
             if (

@@ -204,8 +204,18 @@ NO_ARITHMETIC = {"dsl", "pipelines", "surgery", "catalog", "polyring"}
          {"pipelines", "surgery"}, {"dsl"}),
         (["betti", "--space", "P(2) * Gr(2,4)"], 0, {"dsl", "catalog", "polyring"},
          {"pipelines", "surgery"}),
+        (["betti", "--k", "1", "--n", "3", "--d", "4", "--compactification", "S"], 2,
+         {"cli", "keys"}, NO_ARITHMETIC),
+        (["table", "--k", "1", "--n", "4..6", "--d", "4", "--compactification", "S"], 2,
+         {"cli", "keys"}, NO_ARITHMETIC),
+        (["verify", "--grid", "k=5..4,n=1..2"], 2, {"cli", "keys"}, NO_ARITHMETIC),
+        (["betti", "--space", "S(Gr(1,4),4)"], 2, {"dsl", "keys"},
+         {"pipelines", "surgery", "catalog", "polyring"}),
+        (["betti", "--space", "H(Gr(1,3),3)"], 2, {"dsl", "keys"},
+         {"pipelines", "surgery", "catalog", "polyring"}),
     ],
-    ids=["unknown-command", "empty-range", "bad-grid", "parse-error", "key-trace", "product"],
+    ids=["unknown-command", "empty-range", "bad-grid", "parse-error", "key-trace", "product",
+         "bad-key", "range-of-bad-keys", "empty-grid", "bad-moduli-leaf", "degenerate-moduli-leaf"],
 )
 def test_each_command_loads_only_the_modules_it_runs(argv, code, loads, skips):
     got_code, loaded = _loaded_after(argv)

@@ -302,8 +302,8 @@ def test_each_degree3_route_never_expands_the_lines(packed_operands):
     large = len(grassmannian(12, 40).poly.coeffs)
     lengths, asked = packed_operands()
     for comp, mode in (("S", "pipeline"), ("H", "pipeline"), ("S", "closed"), ("H", "closed")):
-        for cache in (pipelines._raw_space_poly, pipelines._simpson3_closed, catalog.stable_maps_gr,
-                      catalog.degree3_quotient, catalog.gaussian_anchor, catalog.geometric_grassmannian):
+        for cache in (pipelines._raw_space_poly, pipelines._simpson3_closed, catalog.degree3_quotient,
+                      catalog.gaussian_anchor, catalog.geometric_grassmannian):
             cache.cache_clear()
         lengths.clear()
         asked.clear()
