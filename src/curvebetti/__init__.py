@@ -12,8 +12,7 @@ import importlib
 _DEFINED_IN = {
     "catalog": (
         "EMPTY", "POINT", "PoincarePoly", "fano_lines", "fano_planes", "grassmannian",
-        "lines_through_point", "projective", "stable_maps_gr", "stable_maps_p1",
-        "weighted_projective",
+        "lines_through_point", "projective", "stable_maps_p1", "weighted_projective",
     ),
     "dsl": ("eval_expr", "parse", "to_text"),
     "errors": (
@@ -23,7 +22,7 @@ _DEFINED_IN = {
     "keys": ("ModuliKey", "dim_expected", "grid_keys"),
     "pipelines": (
         "CheckResult", "SuiteReport", "hilbert_d3", "pipeline_for", "simpson_d2",
-        "simpson_d3", "space_poly", "verify_pair", "verify_suite",
+        "simpson_d3", "space_poly", "stable_maps_gr", "verify_pair", "verify_suite",
     ),
     "polyring": ("IntPoly", "exact_div", "monomial"),
     "surgery": (

@@ -10,9 +10,9 @@ rational cohomology agrees with the straight projective space of the
 same dimension), Grassmannians as Gaussian binomials, the space of
 lines in a Grassmannian and of lines through a fixed point, the
 two-component space of planes, and the stable-map spaces of degree 2 and
-3 rational curves.  stable_maps_gr, which keys validates, is reached
-through pipelines' route cache, and the spaces of lines, planes and
-pointed lines only from dsl: none of the four caches its own results.
+3 rational curves, as Quotients.  It knows spaces, not keys: pipelines
+validates a key and names its route, and the spaces of lines, planes and
+pointed lines are reached only from dsl, none caching its own results.
 
 The Gaussian binomial [n choose k]_q, m = min(k, n-k) and d = n - m, is
 the product of (1 - q^a) / (1 - q^i) over pairs of a in d+1..n and i in
@@ -40,7 +40,6 @@ import functools
 from collections.abc import Iterable, Iterator
 
 from .errors import DimensionMismatch, InvalidParameters, NegativeBetti
-from .keys import ModuliKey, dim_expected, validate_key
 from .polyring import ONE, ZERO, Geometric, IntPoly, packed_sum, peel, ratio
 from .polyring import exact_div  # noqa: F401  (bench/test_bench.py looks it up here)
 from .record import Record, setfield
@@ -460,18 +459,3 @@ def degree3_quotient(k: int, n: int) -> Quotient:
     small = (degree3_kernel(k, n), geometric_grassmannian(k - 1, k + 1).geometric)
     return Quotient(gaussian_anchor(k + 1, n), small, down=DEGREE3_KERNEL_DEN)
 
-
-def stable_maps_gr(k: int, n: int, d: int) -> PoincarePoly:
-    """Stable-map space of degree d rational curves in grassmannian(k, n).
-
-    Closed form: a numerator over a fixed product of (1 - q^j), times
-    the lines' grassmannian(k+1, n), which ratio multiplies in packed:
-    degree2_quotient or degree3_quotient.  The key M(Gr(k,n),d) is
-    validated, and the degree checked against its dim_expected.
-    """
-    key = ModuliKey(k, n, d, "M")
-    validate_key(key)
-    quotient = degree2_quotient(k, n) if d == 2 else degree3_quotient(k, n)
-    return PoincarePoly.from_poly(
-        quotient.poly, claimed_dim=dim_expected(key), what=f"stable_maps_gr({k},{n},{d})"
-    )

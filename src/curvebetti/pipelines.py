@@ -6,15 +6,16 @@ sheaves (S), or as a Hilbert scheme of curves (H).  For d = 2 and 3 all
 three have closed-form Poincare polynomials, and S and H are also
 reachable from M by an explicit chain of blow-ups and blow-downs.
 
-This module computes S and H along both routes, each a
-surgery.Pipeline that surgery.run_pipeline evaluates:
+This module computes every key as a surgery.Pipeline, whose terms()
+surgery.run_pipeline folds, and S and H along both routes:
 
-* closed mode starts from the printed formula for S, its terms Quotients
-  over the lines folded with the route; S takes no step, and H is S
-  blown up along the locus of planar cubics;
-* pipeline mode starts from the stable-map polynomial and folds the
-  surgery steps, with centers kept as unexpanded products of catalog
-  spaces (H's planar cubics S(Gr(1,3),3) as Gr(2,3) x P^6).
+* closed mode starts from the printed formula: M is the stable-map
+  space, catalog's degree2_quotient or degree3_quotient, with no step;
+  S is its printed terms, Quotients over the lines, with no step; and
+  H is S blown up along the locus of planar cubics;
+* pipeline mode, for S and H, starts from closed M and folds the surgery
+  steps, with centers kept as unexpanded products of catalog spaces
+  (H's planar cubics S(Gr(1,3),3) as Gr(2,3) x P^6).
 
 Every route is one ratio through the lines' Gr(k+1, n), never expanded:
 every term is a Quotient over its gaussian_anchor (catalog.fold), and
@@ -33,10 +34,10 @@ and palindromicity with the expected dimension); verify_suite adds
 duality under k -> n-k and collects a grid's checks in one report.
 
 The key rules (validity, dimension, normal form, grids) live in keys;
-this module imports them, so pipelines.validate_key and the rest still
-resolve.  Keys are normalized to k <= n-k before evaluation; the symmetry suite evaluates the raw,
-unnormalized formulas on both sides so that the duality stays an
-actual test.
+this module imports the ones it uses, so pipelines.validate_key and the
+rest still resolve.  Keys are normalized to k <= n-k before evaluation;
+stable_maps_gr, and the symmetry suite on both sides, evaluate the raw,
+unnormalized routes, so that the duality stays an actual test.
 """
 
 from __future__ import annotations
@@ -59,14 +60,12 @@ from .catalog import (
     grassmannian_over,
     plane_families,
     projective,
-    stable_maps_gr,
     stable_maps_p1,
     weighted_projective,
 )
 from .errors import CurvebettiError, InvalidParameters
-from .keys import (  # noqa: F401  (COMPACTIFICATIONS and keys_for_pair stay readable here)
-    COMPACTIFICATIONS, SUITES, ModuliKey, dim_expected, grid_keys, has_pipeline, keys_for_pair,
-    mirror_key, normalize_key, validate_key,
+from .keys import (
+    SUITES, ModuliKey, dim_expected, grid_keys, has_pipeline, mirror_key, normalize_key, validate_key,
 )
 from .polyring import (
     ONE,
@@ -170,15 +169,17 @@ def _delta_steps(k: int, n: int) -> tuple[SurgeryStep, ...]:
 
 
 def _pipeline(key: ModuliKey, mode: str) -> Pipeline:
-    """A valid S or H key's route as a pipeline.  Closed mode starts from
-    the closed S formula, with no step in S and the planar-locus blow-ups
-    in H; pipeline mode starts from the stable-map space."""
-    if not has_pipeline(key):
-        raise InvalidParameters(
-            f"{key}: the stable-map space is the pipeline base and has no "
-            "pipeline of its own"
-        )
+    """A valid key's route as a pipeline.  Closed mode starts from the
+    closed formula, with no step in M and S and the planar-locus blow-ups
+    in H; pipeline mode, for S and H, starts from closed M."""
     k, n = key.k, key.n
+    if not has_pipeline(key):
+        if mode == "pipeline":
+            raise InvalidParameters(
+                f"{key}: the stable-map space is the pipeline base and has no "
+                "pipeline of its own"
+            )
+        return Pipeline(base=((degree2_quotient if key.d == 2 else degree3_quotient)(k, n),), steps=())
     if key.d == 2:
         # In degree 2 the sheaf and Hilbert compactifications coincide.
         if mode == "pipeline":
@@ -198,10 +199,7 @@ def _pipeline(key: ModuliKey, mode: str) -> Pipeline:
 
 @functools.lru_cache(maxsize=None)
 def _raw_space_poly(key: ModuliKey, mode: str) -> PoincarePoly:
-    """A valid key's route, unnormalized: closed M is stable_maps_gr,
-    every other route a pipeline, checked against the key's dimension."""
-    if mode == "closed" and not has_pipeline(key):
-        return stable_maps_gr(key.k, key.n, key.d)
+    """A valid key's route, unnormalized, checked against its dimension."""
     return run_pipeline(_pipeline(key, mode), dim_expected(key), f"{key} {mode}")
 
 
@@ -212,6 +210,15 @@ def space_poly(key: ModuliKey, mode: str = "closed") -> PoincarePoly:
     if mode not in ("closed", "pipeline"):
         raise InvalidParameters(f"mode {mode!r} not one of closed, pipeline")
     return _raw_space_poly(normalize_key(key), mode)
+
+
+def stable_maps_gr(k: int, n: int, d: int) -> PoincarePoly:
+    """Stable-map space of degree d rational curves in grassmannian(k, n):
+    closed M's route, its key M(Gr(k,n),d) validated, neither normalized
+    nor cached."""
+    key = ModuliKey(k, n, d, "M")
+    validate_key(key)
+    return run_pipeline(_pipeline(key, "closed"), dim_expected(key), f"stable_maps_gr({k},{n},{d})")
 
 
 def simpson_d2(k: int, n: int, mode: str = "closed") -> PoincarePoly:
@@ -374,8 +381,8 @@ def verify_suite(
     (closed mode equals pipeline mode, S and H keys only), special
     (three fixed identity families), symmetry (raw formulas agree at k
     and n-k).  Checks come in SUITES order, each suite's by sorted key.
-    An empty key list is refused unless special is the only suite, and
-    an empty suites tuple always.
+    Refused: an empty suites tuple, an empty key list unless special is
+    the only suite, and a pipeline suite with no S or H key.
     """
     if not suites:
         raise InvalidParameters("no suites to run")
@@ -386,6 +393,8 @@ def verify_suite(
         keys = grid_keys()
     if not keys and {"duality", "pipeline", "symmetry"} & set(suites):
         raise InvalidParameters("no keys to verify")
+    if "pipeline" in suites and not any(has_pipeline(key) for key in keys):
+        raise InvalidParameters("no S or H key for the pipeline suite")
     checks: dict[str, list[CheckResult]] = {suite: [] for suite in SUITES}
     for key in sorted(set(keys)):
         if "duality" in suites or ("pipeline" in suites and has_pipeline(key)):

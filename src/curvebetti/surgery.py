@@ -16,9 +16,9 @@ A center is a tuple of factors, a bare space a one-factor tuple.
 term() keeps the first, the head, apart and appends the others and the
 signed P(fiber) - 1, unmultiplied, to its small factors.  The base and a
 head may be catalog.Quotients over a large anchor: run_pipeline, which
-evaluates every route of pipelines, closed or not, sums all terms with
-one packed evaluation, one decode and one ratio per anchor
-(catalog.fold), and run_pipeline_traced expands every step.
+evaluates every route of pipelines, sums Pipeline.terms(), the base's
+and each step's term(), with one packed evaluation, one decode and one
+ratio per anchor (catalog.fold); run_pipeline_traced expands each step.
 
 A step's checks live on SurgeryStep alone: __init__ checks its kind, a
 connected fiber and a center of at least one factor; check_fit checks
@@ -101,6 +101,10 @@ class Pipeline(Record):
         setfield(self, "base", base)
         setfield(self, "steps", steps)
 
+    def terms(self) -> tuple[PoincarePoly | Quotient, ...]:
+        """The terms that sum to the result: the base's, then each step's term()."""
+        return (*self.base, *(step.term() for step in self.steps))
+
 
 def blowup_apply(space: PoincarePoly, center: PoincarePoly, codim: int) -> PoincarePoly:
     """Blow up a center of the given codimension.
@@ -155,7 +159,7 @@ def run_pipeline(pipeline: Pipeline, dim: int | None = None,
                  what: str = "pipeline total") -> PoincarePoly:
     """run_pipeline_traced's total by fold, of degree dim if given.  A
     negative total reruns traced, to name the first step that went bad."""
-    total = fold([*pipeline.base, *(step.term() for step in pipeline.steps)])
+    total = fold(pipeline.terms())
     try:
         return PoincarePoly.from_poly(total, dim, what)
     except NegativeBetti:

@@ -13,11 +13,11 @@ import time
 from curvebetti import catalog, pipelines
 from curvebetti.catalog import grassmannian, lines_through_point, projective
 from curvebetti.cli import main as cli_main
+from curvebetti.keys import keys_for_pair
 from curvebetti.pipelines import (
     dim_expected,
     grid_keys,
     hilbert_d3,
-    keys_for_pair,
     mirror_key,
     simpson_d2,
     simpson_d3,

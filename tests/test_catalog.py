@@ -26,13 +26,12 @@ from curvebetti.catalog import (
     grassmannian,
     lines_through_point,
     projective,
-    stable_maps_gr,
     stable_maps_p1,
     weighted_projective,
 )
 from curvebetti.errors import DimensionMismatch, InvalidParameters, NegativeBetti, NonExactDivision
 from curvebetti.keys import validate_key
-from curvebetti.pipelines import ModuliKey, dim_expected, space_poly
+from curvebetti.pipelines import ModuliKey, dim_expected, space_poly, stable_maps_gr
 from curvebetti.polyring import ONE, IntPoly, monomial, ratio
 
 GRID = [(k, n) for k in range(1, 5) for n in range(k + 1, 11)]
@@ -393,8 +392,8 @@ def test_stable_maps_gr_degree_two_reference():
 
 
 def test_stable_maps_gr_guards():
-    # The catalog builder validates its key with keys.validate_key, so a
-    # bad key reads the same from every entry point.
+    # stable_maps_gr validates its key with keys.validate_key, so a bad
+    # key reads the same from every entry point.
     for k, n, d, message in (
         (1, 2, 2, "M(Gr(1,2),2): need n >= 3"),
         (0, 4, 2, "M(Gr(0,4),2): need 1 <= k <= n-1"),

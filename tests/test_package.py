@@ -15,8 +15,7 @@ from curvebetti import catalog, dsl, errors, pipelines, polyring, surgery
 PUBLIC = {
     catalog: (
         "EMPTY", "POINT", "PoincarePoly", "fano_lines", "fano_planes", "grassmannian",
-        "lines_through_point", "projective", "stable_maps_gr", "stable_maps_p1",
-        "weighted_projective",
+        "lines_through_point", "projective", "stable_maps_p1", "weighted_projective",
     ),
     dsl: ("eval_expr", "parse", "to_text"),
     errors: (
@@ -25,8 +24,8 @@ PUBLIC = {
     ),
     pipelines: (
         "CheckResult", "ModuliKey", "SuiteReport", "dim_expected", "grid_keys", "hilbert_d3",
-        "pipeline_for", "simpson_d2", "simpson_d3", "space_poly", "verify_pair",
-        "verify_suite",
+        "pipeline_for", "simpson_d2", "simpson_d3", "space_poly", "stable_maps_gr",
+        "verify_pair", "verify_suite",
     ),
     polyring: ("IntPoly", "exact_div", "monomial"),
     surgery: (
@@ -78,3 +77,21 @@ def test_a_submodule_is_an_attribute_before_it_is_imported():
         check=True,
     )
     assert proc.stdout == "True\n"
+
+
+def test_catalog_loads_neither_keys_nor_pipelines():
+    # The catalog knows spaces, not keys: validating a key and naming its
+    # route is pipelines' work.
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys, curvebetti.catalog\n"
+        "print(sorted({'curvebetti.keys', 'curvebetti.pipelines'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == "[]\n"

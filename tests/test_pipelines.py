@@ -2,6 +2,7 @@ import functools
 import gc
 import hashlib
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -16,8 +17,8 @@ from curvebetti.catalog import (
     grassmannian,
     lines_through_point,
     projective,
-    stable_maps_gr,
 )
+from curvebetti.keys import COMPACTIFICATIONS, keys_for_pair
 from curvebetti.pipelines import (
     CheckResult,
     ModuliKey,
@@ -25,13 +26,13 @@ from curvebetti.pipelines import (
     grid_keys,
     has_pipeline,
     hilbert_d3,
-    keys_for_pair,
     mirror_key,
     normalize_key,
     pipeline_for,
     simpson_d2,
     simpson_d3,
     space_poly,
+    stable_maps_gr,
     validate_key,
     verify_pair,
     verify_suite,
@@ -288,6 +289,17 @@ def test_verify_suite_refuses_an_empty_key_list():
     assert verify_suite([], ("special",)).counts() == {"special": (3, 0)}
 
 
+def test_verify_suite_refuses_a_pipeline_suite_without_an_s_or_h_key():
+    # M has no pipeline of its own: a pipeline suite over M keys alone
+    # would check nothing and pass.
+    m_keys = [ModuliKey(1, 4, 2, "M"), ModuliKey(1, 4, 3, "M")]
+    for suites in (("pipeline",), ("duality", "pipeline")):
+        with pytest.raises(InvalidParameters, match="no S or H key for the pipeline suite"):
+            verify_suite(m_keys, suites)
+    assert verify_suite(m_keys, ("duality",)).counts() == {"duality": (2, 0)}
+    assert verify_suite([*m_keys, ModuliKey(1, 4, 2, "S")], ("pipeline",)).counts() == {"pipeline": (1, 0)}
+
+
 def test_verify_suite_refuses_an_empty_suites_tuple():
     for keys in (grid_keys(1, 1, None, 4), [], None):
         with pytest.raises(InvalidParameters, match="no suites to run"):
@@ -329,9 +341,9 @@ def _failed_report(keys, suites, expected):
 
 
 def test_duality_failure_detail(monkeypatch, empty_caches):
-    # M's closed route is stable_maps_gr itself: a one-sided polynomial of
-    # degree 1 fails both halves of the duality check.
-    monkeypatch.setattr(pipelines, "stable_maps_gr", lambda k, n, d: projective(1) + POINT)
+    # A one-sided polynomial of degree 1 as M's closed route fails both
+    # halves of the duality check.
+    monkeypatch.setattr(pipelines, "_raw_space_poly", lambda key, mode: projective(1) + POINT)
     _failed_report(
         [ModuliKey(1, 4, 2, "M")],
         ("duality",),
@@ -432,6 +444,88 @@ def test_closed_equals_pipeline_beyond_the_default_grid(n):
             assert closed.poly == space_poly(key, "pipeline").poly, key
             assert closed.dim == dim_expected(key), key
             assert closed.is_palindromic(), key
+
+
+def _geometric_value(g, t: int) -> int:
+    """sign t^shift times each (t^a - 1) / (t^i - 1), i dividing a."""
+    out = g.sign * t**g.shift
+    for a, i in g.pairs:
+        run, rest = divmod(t**a - 1, t**i - 1)
+        assert rest == 0
+        out *= run
+    return out
+
+
+def _anchor_value(anchor, t: int) -> int:
+    """[n choose k]_t, m = min(k, n - k), as the product over j < m of
+    (t^(n-j) - 1) / (t^(j+1) - 1), each prefix an integer; a geometric
+    space by its Geometric, any other by its polynomial."""
+    if isinstance(anchor, catalog.GaussianAnchor):
+        k, n = anchor.k, anchor.n
+        out = 1
+        for j in range(min(k, n - k)):
+            out, rest = divmod(out * (t ** (n - j) - 1), t ** (j + 1) - 1)
+            assert rest == 0
+        return out
+    if isinstance(anchor, catalog.GeometricSpace):
+        return _geometric_value(anchor.geometric, t)
+    return anchor.poly.evaluate(t)
+
+
+def value(terms, t: int) -> Fraction:
+    """The exact sum of a route's terms at q = t, each anchor, small
+    factor, (1 - t^a) of up and (1 - t^i) of down valued on its own: no
+    packing, no fold and no expansion of the anchor."""
+    total = Fraction(0)
+    for term in terms:
+        out = Fraction(_anchor_value(term.anchor, t))
+        for factor in term.small:
+            out *= factor.evaluate(t) if isinstance(factor, IntPoly) else _geometric_value(factor, t)
+        for a in term.up:
+            out *= 1 - t**a
+        for i in term.down:
+            out /= 1 - t**i
+        total += out
+    return total
+
+
+def _every_route():
+    """Each route of the default grid, and of all five key kinds at three
+    sizes where the anchors run through their pairs."""
+    keys = grid_keys() + [key for k, n in ((12, 40), (16, 44), (24, 48)) for key in keys_for_pair(k, n)]
+    return [(key, mode) for key in keys for mode in ("closed", "pipeline")
+            if mode == "closed" or has_pipeline(key)]
+
+
+def _routes_off_their_value(t: int) -> list:
+    return [(key, mode) for key, mode in _every_route()
+            if value(pipelines._pipeline(normalize_key(key), mode).terms(), t)
+            != space_poly(key, mode).poly.evaluate(t)]
+
+
+def test_every_route_valued_term_by_term_is_its_folded_polynomial_at_two():
+    assert len(_every_route()) == 252
+    assert _routes_off_their_value(2) == []
+
+
+def test_term_values_catch_an_anchor_fault_that_both_routes_share(monkeypatch, empty_caches):
+    # 1 + q^deg added to every Gaussian anchor's ratio keeps each route
+    # palindromic and of its degree, and the two routes of a key equal:
+    # of verify's 374 checks only the two k = 1 identities of special
+    # fail.  The terms, valued with the anchor on its own, flag every route.
+    ratio = catalog.GaussianAnchor.ratio
+
+    def shifted(self, x, up, down):
+        out = ratio(self, x, up, down)
+        return out + ONE + monomial(out.degree)
+
+    monkeypatch.setattr(catalog.GaussianAnchor, "ratio", shifted)
+    report = verify_suite()
+    failed = [(c.suite, c.name) for c in report.checks if not c.passed]
+    assert report.total_checks == 374
+    assert failed == [("special", "conic-bundle: S(Gr(1,n),2) = P^5 x Gr(3,n)"),
+                      ("special", "S(Gr(1,3),3) reference value")]
+    assert _routes_off_their_value(2) == _every_route()
 
 
 def _clear_caches():
@@ -546,7 +640,7 @@ def _output_lines():
     for n in range(31):
         for k in range(-1, n + 2):
             for d in (2, 3, 4):
-                for c in pipelines.COMPACTIFICATIONS:
+                for c in COMPACTIFICATIONS:
                     for mode in ("closed", "pipeline"):
                         try:
                             value = space_poly(ModuliKey(k, n, d, c), mode).poly.coeffs

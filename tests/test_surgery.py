@@ -17,11 +17,11 @@ from curvebetti.catalog import (
     grassmannian,
     projective,
 )
+from curvebetti.keys import keys_for_pair
 from curvebetti.pipelines import (
     ModuliKey,
     grid_keys,
     has_pipeline,
-    keys_for_pair,
     normalize_key,
     pipeline_for,
     space_poly,
